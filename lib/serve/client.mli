@@ -4,8 +4,10 @@
 
     A client may pipeline: several {!send}s before the first {!recv}.
     Responses come back in request order on one connection (the server
-    batches but answers in arrival order), so matching by [id] is a
-    safety net, not a necessity. *)
+    answers a request on the connection's reader thread only when none
+    of that connection's requests is queued, and the dispatcher answers
+    each batch in arrival order), so matching by [id] is a safety net,
+    not a necessity. *)
 
 type t
 

@@ -63,13 +63,15 @@ let create ?jobs ?(engine : Runner.engine = `Trace) ?(response_cache_capacity = 
 
 (* ------------------------------------------------------- response LRU *)
 
-let cache_find t key =
-  Mutex.protect t.e_mutex (fun () ->
-      match List.assoc_opt key t.e_cache with
-      | None -> None
-      | Some e ->
-        t.e_cache <- (key, e) :: List.filter (fun (k, _) -> k <> key) t.e_cache;
-        Some e)
+(* Caller holds [e_mutex]. *)
+let cache_find_locked t key =
+  match List.assoc_opt key t.e_cache with
+  | None -> None
+  | Some e ->
+    t.e_cache <- (key, e) :: List.filter (fun (k, _) -> k <> key) t.e_cache;
+    Some e
+
+let cache_find t key = Mutex.protect t.e_mutex (fun () -> cache_find_locked t key)
 
 let cache_add t key e =
   if t.e_cache_cap > 0 then
@@ -220,6 +222,50 @@ let stats_json t =
         ])
 
 let requests_served t = Mutex.protect t.e_mutex (fun () -> t.e_requests)
+
+(* ----------------------------------------------------------- fast path *)
+
+(* The shared state touched here is the LRU and the counters, both under
+   [e_mutex]; the registry is not, so any thread may call this while
+   [execute] runs on the dispatcher. *)
+let answer_now t (rq : Protocol.request) =
+  let answer ?key ?entry served payload =
+    let report = request_report ~rq_id:rq.rq_id ?key ~served ~queue_wait_s:0.0 ?entry () in
+    Some Protocol.{ rs_id = rq.rq_id; rs_result = Ok (payload, report) }
+  in
+  let count_inline () =
+    Mutex.protect t.e_mutex (fun () ->
+        t.e_requests <- t.e_requests + 1;
+        t.e_inline <- t.e_inline + 1)
+  in
+  match rq.Protocol.rq_op with
+  | Protocol.Ping ->
+    count_inline ();
+    answer "inline" "pong"
+  | Protocol.Stats ->
+    (* as in a batch, the payload does not count the request itself *)
+    let payload = J.to_string ~indent:2 (stats_json t) ^ "\n" in
+    count_inline ();
+    answer "inline" payload
+  | Protocol.Shutdown -> None
+  | Protocol.Run q -> (
+    let key = Protocol.query_key q in
+    let hit =
+      Mutex.protect t.e_mutex (fun () ->
+          let hit = cache_find_locked t key in
+          if Option.is_some hit then begin
+            t.e_requests <- t.e_requests + 1;
+            t.e_cached <- t.e_cached + 1
+          end;
+          hit)
+    in
+    match hit with Some e -> answer ~key ~entry:e "cached" e.en_payload | None -> None)
+
+let reject t ~id msg =
+  Mutex.protect t.e_mutex (fun () ->
+      t.e_requests <- t.e_requests + 1;
+      t.e_errors <- t.e_errors + 1);
+  Protocol.{ rs_id = id; rs_result = Error msg }
 
 (* ------------------------------------------------------------- execute *)
 

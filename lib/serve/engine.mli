@@ -17,8 +17,9 @@
 
     {b Threading.}  {!execute} must only ever be called from one thread
     at a time (the server's dispatcher) — it writes the daemon telemetry
-    registry, which is single-writer.  {!stats_json} and the counters are
-    safe from any thread. *)
+    registry, which is single-writer.  {!answer_now}, {!reject},
+    {!stats_json} and the counters are safe from any thread, including
+    while {!execute} runs. *)
 
 type t
 
@@ -54,6 +55,23 @@ val execute : t -> pending list -> Protocol.response list
     (same key as an earlier request in this batch), ["cached"] (response
     LRU hit from an earlier batch), or ["inline"] (ping/stats/shutdown —
     no simulation). *)
+
+val answer_now : t -> Protocol.request -> Protocol.response option
+(** Answer a request that needs no computation, or return [None] (the
+    caller queues it for {!execute}).  [Ping] and [Stats] are answered
+    ["inline"], a [Run] whose {!Protocol.query_key} is in the response
+    LRU ["cached"] with the compute fields of the cached entry; [Shutdown]
+    and LRU misses give [None].  The report's [queue_wait_s] is 0.
+
+    {b Threading.}  Callable from any thread while {!execute} runs on
+    another: it takes the engine mutex for the LRU look-up and the
+    counters, and never writes the telemetry registry.  The server calls
+    it on each connection's reader thread. *)
+
+val reject : t -> id:string -> string -> Protocol.response
+(** The error response [Error msg] for a frame refused before it reached
+    the engine (unparseable, oversized, or arriving while draining),
+    counted in [requests] and [errors].  Safe from any thread. *)
 
 val oracle : Protocol.query -> (string, string) result
 (** The sequential reference payload: the same computation run with

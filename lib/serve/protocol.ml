@@ -65,9 +65,9 @@ let check_schema j =
   | Some (J.Str s) -> Error (Printf.sprintf "unsupported schema %S (this server speaks %s)" s schema)
   | Some _ -> Error "schema field must be a string"
 
-let req_str key j =
+let req_str ?(empty_ok = false) key j =
   match J.member key j with
-  | Some (J.Str s) when s <> "" -> Ok s
+  | Some (J.Str s) when empty_ok || s <> "" -> Ok s
   | Some (J.Str _) -> Error (Printf.sprintf "%s must be non-empty" key)
   | Some _ -> Error (Printf.sprintf "%s must be a string" key)
   | None -> Error (Printf.sprintf "missing %s field" key)
@@ -107,7 +107,8 @@ let request_of_json j =
 
 let response_of_json j =
   let* () = check_schema j in
-  let* id = req_str "id" j in
+  (* the answer to a frame that never parsed has no id to echo *)
+  let* id = req_str ~empty_ok:true "id" j in
   match J.member "ok" j with
   | Some (J.Bool true) ->
     let* payload =

@@ -46,7 +46,8 @@ type report = Validate.Jsonx.t
     compute wall, phase breakdown, trace-cache delta, span id. *)
 
 type response = { rs_id : string; rs_result : (string * report, string) result }
-(** [Ok (payload, report)] or [Error message]. *)
+(** [Ok (payload, report)] or [Error message].  [rs_id] is [""] only on
+    the error answer to a frame that could not be parsed. *)
 
 (** {2 Encoding}  ([print_*] emits a single line without the trailing
     newline; [parse_*] accepts exactly one frame.) *)

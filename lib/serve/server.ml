@@ -3,6 +3,7 @@ type conn = {
   c_mutex : Mutex.t;  (* serializes writes and the lifecycle fields *)
   mutable c_outstanding : int;  (* queued requests awaiting their response *)
   mutable c_eof : bool;  (* reader saw EOF; close once outstanding drains *)
+  mutable c_dead : bool;  (* a write failed or timed out: drop further responses *)
   mutable c_closed : bool;
 }
 
@@ -19,6 +20,12 @@ type t = {
 }
 
 (* ---------------------------------------------------------- connection *)
+
+(* A peer that leaves a response unread this long (its socket buffer
+   full) is dropped, so one client that never reads cannot hold the
+   dispatcher. *)
+let send_timeout_s = 2.0
+let max_frame_bytes = 1 lsl 20
 
 let really_write fd s =
   let b = Bytes.unsafe_of_string s in
@@ -37,12 +44,18 @@ let close_locked c =
 (* The no-partial-frame guarantee: the frame arrives fully serialized
    (terminator included) and goes out in one locked write loop, so two
    threads' responses never interleave and a line is either fully
-   written or not written at all. *)
+   written or not written at all.  The one exception is a write that
+   times out: the connection is shut down there and then, so the cut
+   frame is the last thing the peer sees. *)
 let conn_write c line =
   Mutex.protect c.c_mutex (fun () ->
-      if not c.c_closed then
-        try really_write c.c_fd line
-        with Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) -> ())
+      if not (c.c_closed || c.c_dead) then
+        try really_write c.c_fd line with
+        | Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
+          c.c_dead <- true;
+          (* wakes the reader with EOF; the fd closes once it drains *)
+          (try Unix.shutdown c.c_fd SHUTDOWN_ALL with Unix.Unix_error _ -> ())
+        | Unix.Unix_error ((EPIPE | ECONNRESET | EBADF), _, _) -> c.c_dead <- true)
 
 let conn_finish_one c =
   Mutex.protect c.c_mutex (fun () ->
@@ -58,9 +71,24 @@ let send_response c resp = conn_write c (Protocol.print_response resp ^ "\n")
 
 (* -------------------------------------------------------------- reader *)
 
+(* A request is answered right here, on the connection's reader thread,
+   when the engine can do so without computing and nothing of this
+   connection is queued: only this thread adds to [c_outstanding], so at
+   0 every earlier response is already written and the answer keeps the
+   connection's request order. *)
+let answered_now t c req =
+  if Atomic.get t.s_stop || Mutex.protect c.c_mutex (fun () -> c.c_outstanding > 0) then false
+  else
+    match Engine.answer_now t.s_engine req with
+    | Some resp ->
+      send_response c resp;
+      true
+    | None -> false
+
 let handle_line t c line =
   match Protocol.parse_request line with
-  | Error msg -> send_response c Protocol.{ rs_id = ""; rs_result = Error msg }
+  | Error msg -> send_response c (Engine.reject t.s_engine ~id:"" msg)
+  | Ok req when answered_now t c req -> ()
   | Ok req ->
     Mutex.protect c.c_mutex (fun () -> c.c_outstanding <- c.c_outstanding + 1);
     let pending = Engine.{ p_req = req; p_enqueued_s = Unix.gettimeofday () } in
@@ -73,18 +101,47 @@ let handle_line t c line =
     end
     else begin
       send_response c
-        Protocol.{ rs_id = req.rq_id; rs_result = Error "server is draining; request rejected" };
+        (Engine.reject t.s_engine ~id:req.rq_id "server is draining; request rejected");
       conn_finish_one c
     end
 
+(* Frames are split off a fixed read chunk into [line], which never
+   grows past [max_frame_bytes]: a peer sending a longer frame gets one
+   error frame, and nothing more is read from it. *)
 let reader t c =
-  let ic = Unix.in_channel_of_descr c.c_fd in
+  let chunk = Bytes.create 65536 in
+  let line = Buffer.create 1024 in
+  let frame () =
+    let s = Buffer.contents line in
+    Buffer.clear line;
+    if String.trim s <> "" then handle_line t c s
+  in
+  let rec scan i n =
+    if i >= n then true
+    else
+      let j = match Bytes.index_from_opt chunk i '\n' with Some j when j < n -> j | _ -> n in
+      if Buffer.length line + (j - i) > max_frame_bytes then begin
+        send_response c
+          (Engine.reject t.s_engine ~id:""
+             (Printf.sprintf "request frame exceeds %d bytes; closing the connection"
+                max_frame_bytes));
+        false
+      end
+      else begin
+        Buffer.add_subbytes line chunk i (j - i);
+        if j < n then begin
+          frame ();
+          scan (j + 1) n
+        end
+        else true
+      end
+  in
   let rec loop () =
-    match input_line ic with
-    | exception (End_of_file | Sys_error _ | Unix.Unix_error _) -> ()
-    | line ->
-      if String.trim line <> "" then handle_line t c line;
-      loop ()
+    match Unix.read c.c_fd chunk 0 (Bytes.length chunk) with
+    | 0 -> frame ()  (* a last frame may lack its newline *)
+    | n -> if scan 0 n then loop ()
+    | exception Unix.Unix_error (EINTR, _, _) -> loop ()
+    | exception Unix.Unix_error _ -> ()
   in
   loop ();
   conn_mark_eof c
@@ -175,8 +232,16 @@ let stop t = Atomic.set t.s_stop true
 let stopped t = Atomic.get t.s_stop
 
 let spawn_reader t fd =
+  Unix.setsockopt_float fd SO_SNDTIMEO send_timeout_s;
   let c =
-    { c_fd = fd; c_mutex = Mutex.create (); c_outstanding = 0; c_eof = false; c_closed = false }
+    {
+      c_fd = fd;
+      c_mutex = Mutex.create ();
+      c_outstanding = 0;
+      c_eof = false;
+      c_dead = false;
+      c_closed = false;
+    }
   in
   let th = Thread.create (fun () -> reader t c) () in
   Mutex.protect t.s_conns_mutex (fun () ->

@@ -8,6 +8,86 @@ module P = Serve.Protocol
 module Engine = Serve.Engine
 module J = Validate.Jsonx
 
+(* ------------------------------------------------------------- daemon *)
+
+let with_server ?jobs f =
+  let sock =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "simbridge-test-%d-%d.sock" (Unix.getpid ()) (Hashtbl.hash f land 0xFFFF))
+  in
+  let srv = Serve.Server.create ?jobs (`Unix sock) in
+  let th = Thread.create Serve.Server.run srv in
+  Fun.protect
+    ~finally:(fun () ->
+      Serve.Server.stop srv;
+      Thread.join th;
+      try Unix.unlink sock with Unix.Unix_error _ -> ())
+    (fun () -> f sock srv)
+
+(* Raw connections, for tests that need to see exactly when frames
+   arrive on each connection, or to send what no real client would. *)
+type raw = { fd : Unix.file_descr; rbuf : Buffer.t }
+
+let raw_connect sock =
+  let fd = Unix.socket PF_UNIX SOCK_STREAM 0 in
+  Unix.connect fd (ADDR_UNIX sock);
+  { fd; rbuf = Buffer.create 4096 }
+
+let raw_send r s =
+  let off = ref 0 in
+  while !off < String.length s do
+    off := !off + Unix.write_substring r.fd s !off (String.length s - !off)
+  done
+
+let frames reqs = String.concat "" (List.map (fun rq -> P.print_request rq ^ "\n") reqs)
+
+(* The next response line, or [None] once the daemon has closed the
+   connection; fails the test when nothing arrives within [secs]. *)
+let raw_recv ?(secs = 30.0) r =
+  let deadline = Unix.gettimeofday () +. secs in
+  let chunk = Bytes.create 65536 in
+  let rec go () =
+    let s = Buffer.contents r.rbuf in
+    match String.index_opt s '\n' with
+    | Some i ->
+      Buffer.clear r.rbuf;
+      Buffer.add_string r.rbuf (String.sub s (i + 1) (String.length s - i - 1));
+      Some (String.sub s 0 i)
+    | None -> (
+      let left = deadline -. Unix.gettimeofday () in
+      if left <= 0.0 then Alcotest.failf "no response frame within %g s" secs;
+      match Unix.select [ r.fd ] [] [] left with
+      | [], _, _ -> go ()
+      | _ -> (
+        match Unix.read r.fd chunk 0 (Bytes.length chunk) with
+        | 0 -> None
+        | n ->
+          Buffer.add_subbytes r.rbuf chunk 0 n;
+          go ()
+        | exception Unix.Unix_error (ECONNRESET, _, _) -> None))
+  in
+  go ()
+
+let raw_response ?secs r =
+  match raw_recv ?secs r with
+  | None -> Alcotest.fail "connection closed before the response"
+  | Some line -> (
+    match P.parse_response line with
+    | Ok resp -> resp
+    | Error msg -> Alcotest.failf "unparseable response %S: %s" line msg)
+
+let stats_of resp =
+  match resp.P.rs_result with
+  | Ok (payload, _) -> (
+    match J.parse payload with
+    | Ok stats ->
+      fun field ->
+        (match Option.bind (J.member field stats) J.to_int with
+        | Some n -> n
+        | None -> Alcotest.failf "stats payload has no integer %S" field)
+    | Error msg -> Alcotest.failf "stats payload unparseable: %s" msg)
+  | Error msg -> Alcotest.failf "stats request failed: %s" msg
+
 (* ------------------------------------------------------------ protocol *)
 
 let gen_request =
@@ -55,7 +135,9 @@ let test_response_roundtrip () =
     | Ok r' -> Alcotest.(check string) "byte-identical" line (P.print_response r')
   in
   check { P.rs_id = "a"; rs_result = Ok ("x,y\n1,2\n", report) };
-  check { P.rs_id = "b"; rs_result = Error "unknown figure \"fig99\"" }
+  check { P.rs_id = "b"; rs_result = Error "unknown figure \"fig99\"" };
+  (* the answer to an unparseable frame has no id to echo *)
+  check { P.rs_id = ""; rs_result = Error "malformed frame" }
 
 let test_malformed_frames () =
   let valid =
@@ -96,10 +178,22 @@ let test_malformed_frames () =
     Alcotest.(check bool) "names the supported schema" true (has_needle P.schema)
   | Ok _ -> Alcotest.fail "bogus schema accepted");
   (* scale defaults to 1.0 when absent *)
-  match P.parse_request {|{"schema":"simbridge-serve/1","id":"x","op":"csv","figure":"fig1"}|} with
+  (match P.parse_request {|{"schema":"simbridge-serve/1","id":"x","op":"csv","figure":"fig1"}|} with
   | Ok { P.rq_op = P.Run (P.Figure { scale; _ }); _ } ->
     Alcotest.(check (float 0.0)) "default scale" 1.0 scale
-  | _ -> Alcotest.fail "frame without scale should parse"
+  | _ -> Alcotest.fail "frame without scale should parse");
+  (* the daemon answers a malformed frame with an error and counts it *)
+  with_server ~jobs:1 (fun sock _srv ->
+      let r = raw_connect sock in
+      raw_send r "hello there\n";
+      let resp = raw_response r in
+      Alcotest.(check string) "error frame carries no id" "" resp.P.rs_id;
+      Alcotest.(check bool) "error frame" true (Result.is_error resp.P.rs_result);
+      raw_send r (frames [ P.{ rq_id = "s"; rq_op = Stats } ]);
+      let stat = stats_of (raw_response r) in
+      Alcotest.(check int) "malformed frame counted as a request" 1 (stat "requests");
+      Alcotest.(check int) "malformed frame counted as an error" 1 (stat "errors");
+      Unix.close r.fd)
 
 let test_addr_parsing () =
   Alcotest.(check bool) "bare path" true (P.addr_of_string "/tmp/x.sock" = Ok (`Unix "/tmp/x.sock"));
@@ -241,20 +335,6 @@ let test_engine_figure_oracle_identity () =
 
 (* -------------------------------------------------------------- server *)
 
-let with_server ?jobs f =
-  let sock =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "simbridge-test-%d-%d.sock" (Unix.getpid ()) (Hashtbl.hash f land 0xFFFF))
-  in
-  let srv = Serve.Server.create ?jobs (`Unix sock) in
-  let th = Thread.create Serve.Server.run srv in
-  Fun.protect
-    ~finally:(fun () ->
-      Serve.Server.stop srv;
-      Thread.join th;
-      try Unix.unlink sock with Unix.Unix_error _ -> ())
-    (fun () -> f sock srv)
-
 let test_server_concurrent_clients () =
   with_server ~jobs:1 (fun sock _srv ->
       let q = cellq () in
@@ -329,6 +409,126 @@ let test_server_drain_no_partial_frames () =
       (* the shutdown frame stopped the daemon; run returns on its own *)
       Alcotest.(check bool) "server stopping" true (Serve.Server.stopped srv))
 
+(* A cell that computes for about a second: long next to the daemon's
+   thread hand-offs, and no other test computes it. *)
+let long_cellq = P.Cell { platform = "banana-pi-sim"; kernel = "MIP"; scale = 3.0 }
+
+let queue_wait_of resp =
+  match resp.P.rs_result with
+  | Ok (_, report) -> (
+    match J.member "queue_wait_s" report with
+    | Some (J.Num w) -> w
+    | _ -> Alcotest.fail "report has no queue_wait_s")
+  | Error msg -> Alcotest.failf "unexpected error response: %s" msg
+
+let test_fast_path_skips_cold_compute () =
+  (* connection B's cached query and ping are answered on B's reader
+     thread while the dispatcher is still computing A's cold cell *)
+  with_server ~jobs:1 (fun sock _srv ->
+      let hot = cellq () in
+      let b = raw_connect sock in
+      raw_send b (frames [ P.{ rq_id = "warm"; rq_op = Run hot } ]);
+      Alcotest.(check string) "warm-up computed" "computed" (served_of (raw_response b));
+      let a = raw_connect sock in
+      raw_send a (frames [ P.{ rq_id = "cold"; rq_op = Run long_cellq } ]);
+      Unix.sleepf 0.05;
+      raw_send b (frames [ P.{ rq_id = "hot"; rq_op = Run hot }; P.{ rq_id = "ping"; rq_op = Ping } ]);
+      let r_hot = raw_response b in
+      let r_ping = raw_response b in
+      let a_waiting = match Unix.select [ a.fd ] [] [] 0.0 with [], _, _ -> true | _ -> false in
+      Alcotest.(check bool) "B answered before A's cold cell" true a_waiting;
+      Alcotest.(check string) "hot ids in order" "hot,ping" (r_hot.P.rs_id ^ "," ^ r_ping.P.rs_id);
+      Alcotest.(check string) "hot query cached" "cached" (served_of r_hot);
+      Alcotest.(check (float 0.0)) "no queue wait" 0.0 (queue_wait_of r_hot);
+      Alcotest.(check string) "ping inline" "inline" (served_of r_ping);
+      (match Engine.oracle hot with
+      | Ok expect -> Alcotest.(check string) "cached payload = oracle" expect (payload_of r_hot)
+      | Error msg -> Alcotest.failf "oracle failed: %s" msg);
+      let r_cold = raw_response a in
+      Alcotest.(check string) "A's cell computed" "computed" (served_of r_cold);
+      List.iter (fun r -> Unix.close r.fd) [ a; b ])
+
+let test_fast_path_keeps_connection_order () =
+  (* a cached query pipelined behind a cold one on the same connection
+     waits its turn in the dispatcher *)
+  with_server ~jobs:1 (fun sock _srv ->
+      let hot = cellq () in
+      let r = raw_connect sock in
+      raw_send r (frames [ P.{ rq_id = "warm"; rq_op = Run hot } ]);
+      ignore (raw_response r);
+      raw_send r
+        (frames
+           [
+             P.{ rq_id = "cold"; rq_op = Run (cellq ~scale:0.05 ()) };
+             P.{ rq_id = "hot"; rq_op = Run hot };
+             P.{ rq_id = "ping"; rq_op = Ping };
+           ]);
+      let got = List.init 3 (fun _ -> raw_response r) in
+      Alcotest.(check (list string)) "responses in request order" [ "cold"; "hot"; "ping" ]
+        (List.map (fun resp -> resp.P.rs_id) got);
+      Alcotest.(check (list string)) "served markers" [ "computed"; "cached"; "inline" ]
+        (List.map served_of got);
+      Unix.close r.fd)
+
+let test_fast_path_counted () =
+  with_server ~jobs:1 (fun sock srv ->
+      let c = Serve.Client.connect (`Unix sock) in
+      let rpc id rq_op =
+        match Serve.Client.rpc c P.{ rq_id = id; rq_op } with
+        | Ok resp -> resp
+        | Error msg -> Alcotest.failf "%s: %s" id msg
+      in
+      Alcotest.(check string) "first computed" "computed" (served_of (rpc "a" (Run (cellq ()))));
+      Alcotest.(check string) "then cached" "cached" (served_of (rpc "b" (Run (cellq ()))));
+      Alcotest.(check string) "ping inline" "inline" (served_of (rpc "p" Ping));
+      let stat = stats_of (rpc "s" Stats) in
+      Alcotest.(check int) "requests" 3 (stat "requests");
+      Alcotest.(check int) "computed" 1 (stat "computed");
+      Alcotest.(check int) "cached" 1 (stat "cached");
+      Alcotest.(check int) "inline" 1 (stat "inline");
+      Alcotest.(check int) "one batch (the computation)" 1 (stat "batches");
+      (* the drain summary reads this; the stats request counts too *)
+      Alcotest.(check int) "requests served" 4
+        (Engine.requests_served (Serve.Server.engine srv));
+      Serve.Client.close c)
+
+let test_non_reading_client () =
+  (* A queues a cold cell and thousands of pings, and never reads: once
+     its socket buffer is full the dispatcher must drop A, not block *)
+  with_server ~jobs:1 (fun sock _srv ->
+      let a = raw_connect sock and b = raw_connect sock in
+      (* closing A on failure unblocks a dispatcher stuck writing to it *)
+      Fun.protect ~finally:(fun () -> List.iter (fun r -> Unix.close r.fd) [ a; b ])
+      @@ fun () ->
+      (* long enough a computation that every ping queues behind it *)
+      let cold = P.Cell { platform = "rocket2"; kernel = "MIP"; scale = 3.0 } in
+      let pings = List.init 5000 (fun i -> P.{ rq_id = Printf.sprintf "p%d" i; rq_op = Ping }) in
+      raw_send a (frames (P.{ rq_id = "cold"; rq_op = Run cold } :: pings));
+      raw_send b (frames [ P.{ rq_id = "b"; rq_op = Run (cellq ()) } ]);
+      let resp = raw_response ~secs:(10.0 *. Serve.Server.send_timeout_s) b in
+      Alcotest.(check string) "B's cell answered" "computed" (served_of resp);
+      (* A was disconnected: its stream ends well short of 5001 frames *)
+      let rec frames_until_eof n =
+        match raw_recv ~secs:(5.0 *. Serve.Server.send_timeout_s) a with
+        | None -> n
+        | Some _ -> frames_until_eof (n + 1)
+      in
+      let got = frames_until_eof 0 in
+      Alcotest.(check bool) (Printf.sprintf "A cut off (%d frames)" got) true (got < 5001))
+
+let test_oversized_frame () =
+  with_server ~jobs:1 (fun sock _srv ->
+      let a = raw_connect sock in
+      raw_send a (String.make (Serve.Server.max_frame_bytes + 1000) 'x');
+      let resp = raw_response a in
+      Alcotest.(check bool) "one error frame" true (Result.is_error resp.P.rs_result);
+      Alcotest.(check bool) "then the connection closes" true (raw_recv a = None);
+      let b = raw_connect sock in
+      raw_send b (frames [ P.{ rq_id = "s"; rq_op = Stats } ]);
+      let stat = stats_of (raw_response b) in
+      Alcotest.(check int) "oversized frame counted as an error" 1 (stat "errors");
+      List.iter (fun r -> Unix.close r.fd) [ a; b ])
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_request_roundtrip;
@@ -345,4 +545,11 @@ let suite =
       test_server_concurrent_clients;
     Alcotest.test_case "mid-batch shutdown leaves no partial frame" `Quick
       test_server_drain_no_partial_frames;
+    Alcotest.test_case "cached and ping answered beside a cold compute" `Quick
+      test_fast_path_skips_cold_compute;
+    Alcotest.test_case "cached behind cold keeps connection order" `Quick
+      test_fast_path_keeps_connection_order;
+    Alcotest.test_case "fast-path answers counted in stats" `Quick test_fast_path_counted;
+    Alcotest.test_case "non-reading client does not stall others" `Quick test_non_reading_client;
+    Alcotest.test_case "oversized frame rejected and closed" `Quick test_oversized_frame;
   ]

@@ -51,10 +51,10 @@ perf-smoke:
 
 # The CI perf-trend gate: remeasure the Seq baseline on THIS host first
 # (ratio bars compared against another machine's baseline would gate on
-# hardware, not code), then run the full replay gate — identity, memo
-# accuracy, trace >= 2x and memo fast path >= 10x the same-host Seq
-# baseline.  Writes BENCH_perf.json and a ledger run report whose
-# aggregate_mips is the fast-path number `history check` trends.
+# hardware, not code), then run the full replay gate — identity and
+# trace >= 2x the same-host Seq baseline.  Writes BENCH_perf.json and a
+# ledger run report whose aggregate_mips is the trace-engine number
+# `history check` trends.
 # Note: this overwrites results/perf-baseline.json in the working tree;
 # don't commit the remeasured copy unless refreshing the baseline is
 # the point of the change.
@@ -120,7 +120,8 @@ CLI := ./_build/default/bin/simbridge_cli.exe
 # CI smoke for the serve daemon: boot it on a Unix socket, hit it with
 # two concurrent clients (fig2 after fig1 so the cross-request trace
 # cache is exercised), diff every payload against the one-shot CLI,
-# verify malformed flags and empty-history handling, then SIGTERM and
+# verify malformed flags (garbage --jobs, non-positive or non-finite
+# --scale, non-positive --ranks) and empty-history handling, then SIGTERM and
 # assert a clean drain (exit 0 + final run report written).
 serve-smoke: build
 	@rm -f _build/serve-smoke.sock _build/serve-report.json _build/serve-history.jsonl
@@ -128,6 +129,13 @@ serve-smoke: build
 		echo "serve-smoke: FAIL (--jobs banana accepted)"; exit 1; \
 	else grep -qi "jobs" _build/serve-usage.err \
 		&& echo "serve-smoke: garbage --jobs rejected with a usage error"; fi
+	@for args in "workload MM -p banana-pi-sim --scale=0" "workload MM -p banana-pi-sim --scale=-1" \
+		"workload MM -p banana-pi-sim --scale nan" "workload MM -p banana-pi-sim --scale=inf" \
+		"csv fig1 --scale=0" "workload cg --ranks=-3" "workload cg --ranks 0"; do \
+		$(CLI) $$args --report "" > /dev/null 2>_build/serve-usage.err; STATUS=$$?; \
+		if [ $$STATUS -ne 124 ] || ! grep -q "option '--" _build/serve-usage.err; then \
+			echo "serve-smoke: FAIL ('$$args' exited $$STATUS, want a usage error)"; exit 1; fi; \
+	done; echo "serve-smoke: out-of-range --scale/--ranks rejected with usage errors"
 	@$(CLI) history show --history _build/serve-history.jsonl \
 		| grep -q "no history recorded yet" \
 		&& echo "serve-smoke: empty history show exits 0 with a clear message"

@@ -9,9 +9,9 @@
      dune exec bench/main.exe -- sampling  # sampled-simulation acceptance gate
      dune exec bench/main.exe -- parallel  # worker-pool acceptance gate
      dune exec bench/main.exe -- perf      # replay acceptance gate (identity +
-                                           # trace 2x + memo fast path 10x MIPS)
-     dune exec bench/main.exe -- perf-identity  # identity/accuracy half only (CI
-                                           # smoke; writes BENCH_perf.json)
+                                           # trace 2x MIPS)
+     dune exec bench/main.exe -- perf-identity  # identity half only (CI smoke;
+                                           # writes BENCH_perf.json)
      dune exec bench/main.exe -- perf-baseline  # remeasure results/perf-baseline.json (Seq path)
 
    Experiment ids: table1-5, fig1-7, runtimes, ablate-l1, ablate-clock,
@@ -146,13 +146,10 @@ let run_parallel_gate () =
        model and the Large BOOM at scale 4, jobs=1, the trace engine's
        aggregate host MIPS must be >= 2x the checked-in Seq-path
        baseline (results/perf-baseline.json, remeasured on this host
-       class with `perf-baseline`), and the block-memoized fast path
-       (engine [`Memo]) must be >= 10x that same baseline;
-   (3) accuracy — every memo cell's cycle estimate must land within its
-       own declared error bound of the exact trace-path cycles.
+       class with `perf-baseline`).
 
-   All parts write their numbers to BENCH_perf.json.  `perf-identity`
-   asserts (1) and (3) — that is the CI smoke, which must hold on any
+   Both parts write their numbers to BENCH_perf.json.  `perf-identity`
+   asserts (1) only — that is the CI smoke, which must hold on any
    runner regardless of how fast it is — but still measures and records
    the throughput numbers in the artifact. *)
 
@@ -169,8 +166,6 @@ type perf_cell = {
   pc_kernel : string;
   pc_insns : int;
   pc_wall_s : float;  (** measured-phase host wall-clock *)
-  pc_cycles : int;  (** estimated total cycles of the measured stream *)
-  pc_bound : float;  (** declared error bound in cycles (0 for exact engines) *)
 }
 
 let cell_mips c = float_of_int c.pc_insns /. (c.pc_wall_s *. 1e6)
@@ -186,9 +181,9 @@ let perf_reps = 5
    after the first replays a cached trace; host MIPS is retired
    instructions of the measured phase per wall-clock second.
 
-   One untimed warm-up rep runs first so the trace compile (and, for the
-   memo engine, the block analysis) lands outside every timed rep: rep 1
-   used to carry the cache miss, making best-of-5 really best-of-4. *)
+   One untimed warm-up rep runs first so the trace compile lands outside
+   every timed rep: rep 1 used to carry the cache miss, making best-of-5
+   really best-of-4. *)
 let perf_cells ~engine =
   Simbridge.Runner.trace_cache_clear ();
   List.concat_map
@@ -199,23 +194,17 @@ let perf_cells ~engine =
           ignore (Simbridge.Runner.run_kernel_timed ~scale:perf_scale ~engine cfg k);
           let best = ref infinity in
           let insns = ref 0 in
-          let cycles = ref 0 in
-          let bound = ref 0.0 in
           for _ = 1 to perf_reps do
             let t = Simbridge.Runner.run_kernel_timed ~scale:perf_scale ~engine cfg k in
             if t.Simbridge.Runner.measure_wall_s < !best then
               best := t.Simbridge.Runner.measure_wall_s;
-            insns := t.Simbridge.Runner.result.Platform.Soc.instructions;
-            cycles := t.Simbridge.Runner.estimate.Sampling.Estimate.est_cycles;
-            bound := t.Simbridge.Runner.estimate.Sampling.Estimate.ci95_cycles
+            insns := t.Simbridge.Runner.result.Platform.Soc.instructions
           done;
           {
             pc_platform = cfg.Platform.Config.name;
             pc_kernel = kname;
             pc_insns = !insns;
             pc_wall_s = !best;
-            pc_cycles = !cycles;
-            pc_bound = !bound;
           })
         perf_platforms)
     perf_mix
@@ -296,81 +285,37 @@ let run_perf_gate ~identity_only () =
   let agg = aggregate_mips cells in
   let cache = Simbridge.Runner.trace_cache_stats () in
   let lookups = cache.Simbridge.Runner.tc_hits + cache.Simbridge.Runner.tc_misses in
-  (* The memoized fast path over the same mix: same compiled traces (the
-     cache stays warm), but repeated basic blocks fast-forward through
-     the per-run cost table.  Accuracy is gated host-independently —
-     every memo cell's cycle estimate must land inside its own declared
-     error bound of the exact trace-path cycles — while the 10x speed
-     bar, like the 2x trace bar, only applies to the full `perf` gate. *)
-  Simbridge.Runner.memo_stats_clear ();
-  let mcells = perf_cells ~engine:`Memo in
-  let mstats = Simbridge.Runner.memo_stats () in
-  let memo_agg = aggregate_mips mcells in
-  let memo_hit_rate =
-    if mstats.Simbridge.Runner.m_instances > 0 then
-      float_of_int mstats.Simbridge.Runner.m_hits
-      /. float_of_int mstats.Simbridge.Runner.m_instances
-    else 0.0
-  in
-  let pairs = List.combine cells mcells in
-  let accuracy =
-    List.map
-      (fun (tc, mc) ->
-        let err = abs (mc.pc_cycles - tc.pc_cycles) in
-        (tc, mc, err, float_of_int err <= mc.pc_bound))
-      pairs
-  in
-  let acc_ok = List.for_all (fun (_, _, _, ok) -> ok) accuracy in
-  Printf.printf "%-16s %-6s %10s %9s %9s %7s %11s %11s\n" "platform" "kernel" "insns" "traceMIPS"
-    "memoMIPS" "gain" "cycle err" "bound";
+  Printf.printf "%-16s %-6s %10s %9s\n" "platform" "kernel" "insns" "traceMIPS";
   List.iter
-    (fun (tc, mc, err, ok) ->
-      Printf.printf "%-16s %-6s %10d %9.1f %9.1f %6.1fx %11d %10.0f%s\n" tc.pc_platform
-        tc.pc_kernel tc.pc_insns (cell_mips tc) (cell_mips mc)
-        (cell_mips mc /. cell_mips tc)
-        err mc.pc_bound
-        (if ok then "" else "  EXCEEDED"))
-    accuracy;
+    (fun c ->
+      Printf.printf "%-16s %-6s %10d %9.1f\n" c.pc_platform c.pc_kernel c.pc_insns (cell_mips c))
+    cells;
   Printf.printf
     "trace engine aggregate: %.1f MIPS; trace cache %d/%d hits (%.0f%% hit rate, %d evictions)\n%!"
     agg cache.Simbridge.Runner.tc_hits lookups
     (if lookups > 0 then 100.0 *. float_of_int cache.Simbridge.Runner.tc_hits /. float_of_int lookups
      else 0.0)
     cache.Simbridge.Runner.tc_evictions;
-  Printf.printf "memo engine aggregate : %.1f MIPS; %d/%d block instances memoized (%.0f%% hit rate)\n%!"
-    memo_agg mstats.Simbridge.Runner.m_hits mstats.Simbridge.Runner.m_instances
-    (100.0 *. memo_hit_rate);
-  if acc_ok then
-    Printf.printf "accuracy: every memo cell within its declared bound of the exact cycles\n%!"
-  else Printf.printf "FAIL accuracy: memo cell(s) outside their declared error bound (see table)\n%!";
   let baseline = if Sys.file_exists perf_baseline_path then read_flat_json perf_baseline_path else [] in
   let base_agg = List.assoc_opt "aggregate_mips" baseline in
   let speedup = match base_agg with Some b when b > 0.0 -> agg /. b | _ -> 0.0 in
-  let memo_speedup = match base_agg with Some b when b > 0.0 -> memo_agg /. b | _ -> 0.0 in
   (match base_agg with
   | Some b ->
-    Printf.printf "baseline (Seq path, %s): %.1f MIPS -> trace %.2fx, memo %.2fx\n%!"
-      perf_baseline_path b speedup memo_speedup
+    Printf.printf "baseline (Seq path, %s): %.1f MIPS -> trace %.2fx\n%!" perf_baseline_path b
+      speedup
   | None -> Printf.printf "no baseline at %s (run `perf-baseline` to measure one)\n%!" perf_baseline_path);
   write_flat_json "BENCH_perf.json"
     (List.map (fun c -> ("trace/" ^ c.pc_platform ^ "/" ^ c.pc_kernel, cell_mips c)) cells
-    @ List.map (fun c -> ("memo/" ^ c.pc_platform ^ "/" ^ c.pc_kernel, cell_mips c)) mcells
     @ [
         ("aggregate_mips", agg);
-        ("memo_aggregate_mips", memo_agg);
         ("baseline_aggregate_mips", Option.value base_agg ~default:0.0);
         ("speedup_x", speedup);
-        ("memo_speedup_x", memo_speedup);
-        ("memo_hit_rate", memo_hit_rate);
         ("identity_ok", if id_ok then 1.0 else 0.0);
-        ("accuracy_ok", if acc_ok then 1.0 else 0.0);
         ("cache_hits", float_of_int cache.Simbridge.Runner.tc_hits);
         ("cache_misses", float_of_int cache.Simbridge.Runner.tc_misses);
         ("wall_s", Unix.gettimeofday () -. t0);
       ]);
-  let gate_ok =
-    id_ok && acc_ok && (identity_only || (speedup >= 2.0 && memo_speedup >= 10.0))
-  in
+  let gate_ok = id_ok && (identity_only || speedup >= 2.0) in
   (* The gate also files a ledger run report so CI can `history record`
      bench trajectories alongside figure runs. *)
   let module J = Validate.Jsonx in
@@ -381,14 +326,8 @@ let run_perf_gate ~identity_only () =
       ~command:(if identity_only then "bench perf-identity" else "bench perf")
       ~config:[ ("scale", J.Num perf_scale); ("jobs", J.Num 1.0) ]
         (* aggregate_mips is what `history check` trends and gates
-           (same command, same host): the fast path is this gate's
-           headline, so that is the guarded number. *)
-      ~metrics:
-        [
-          ("aggregate_mips", J.Num memo_agg);
-          ("trace_aggregate_mips", J.Num agg);
-          ("memo_hit_rate", J.Num memo_hit_rate);
-        ]
+           (same command, same host). *)
+      ~metrics:[ ("aggregate_mips", J.Num agg) ]
       ~telemetry:Telemetry.Registry.disabled
       ~extra:
         [
@@ -396,13 +335,9 @@ let run_perf_gate ~identity_only () =
             J.Obj
               [
                 ("aggregate_mips", J.Num agg);
-                ("memo_aggregate_mips", J.Num memo_agg);
                 ("baseline_aggregate_mips", J.Num (Option.value base_agg ~default:0.0));
                 ("speedup_x", J.Num speedup);
-                ("memo_speedup_x", J.Num memo_speedup);
-                ("memo_hit_rate", J.Num memo_hit_rate);
                 ("identity_ok", J.Bool id_ok);
-                ("accuracy_ok", J.Bool acc_ok);
                 ("cache_hits", J.Num (float_of_int cache.Simbridge.Runner.tc_hits));
                 ("cache_misses", J.Num (float_of_int cache.Simbridge.Runner.tc_misses));
               ] );
@@ -412,10 +347,10 @@ let run_perf_gate ~identity_only () =
   Ledger.Run_report.write ~path:"run-report.json" report;
   Printf.printf "run report    : run-report.json (%s)\n%!" (Ledger.Run_report.summary_line report);
   if identity_only then begin
-    if (not id_ok) || not acc_ok then exit 1;
+    if not id_ok then exit 1;
     Printf.printf
-      "perf identity: PASS (bit-identical figures, memo within bounds; MIPS recorded in \
-       BENCH_perf.json, no speed bar)\n%!"
+      "perf identity: PASS (bit-identical figures; MIPS recorded in BENCH_perf.json, no speed \
+       bar)\n%!"
   end
   else begin
     if base_agg = None then begin
@@ -424,14 +359,10 @@ let run_perf_gate ~identity_only () =
     end;
     if speedup < 2.0 then
       Printf.printf "FAIL perf: trace engine %.1f MIPS is %.2fx baseline (< 2x)\n" agg speedup;
-    if memo_speedup < 10.0 then
-      Printf.printf "FAIL perf: memo fast path %.1f MIPS is %.2fx baseline (< 10x)\n" memo_agg
-        memo_speedup;
     if not gate_ok then exit 1;
     Printf.printf
-      "perf gate: PASS (bit-identical figures, trace %.1f MIPS = %.2fx >= 2x, memo %.1f MIPS = \
-       %.2fx >= 10x Seq baseline, within declared bounds)\n%!"
-      agg speedup memo_agg memo_speedup
+      "perf gate: PASS (bit-identical figures, trace %.1f MIPS = %.2fx >= 2x Seq baseline)\n%!"
+      agg speedup
   end
 
 (* --------------------------------------------------------------- serve *)

@@ -109,7 +109,7 @@ let run_experiment verbose seed jobs trace_capacity report_path trace_path id =
       ]
     ~reg ~wall_s ~report_path ~trace_path ()
 
-let csv_figure jobs trace_capacity report_path engine id scale =
+let csv_figure jobs trace_capacity report_path id scale =
   setup_jobs jobs;
   let reg =
     if report_path <> "" then Telemetry.Registry.create ~trace_capacity ()
@@ -119,7 +119,7 @@ let csv_figure jobs trace_capacity report_path engine id scale =
   let t0 = Unix.gettimeofday () in
   let fig =
     Telemetry.Span.root ~name:("csv:" ^ id) reg (fun () ->
-        Simbridge.Experiments.figure_by_id ~scale ~telemetry:reg ~engine id)
+        Simbridge.Experiments.figure_by_id ~scale ~telemetry:reg id)
   in
   Ledger.Progress.uninstall ();
   let wall_s = Unix.gettimeofday () -. t0 in
@@ -132,7 +132,6 @@ let csv_figure jobs trace_capacity report_path engine id scale =
           ("figure", Validate.Jsonx.Str id);
           ("scale", Validate.Jsonx.Num scale);
           ("jobs", num_j jobs);
-          ("memoize", Validate.Jsonx.Bool (engine = `Memo));
           ("trace_capacity", num_j trace_capacity);
         ]
       ~reg ~wall_s ~report_path ~trace_path:"" ()
@@ -179,7 +178,7 @@ let smoke_check ~tolerance ~reference (est : Sampling.Estimate.t) =
   end
 
 let run_workload verbose name platform ranks scale telemetry_dir seed jobs trace_capacity
-    report_path sample budget engine expect_cycles tolerance =
+    report_path sample budget expect_cycles tolerance =
   setup_logs verbose;
   Util.Rng.set_global_seed seed;
   setup_jobs jobs;
@@ -193,11 +192,6 @@ let run_workload verbose name platform ranks scale telemetry_dir seed jobs trace
         Format.eprintf "bad --sample spec %S: %s@." spec e;
         exit 1)
   in
-  if engine = `Memo && (policy <> Sampling.Policy.Full || budget <> None) then begin
-    Format.eprintf
-      "--memoize is a full-stream fast path; combine it with neither --sample nor --budget@.";
-    exit 1
-  end;
   let config =
     try Platform.Catalog.find platform
     with Not_found ->
@@ -222,26 +216,11 @@ let run_workload verbose name platform ranks scale telemetry_dir seed jobs trace
   Telemetry.Span.root ~name:("workload:" ^ name) reg (fun () ->
       match kernel with
       | Some k ->
-        if engine = `Memo then Simbridge.Runner.memo_stats_clear ();
-        let t =
-          Simbridge.Runner.run_kernel_timed ~scale ~telemetry:reg ~policy ?budget ~engine config k
-        in
+        let t = Simbridge.Runner.run_kernel_timed ~scale ~telemetry:reg ~policy ?budget config k in
         estimate := Some t.Simbridge.Runner.estimate;
         print_result t.Simbridge.Runner.result;
         Format.printf "host wall     : setup %.4f s + measure %.4f s@." t.Simbridge.Runner.setup_wall_s
           t.Simbridge.Runner.measure_wall_s;
-        if engine = `Memo then begin
-          let m = Simbridge.Runner.memo_stats () in
-          let total = m.Simbridge.Runner.m_ff_insns + m.Simbridge.Runner.m_measured_insns in
-          let ff_pct =
-            if total = 0 then 0.0
-            else 100.0 *. float_of_int m.Simbridge.Runner.m_ff_insns /. float_of_int total
-          in
-          Format.printf "memoized      : %d block instances, %d memo hits, %.1f%% insns \
-                         fast-forwarded, bound +/-%.0f cycles@."
-            m.Simbridge.Runner.m_instances m.Simbridge.Runner.m_hits ff_pct
-            t.Simbridge.Runner.estimate.Sampling.Estimate.ci95_cycles
-        end;
         (match policy with
         | Sampling.Policy.Full -> ()
         | Sampling.Policy.Sampled _ ->
@@ -255,10 +234,6 @@ let run_workload verbose name platform ranks scale telemetry_dir seed jobs trace
           Format.eprintf "--sample/--expect-cycles apply to microbench kernels only@.";
           exit 1
         | Sampling.Policy.Full, None -> ());
-        if engine = `Memo then begin
-          Format.eprintf "--memoize applies to microbench kernels only@.";
-          exit 1
-        end;
         let apps =
           Workloads.Npb.all @ [ Workloads.Ume.app; Workloads.Lammps.lj; Workloads.Lammps.chain ]
         in
@@ -291,7 +266,6 @@ let run_workload verbose name platform ranks scale telemetry_dir seed jobs trace
         ("jobs", num_j jobs);
         ( "sample",
           match sample with None -> Validate.Jsonx.Null | Some s -> Validate.Jsonx.Str s );
-        ("memoize", Validate.Jsonx.Bool (engine = `Memo));
         ("trace_capacity", num_j trace_capacity);
       ]
     ~reg ~wall_s ~report_path ~trace_path:"" ()
@@ -585,7 +559,7 @@ let parse_addr flag s =
    in-flight requests, refuse new ones, then flush the ledger — the
    final run report covers every request served. *)
 let run_serve verbose seed jobs trace_capacity report_path trace_path history_path listen
-    response_cache trace_cache_mib max_batch engine =
+    response_cache trace_cache_mib max_batch =
   setup_logs verbose;
   Util.Rng.set_global_seed seed;
   setup_jobs jobs;
@@ -599,7 +573,7 @@ let run_serve verbose seed jobs trace_capacity report_path trace_path history_pa
   let t0 = Unix.gettimeofday () in
   let srv =
     try
-      Serve.Server.create ~jobs ~engine ~response_cache_capacity:response_cache ~max_batch
+      Serve.Server.create ~jobs ~response_cache_capacity:response_cache ~max_batch
         ~telemetry:reg addr
     with Unix.Unix_error (e, _, _) ->
       Format.eprintf "cannot listen on %s: %s@."
@@ -610,10 +584,9 @@ let run_serve verbose seed jobs trace_capacity report_path trace_path history_pa
   let on_signal _ = Serve.Server.stop srv in
   Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
   Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-  Format.eprintf "serving on %s (jobs=%d, response cache=%d, batch<=%d%s); SIGTERM drains@."
+  Format.eprintf "serving on %s (jobs=%d, response cache=%d, batch<=%d); SIGTERM drains@."
     (Serve.Protocol.addr_to_string addr)
-    jobs response_cache max_batch
-    (if engine = `Memo then ", memoize" else "");
+    jobs response_cache max_batch;
   (* The root span wraps the whole service lifetime; the registry is
      written by the main thread only here (before the dispatcher starts)
      and after [run] returns (all service threads joined). *)
@@ -634,7 +607,6 @@ let run_serve verbose seed jobs trace_capacity report_path trace_path history_pa
             ("trace_capacity", num_j trace_capacity);
             ("response_cache", num_j response_cache);
             ("max_batch", num_j max_batch);
-            ("memoize", Validate.Jsonx.Bool (engine = `Memo));
           ]
         ~extra:[ ("serve", Serve.Engine.stats_json (Serve.Server.engine srv)) ]
         ~telemetry:reg ()
@@ -728,8 +700,20 @@ let pos_int =
   in
   Arg.conv ~docv:"N" (parse, Format.pp_print_int)
 
+(* The same rule Serve.Protocol.req_scale applies to a served query: a
+   run at scale 0, a negative scale, NaN or infinity simulates nothing
+   (or fails deep inside a workload generator), so refuse it up front. *)
+let pos_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some v when Float.is_finite v && v > 0.0 -> Ok v
+    | Some _ | None ->
+      Error (`Msg (Printf.sprintf "expected a finite positive number, got '%s'" s))
+  in
+  Arg.conv ~docv:"X" (parse, Format.pp_print_float)
+
 let scale_arg =
-  Arg.(value & opt float 1.0 & info [ "scale" ] ~doc:"Workload size multiplier (default 1.0).")
+  Arg.(value & opt pos_float 1.0 & info [ "scale" ] ~doc:"Workload size multiplier (default 1.0).")
 
 let verbose_arg = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Log each simulation run.")
 
@@ -767,20 +751,6 @@ let report_arg =
         ~doc:"Write the machine-readable run report to $(docv) (empty to skip)."
         ~docv:"FILE")
 
-let memoize_arg =
-  let engine_conv = Arg.enum [ ("on", (`Memo : Simbridge.Runner.engine)); ("off", `Trace) ] in
-  Arg.(
-    value
-    & opt ~vopt:(`Memo : Simbridge.Runner.engine) engine_conv `Trace
-    & info [ "memoize" ]
-        ~doc:
-          "Block-memoized fast path: $(b,--memoize) (or $(b,--memoize=on)) replays repeated basic \
-           blocks from a per-run cost table, fast-forwarding the pipeline and carrying an \
-           explicit cycle error bound. $(b,--memoize=off) (the default) keeps the bit-exact \
-           full-fidelity replay engine. Microbench kernels and figures only; incompatible with \
-           --sample/--budget."
-        ~docv:"on|off")
-
 let platforms_cmd =
   Cmd.v (Cmd.info "platforms" ~doc:"List the platform catalog")
     Term.(const list_platforms $ const ())
@@ -809,7 +779,7 @@ let csv_cmd =
   let id = Arg.(required & pos 0 (some string) None & info [] ~docv:"FIGURE") in
   Cmd.v (Cmd.info "csv" ~doc:"Emit a figure's data as CSV")
     Term.(
-      const csv_figure $ jobs_arg $ trace_capacity_arg $ report_arg $ memoize_arg $ id $ scale_arg)
+      const csv_figure $ jobs_arg $ trace_capacity_arg $ report_arg $ id $ scale_arg)
 
 let telemetry_arg =
   Arg.(
@@ -825,7 +795,7 @@ let workload_cmd =
   let platform =
     Arg.(value & opt string "banana-pi-sim" & info [ "platform"; "p" ] ~doc:"Platform name.")
   in
-  let ranks = Arg.(value & opt int 1 & info [ "ranks"; "n" ] ~doc:"MPI ranks (apps only).") in
+  let ranks = Arg.(value & opt pos_int 1 & info [ "ranks"; "n" ] ~doc:"MPI ranks (apps only).") in
   let sample =
     Arg.(
       value
@@ -865,7 +835,7 @@ let workload_cmd =
   Cmd.v (Cmd.info "workload" ~doc:"Run one workload on one platform")
     Term.(
       const run_workload $ verbose_arg $ wname $ platform $ ranks $ scale_arg $ telemetry_arg
-      $ seed_arg $ jobs_arg $ trace_capacity_arg $ report_arg $ sample $ budget $ memoize_arg
+      $ seed_arg $ jobs_arg $ trace_capacity_arg $ report_arg $ sample $ budget
       $ expect_cycles $ tolerance)
 
 let tune_cmd =
@@ -875,7 +845,7 @@ let tune_cmd =
 
 let compare_cmd =
   let wname = Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD") in
-  let ranks = Arg.(value & opt int 1 & info [ "ranks"; "n" ] ~doc:"MPI ranks (apps only).") in
+  let ranks = Arg.(value & opt pos_int 1 & info [ "ranks"; "n" ] ~doc:"MPI ranks (apps only).") in
   Cmd.v (Cmd.info "compare" ~doc:"Run a workload on both platform pairs and report relative speedups")
     Term.(const run_compare $ wname $ ranks $ scale_arg)
 
@@ -1065,8 +1035,7 @@ let serve_cmd =
           requests, refuses new ones, and flushes the run report before exiting 0.")
     Term.(
       const run_serve $ verbose_arg $ seed_arg $ jobs_arg $ trace_capacity_arg $ report_arg
-      $ trace $ history $ listen_arg $ response_cache $ trace_cache_mib $ max_batch
-      $ memoize_arg)
+      $ trace $ history $ listen_arg $ response_cache $ trace_cache_mib $ max_batch)
 
 let query_cmd =
   let connect =

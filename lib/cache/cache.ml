@@ -65,15 +65,46 @@ let log2 n =
   let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
   go 0 n
 
+(* Released caches whose line arrays the next [create] of the same size
+   takes over.  A grid run creates and drops one SoC per cell; without
+   reuse each dropped 64 MiB LLC leaves 40 MiB of arrays for the GC, and
+   how many of those are still unswept when the next is allocated, so
+   the peak heap, depends on where the major cycle stands.  A size is
+   held at most as many times as caches of it were ever live at once. *)
+let spare : t list ref = ref []
+let spare_lock = Mutex.create ()
+
+let release t = Mutex.protect spare_lock (fun () -> spare := t :: !spare)
+
+let take_spare n =
+  Mutex.protect spare_lock (fun () ->
+      match List.find_opt (fun c -> Array.length c.tags = n) !spare with
+      | Some c ->
+        spare := List.filter (fun c' -> c' != c) !spare;
+        Some c
+      | None -> None)
+
 let create cfg =
+  let n = cfg.sets * cfg.ways in
+  let tags, last_use, dirty, fill_done, pref_tag =
+    match take_spare n with
+    | Some c ->
+      Array.fill c.tags 0 n (-1);
+      Array.fill c.last_use 0 n 0;
+      Array.fill c.dirty 0 n false;
+      Array.fill c.fill_done 0 n 0;
+      Array.fill c.pref_tag 0 n false;
+      (c.tags, c.last_use, c.dirty, c.fill_done, c.pref_tag)
+    | None -> (Array.make n (-1), Array.make n 0, Array.make n false, Array.make n 0, Array.make n false)
+  in
   {
     cfg;
     line_shift = log2 cfg.line;
-    tags = Array.make (cfg.sets * cfg.ways) (-1);
-    last_use = Array.make (cfg.sets * cfg.ways) 0;
-    dirty = Array.make (cfg.sets * cfg.ways) false;
-    fill_done = Array.make (cfg.sets * cfg.ways) 0;
-    pref_tag = Array.make (cfg.sets * cfg.ways) false;
+    tags;
+    last_use;
+    dirty;
+    fill_done;
+    pref_tag;
     bank_free = Array.make cfg.banks 0;
     mshr_done = Array.make cfg.mshrs 0;
     use_clock = 0;

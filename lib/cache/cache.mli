@@ -67,6 +67,12 @@ type next_level = cycle:int -> addr:int -> write:bool -> int
     cycle back. *)
 
 val create : config -> t
+(** A cold cache.  Its line arrays may be those of a released cache of
+    the same size, reset to the cold state. *)
+
+val release : t -> unit
+(** [release t] hands [t]'s line arrays to a later [create] of the same
+    size, on any domain.  [t] must not be used afterwards. *)
 
 val access :
   ?prefetchable:bool -> t -> next:next_level -> cycle:int -> addr:int -> write:bool -> int

@@ -27,7 +27,7 @@ type timed = {
   measure_wall_s : float;
 }
 
-type engine = [ `Trace | `Seq | `Memo ]
+type engine = [ `Trace | `Seq ]
 
 (* ------------------------------------------------------- trace cache *)
 
@@ -160,171 +160,12 @@ let publish_trace_cache_stats reg =
 
 let cache_attr hit = ("trace_cache", Telemetry.Trace.Str (if hit then "hit" else "miss"))
 
-(* ------------------------------------------------------- block cache *)
-
-type block_cache_stats = { bc_hits : int; bc_misses : int; bc_evictions : int }
-
-(* Block analyses shared across grid cells, exactly like compiled traces:
-   the block structure of a (kernel, scale, seed) stream is
-   platform-independent, so one analysis serves every platform column.
-   Same locking contract as [Trace_cache]: the table is mutex-guarded,
-   analyses are immutable after [Trace.Blocks.analyze] and safe to share
-   across domains, and analysis happens outside the lock. *)
-module Block_cache = struct
-  type key = { kernel : string; scale : float; seed : int }
-
-  let mutex = Mutex.create ()
-  let table : (key, Trace.Blocks.t * int ref) Hashtbl.t = Hashtbl.create 64
-  let tick = ref 0
-  let words_cached = ref 0
-  let hits = Atomic.make 0
-  let misses = Atomic.make 0
-  let evictions = Atomic.make 0
-  let max_entries = ref 128
-  let max_words = ref 8_000_000
-
-  let evict_lru () =
-    let victim =
-      Hashtbl.fold
-        (fun k (_, last) acc ->
-          match acc with Some (_, l) when l <= !last -> acc | _ -> Some (k, !last))
-        table None
-    in
-    match victim with
-    | None -> ()
-    | Some (k, _) ->
-      (match Hashtbl.find_opt table k with
-      | Some (b, _) -> words_cached := !words_cached - Trace.Blocks.words b
-      | None -> ());
-      Hashtbl.remove table k;
-      Atomic.incr evictions
-
-  let find_or_analyze ~kernel ~scale f =
-    let key = { kernel; scale; seed = Util.Rng.get_global_seed () } in
-    let cached =
-      Mutex.protect mutex (fun () ->
-          incr tick;
-          match Hashtbl.find_opt table key with
-          | Some (b, last) ->
-            last := !tick;
-            Some b
-          | None -> None)
-    in
-    match cached with
-    | Some b ->
-      Atomic.incr hits;
-      (b, true)
-    | None ->
-      Atomic.incr misses;
-      let b = f () in
-      let w = Trace.Blocks.words b in
-      if w <= !max_words then
-        Mutex.protect mutex (fun () ->
-            if not (Hashtbl.mem table key) then begin
-              while
-                Hashtbl.length table > 0
-                && (Hashtbl.length table >= !max_entries || !words_cached + w > !max_words)
-              do
-                evict_lru ()
-              done;
-              Hashtbl.add table key (b, ref !tick);
-              words_cached := !words_cached + w
-            end);
-      (b, false)
-
-  let stats () =
-    {
-      bc_hits = Atomic.get hits;
-      bc_misses = Atomic.get misses;
-      bc_evictions = Atomic.get evictions;
-    }
-
-  let clear () =
-    Mutex.protect mutex (fun () ->
-        Hashtbl.reset table;
-        words_cached := 0);
-    Atomic.set hits 0;
-    Atomic.set misses 0;
-    Atomic.set evictions 0
-end
-
-let block_cache_stats = Block_cache.stats
-let block_cache_clear = Block_cache.clear
-
-(* ------------------------------------------------------- memo engine *)
-
-type memo_stats = {
-  m_runs : int;
-  m_instances : int;
-  m_hits : int;
-  m_ff_insns : int;
-  m_measured_insns : int;
-}
-
-(* Process-wide memoized-replay counters, accumulated across runs like the
-   trace-cache statistics (and like them, scheduling-independent in value
-   but not in interleaving). *)
-module Memo_counters = struct
-  let runs = Atomic.make 0
-  let instances = Atomic.make 0
-  let hits = Atomic.make 0
-  let ff_insns = Atomic.make 0
-  let measured_insns = Atomic.make 0
-
-  let add (st : Uarch.Memo.stats) =
-    Atomic.incr runs;
-    ignore (Atomic.fetch_and_add instances st.Uarch.Memo.instances);
-    ignore (Atomic.fetch_and_add hits st.Uarch.Memo.memo_hits);
-    ignore (Atomic.fetch_and_add ff_insns st.Uarch.Memo.ff_insns);
-    ignore (Atomic.fetch_and_add measured_insns st.Uarch.Memo.measured_insns)
-
-  let stats () =
-    {
-      m_runs = Atomic.get runs;
-      m_instances = Atomic.get instances;
-      m_hits = Atomic.get hits;
-      m_ff_insns = Atomic.get ff_insns;
-      m_measured_insns = Atomic.get measured_insns;
-    }
-
-  let clear () =
-    Atomic.set runs 0;
-    Atomic.set instances 0;
-    Atomic.set hits 0;
-    Atomic.set ff_insns 0;
-    Atomic.set measured_insns 0
-end
-
-let memo_stats = Memo_counters.stats
-let memo_stats_clear = Memo_counters.clear
-
-(* The process-lifetime shared cost table is opt-in: without it every
-   memoized run measures from scratch and is a pure function of
-   (trace, config) — deterministic and order-independent.  The serve
-   daemon opts in so block costs converge across requests, the same
-   lifetime trade the trace cache makes. *)
-let memo_table : Uarch.Memo.Table.t option ref = ref None
-
-let enable_memo_sharing () =
-  match !memo_table with
-  | Some _ -> ()
-  | None -> memo_table := Some (Uarch.Memo.Table.create ())
-
-let memo_sharing_enabled () = Option.is_some !memo_table
-let memo_table_stats () = Option.map Uarch.Memo.Table.stats !memo_table
-
 let run_kernel_timed ?(scale = 1.0) ?(telemetry = Registry.disabled)
     ?(policy = Sampling.Policy.Full) ?budget ?(engine : engine = `Trace) config
     (kernel : Workloads.Workload.kernel) =
   Log.info (fun m ->
       m "kernel %s on %s (scale %.2f, %s)" kernel.Workloads.Workload.name
         config.Platform.Config.name scale (Sampling.Policy.to_string policy));
-  (match (engine, policy, budget) with
-  | `Memo, Sampling.Policy.Sampled _, _ ->
-    invalid_arg
-      "run_kernel_timed: `Memo carries its own error bound; combine it with the Full policy"
-  | `Memo, _, Some _ -> invalid_arg "run_kernel_timed: `Memo does not support a traversal budget"
-  | _ -> ());
   let soc = Platform.Soc.create config in
   (* Setup (working-set initialization) runs on the same SoC but is not
      timed.  A [Full] run drives it through the detailed model; a sampled
@@ -350,9 +191,7 @@ let run_kernel_timed ?(scale = 1.0) ?(telemetry = Registry.disabled)
           | Sampling.Policy.Sampled _ ->
             Seq.iter (Platform.Soc.warm_insn soc) (setup ~scale);
             Platform.Soc.collect_result soc ~ranks:1 ~comm:None)
-        | `Trace | `Memo -> (
-          (* `Memo fast-forwards only the measured stream; setup installs
-             memory contents and runs full-fidelity either way. *)
+        | `Trace -> (
           let tr, hit =
             Trace_cache.find_or_compile ~kernel:kernel.Workloads.Workload.name ~scale ~setup:true
               (fun () -> Trace.compile (setup ~scale))
@@ -375,23 +214,13 @@ let run_kernel_timed ?(scale = 1.0) ?(telemetry = Registry.disabled)
   let measure_tr =
     match engine with
     | `Seq -> None
-    | `Trace | `Memo ->
+    | `Trace ->
       let tr, hit =
         Trace_cache.find_or_compile ~kernel:kernel.Workloads.Workload.name ~scale ~setup:false
           (fun () -> Trace.compile (kernel.Workloads.Workload.stream ~scale))
       in
       measure_cache := cache_attr hit;
       Some tr
-  in
-  (* Block analysis, like trace acquisition, happens once per (kernel,
-     scale) and is shared across cells — setup time, not measured time. *)
-  let measure_blocks =
-    match (engine, measure_tr) with
-    | `Memo, Some tr ->
-      Some
-        (Block_cache.find_or_analyze ~kernel:kernel.Workloads.Workload.name ~scale (fun () ->
-             Trace.Blocks.analyze tr))
-    | _ -> None
   in
   let setup_wall_s = Unix.gettimeofday () -. t0 in
   Registry.span_end telemetry sp_setup
@@ -408,10 +237,9 @@ let run_kernel_timed ?(scale = 1.0) ?(telemetry = Registry.disabled)
   let sp_measure = Registry.span_start telemetry "measure" in
   let iface = Platform.Soc.core_iface soc 0 in
   let t1 = Unix.gettimeofday () in
-  let memo_attrs = ref [] in
   let estimate =
-    match (measure_tr, measure_blocks) with
-    | None, _ ->
+    match measure_tr with
+    | None ->
       let core =
         {
           Sampling.Engine.feed = iface.Smpi.feed;
@@ -420,42 +248,7 @@ let run_kernel_timed ?(scale = 1.0) ?(telemetry = Registry.disabled)
         }
       in
       Sampling.Engine.run ~telemetry ?budget ~policy core (kernel.Workloads.Workload.stream ~scale)
-    | Some tr, Some (blocks, bhit) ->
-      (* Block-memoized fast path: detailed simulation for cold or drifting
-         blocks, fast-forward for repeats whose cost is known; the declared
-         error bound rides in the estimate's confidence interval. *)
-      let st =
-        Uarch.Memo.run ?table:!memo_table ~fingerprint:(Platform.Config.fingerprint config)
-          {
-            Uarch.Memo.feed_range = (fun ~lo ~hi -> Platform.Soc.feed_trace soc tr ~lo ~hi);
-            fast_forward =
-              (fun ~cycles ~insns ~loads ~stores ->
-                Platform.Soc.fast_forward soc ~cycles ~insns ~loads ~stores);
-            now = iface.Smpi.now;
-          }
-          blocks
-      in
-      Memo_counters.add st;
-      if Registry.enabled telemetry then
-        Registry.set_all telemetry
-          [
-            ("memo.blocks", st.Uarch.Memo.blocks);
-            ("memo.instances", st.Uarch.Memo.instances);
-            ("memo.hits", st.Uarch.Memo.memo_hits);
-            ("memo.ff_insns", st.Uarch.Memo.ff_insns);
-            ("memo.measured_insns", st.Uarch.Memo.measured_insns);
-          ];
-      memo_attrs :=
-        [
-          ("block_cache", Telemetry.Trace.Str (if bhit then "hit" else "miss"));
-          ("memo_hits", Telemetry.Trace.Int st.Uarch.Memo.memo_hits);
-          ("ff_insns", Telemetry.Trace.Int st.Uarch.Memo.ff_insns);
-        ];
-      Sampling.Estimate.memoized ~policy ~total_insns:(Trace.length tr)
-        ~measured_insns:st.Uarch.Memo.measured_insns ~ff_insns:st.Uarch.Memo.ff_insns
-        ~measured_cycles:st.Uarch.Memo.measured_cycles ~est_cycles:st.Uarch.Memo.est_cycles
-        ~bound:st.Uarch.Memo.err_bound_cycles
-    | Some tr, None ->
+    | Some tr ->
       (* The same trace is replayed for warming and detailed intervals —
          the Seq path re-forces the lazy stream per traversal. *)
       Sampling.Engine.run_trace ~telemetry ?budget ~policy
@@ -471,10 +264,11 @@ let run_kernel_timed ?(scale = 1.0) ?(telemetry = Registry.disabled)
   Registry.phase_end telemetry ph ~ts:r.Platform.Soc.cycles ~args:(phase_args r) ();
   Registry.span_end telemetry sp_measure
     ~args:
-      (!measure_cache
-      :: ("cycles", Telemetry.Trace.Int estimate.Sampling.Estimate.est_cycles)
-      :: ("instructions", Telemetry.Trace.Int r.Platform.Soc.instructions)
-      :: !memo_attrs)
+      [
+        !measure_cache;
+        ("cycles", Telemetry.Trace.Int estimate.Sampling.Estimate.est_cycles);
+        ("instructions", Telemetry.Trace.Int r.Platform.Soc.instructions);
+      ]
     ();
   let freq = Platform.Config.freq_hz config in
   let diffed =
@@ -508,6 +302,7 @@ let run_kernel_timed ?(scale = 1.0) ?(telemetry = Registry.disabled)
   in
   publish_counters telemetry ~before:snapshot
     ~after:(if Registry.enabled telemetry then Platform.Soc.counters soc else []);
+  Platform.Soc.release soc;
   { result; estimate; setup_wall_s; measure_wall_s }
 
 let run_kernel ?scale ?telemetry config kernel =
@@ -531,6 +326,7 @@ let run_app ?(scale = 1.0) ?(codegen = Workloads.Codegen.default) ?(telemetry = 
     ();
   Registry.phase_end telemetry ph ~ts:r.Platform.Soc.cycles ~args:(phase_args r) ();
   if Registry.enabled telemetry then Registry.set_all telemetry (Platform.Soc.counters soc);
+  Platform.Soc.release soc;
   r
 
 (* ------------------------------------------------------- pooled grids *)

@@ -16,23 +16,13 @@ type timed = {
   measure_wall_s : float;  (** host wall-clock spent in the measured phase *)
 }
 
-type engine = [ `Trace | `Seq | `Memo ]
+type engine = [ `Trace | `Seq ]
 (** How the measured stream is driven through the timing model.
     [`Trace] (the default) compiles the kernel's [Seq.t] stream into a
     flat {!Trace.t} once — cached across grid cells sharing (kernel,
     scale) — and replays it allocation-free; [`Seq] re-forces the lazy
     stream per traversal, as the seed did.  [`Trace] and [`Seq] are
-    bit-identical; only host throughput differs (see [bench perf]).
-
-    [`Memo] is the block-memoized fast path: repeated basic blocks are
-    simulated in detail a few times per cache-state class and then
-    replayed by fast-forwarding their memoized cycle cost.  It is
-    approximate — the result carries an explicit error bound in
-    [estimate.ci95_cycles] — and requires the [Full] policy with no
-    traversal budget ([Invalid_argument] otherwise): the memo layer's
-    bound does not compose with sampling extrapolation.  Without
-    {!enable_memo_sharing} a memoized run is still a deterministic pure
-    function of (kernel, scale, seed, config). *)
+    bit-identical; only host throughput differs (see [bench perf]). *)
 
 type trace_cache_stats = { tc_hits : int; tc_misses : int; tc_evictions : int }
 
@@ -59,45 +49,6 @@ val publish_trace_cache_stats : Telemetry.Registry.t -> unit
     [jobs > 1] (racing domains may compile the same key twice), so this
     is called once at report time — never from inside pooled cells,
     where it would break telemetry determinism across job counts. *)
-
-(** {2 Block-memoized fast path} *)
-
-type block_cache_stats = { bc_hits : int; bc_misses : int; bc_evictions : int }
-
-val block_cache_stats : unit -> block_cache_stats
-(** Cumulative process-wide block-analysis cache counters; the analysis
-    of a (kernel, scale, seed) stream is platform-independent and shared
-    across grid cells, exactly like its compiled trace. *)
-
-val block_cache_clear : unit -> unit
-
-type memo_stats = {
-  m_runs : int;  (** memoized runs completed *)
-  m_instances : int;  (** block instances replayed *)
-  m_hits : int;  (** instances fast-forwarded from the cost table *)
-  m_ff_insns : int;  (** instructions fast-forwarded *)
-  m_measured_insns : int;  (** instructions simulated in detail *)
-}
-
-val memo_stats : unit -> memo_stats
-(** Cumulative process-wide memoized-replay counters (all domains),
-    accumulated across [`Memo] runs like the trace-cache statistics.
-    The per-run values also reach telemetry as the [memo.*] counters. *)
-
-val memo_stats_clear : unit -> unit
-
-val enable_memo_sharing : unit -> unit
-(** Switch [`Memo] runs to a process-lifetime shared cost table keyed by
-    (config fingerprint, block digest, cache-state class) — the serve
-    daemon's analogue of the trace cache.  Sharing trades strict
-    run-to-run determinism for convergence (later runs start from
-    already-measured costs, still within each run's declared bound).
-    One-way and startup-oriented: call before serving requests. *)
-
-val memo_sharing_enabled : unit -> bool
-
-val memo_table_stats : unit -> (int * int * int) option
-(** [(entries, seeded, merged)] of the shared cost table, if enabled. *)
 
 val run_kernel_timed :
   ?scale:float ->

@@ -40,12 +40,6 @@ let with_cores t n =
   if n <= 0 then invalid_arg "Config.with_cores";
   { t with cores = n }
 
-(* Structural hash over the whole configuration record (plain data: ints,
-   floats, strings, nested records).  Memo cost tables key on this so
-   costs measured under one configuration are never replayed under
-   another — including tuning-sweep variants that share a name. *)
-let fingerprint t = Hashtbl.hash_param 512 512 t
-
 let pp_summary ppf t =
   let ghz = freq_hz t /. 1e9 in
   Format.fprintf ppf "@[<v>%s: %d x %s @ %.1f GHz@,L1I %dKiB / L1D %dKiB / L2 %dKiB%s@,bus %d-bit, %s@]"

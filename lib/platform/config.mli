@@ -31,9 +31,4 @@ val with_freq : t -> float -> t
 
 val with_cores : t -> int -> t
 
-val fingerprint : t -> int
-(** Structural hash of the full configuration, used to key memoized
-    block-cost tables: two configs with different timing parameters get
-    different fingerprints even when they share a [name]. *)
-
 val pp_summary : Format.formatter -> t -> unit

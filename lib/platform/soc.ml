@@ -112,6 +112,12 @@ let memsys_for soc i =
         Cache.warm_access l1i ~next:wl2i ~addr:pc ~write:false);
   }
 
+let release t =
+  Array.iter Cache.release t.l1i;
+  Array.iter Cache.release t.l1d;
+  Cache.release t.l2;
+  Option.iter Cache.release t.llc
+
 let create (cfg : Config.t) =
   let soc_partial =
     {
@@ -359,11 +365,6 @@ let warm_trace soc tr ~lo ~hi =
   match soc.cores.(0) with
   | In c -> Uarch.Inorder.warm_trace c tr ~lo ~hi
   | Oo c -> Uarch.Ooo.warm_trace c tr ~lo ~hi
-
-let fast_forward soc ~cycles ~insns ~loads ~stores =
-  match soc.cores.(0) with
-  | In c -> Uarch.Inorder.fast_forward c ~cycles ~insns ~loads ~stores
-  | Oo c -> Uarch.Ooo.fast_forward c ~cycles ~insns ~loads ~stores
 
 let run_trace soc tr =
   feed_trace soc tr ~lo:0 ~hi:(Trace.length tr);

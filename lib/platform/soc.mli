@@ -39,6 +39,10 @@ type result = {
 
 val create : Config.t -> t
 
+val release : t -> unit
+(** Hand the SoC's caches back for reuse by a later [create]
+    (Cache.release).  The SoC must not be used afterwards. *)
+
 val config : t -> Config.t
 
 val run_ranks : ?quantum:int -> ?telemetry:Telemetry.Registry.t -> t -> Smpi.program -> result
@@ -71,10 +75,6 @@ val feed_trace : t -> Trace.t -> lo:int -> hi:int -> unit
 
 val warm_trace : t -> Trace.t -> lo:int -> hi:int -> unit
 (** Functionally warm core 0 with trace indices [lo, hi). *)
-
-val fast_forward : t -> cycles:int -> insns:int -> loads:int -> stores:int -> unit
-(** Memoized-replay fast-forward on core 0 — see
-    {!Uarch.Inorder.fast_forward} for the contract. *)
 
 val memsys_of_core : t -> int -> Uarch.Memsys.t
 (** Expose a core's memory-system interface (for tests and calibration). *)

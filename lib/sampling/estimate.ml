@@ -71,26 +71,6 @@ let exact ~policy ~cycles ~insns =
     complete = true;
   }
 
-let memoized ~policy ~total_insns ~measured_insns ~ff_insns ~measured_cycles ~est_cycles ~bound =
-  {
-    policy;
-    total_insns;
-    detailed_insns = measured_insns;
-    warmup_insns = 0;
-    warmed_insns = ff_insns;
-    measured_cycles;
-    warmup_cycles = 0;
-    intervals_detailed = (if measured_insns = 0 then 0 else 1);
-    intervals_warmed = (if ff_insns = 0 then 0 else 1);
-    mean_cpi =
-      (if measured_cycles = 0 || measured_insns = 0 then 0.0
-       else float_of_int measured_cycles /. float_of_int measured_insns);
-    cpi_stddev = 0.0;
-    est_cycles;
-    ci95_cycles = bound;
-    complete = true;
-  }
-
 let cpi t =
   if t.total_insns = 0 then 0.0 else float_of_int t.est_cycles /. float_of_int t.total_insns
 

@@ -44,22 +44,6 @@ val exact : policy:Policy.t -> cycles:int -> insns:int -> t
 (** The degenerate estimate of a full (exact) run: no extrapolation, zero
     confidence interval. *)
 
-val memoized :
-  policy:Policy.t ->
-  total_insns:int ->
-  measured_insns:int ->
-  ff_insns:int ->
-  measured_cycles:int ->
-  est_cycles:int ->
-  bound:float ->
-  t
-(** The estimate of a block-memoized replay: every instruction was either
-    simulated in detail ([measured_insns], reported as detailed) or
-    fast-forwarded through a memoized block cost ([ff_insns], reported as
-    warmed).  [bound] is the memo layer's declared error bound, carried
-    as [ci95_cycles] so downstream accuracy reporting treats the fast
-    path like any other approximate estimate. *)
-
 val cpi : t -> float
 (** Estimated overall CPI of the traversed region ([est_cycles] /
     [total_insns]).  For budget-limited (incomplete) estimates this is the

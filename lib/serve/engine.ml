@@ -18,7 +18,6 @@ type entry = {
 
 type t = {
   e_jobs : int option;
-  e_engine : Runner.engine;
   e_reg : Reg.t;
   e_cache_cap : int;
   e_started_s : float;
@@ -36,16 +35,10 @@ type t = {
 
 type pending = { p_req : Protocol.request; p_enqueued_s : float }
 
-let create ?jobs ?(engine : Runner.engine = `Trace) ?(response_cache_capacity = 64)
-    ?(telemetry = Reg.disabled) () =
+let create ?jobs ?(response_cache_capacity = 64) ?(telemetry = Reg.disabled) () =
   let jobs = match jobs with Some 0 | None -> None | Some j -> Some j in
-  (* A memoized daemon shares block costs for its whole lifetime, exactly
-     like the trace cache: later requests inherit measured costs and skip
-     straight to fast-forwarding. *)
-  if engine = `Memo then Runner.enable_memo_sharing ();
   {
     e_jobs = jobs;
-    e_engine = engine;
     e_reg = telemetry;
     e_cache_cap = response_cache_capacity;
     e_started_s = Unix.gettimeofday ();
@@ -209,16 +202,6 @@ let stats_json t =
                 ("evictions", num_i tc.tc_evictions);
               ] );
           ("jobs", (match t.e_jobs with None -> J.Null | Some j -> num_i j));
-          ( "engine",
-            J.Str (match t.e_engine with `Trace -> "trace" | `Seq -> "seq" | `Memo -> "memo") );
-          ( "memo_table",
-            match Runner.memo_table_stats () with
-            | None -> J.Null
-            | Some (entries, seeded, merged) ->
-              J.Obj
-                [
-                  ("entries", num_i entries); ("seeded", num_i seeded); ("merged", num_i merged);
-                ] );
         ])
 
 let requests_served t = Mutex.protect t.e_mutex (fun () -> t.e_requests)
@@ -328,8 +311,7 @@ let execute t pendings =
       let res, meta =
         with_sink t ~batch_span ~name:("compute:" ^ key) (fun sink ->
             match
-              Experiments.figure_by_id ?jobs:t.e_jobs ~scale ~engine:t.e_engine ~telemetry:sink
-                figure
+              Experiments.figure_by_id ?jobs:t.e_jobs ~scale ~telemetry:sink figure
             with
             | Some fig -> figure_payload fmt fig
             | None -> failwith (unknown_figure figure))
@@ -354,7 +336,7 @@ let execute t pendings =
       let res, meta =
         with_sink t ~batch_span ~name:(Printf.sprintf "compute:cells@%h" scale) (fun sink ->
             let grid = List.map (fun (_, cfg, k, _) -> (cfg, k)) group in
-            Runner.run_kernel_grid ?jobs:t.e_jobs ~scale ~engine:t.e_engine ~telemetry:sink grid)
+            Runner.run_kernel_grid ?jobs:t.e_jobs ~scale ~telemetry:sink grid)
       in
       match res with
       | Ok timeds ->

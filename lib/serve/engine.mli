@@ -25,20 +25,15 @@ type t
 
 val create :
   ?jobs:int ->
-  ?engine:Simbridge.Runner.engine ->
   ?response_cache_capacity:int ->
   ?telemetry:Telemetry.Registry.t ->
   unit ->
   t
 (** [jobs] bounds the pool workers per computation (default 0 = the
-    pool's process default); [engine] selects the replay engine for
-    every computation (default [`Trace]; [`Memo] additionally switches
-    the process to a shared block-cost table via
-    {!Simbridge.Runner.enable_memo_sharing}, so costs converge across
-    requests for the daemon's lifetime); [response_cache_capacity]
-    bounds the response LRU (default 64 entries; 0 disables response
-    caching); [telemetry] is the daemon registry every computation's
-    forked sink merges into (default {!Telemetry.Registry.disabled}). *)
+    pool's process default); [response_cache_capacity] bounds the
+    response LRU (default 64 entries; 0 disables response caching);
+    [telemetry] is the daemon registry every computation's forked sink
+    merges into (default {!Telemetry.Registry.disabled}). *)
 
 type pending = { p_req : Protocol.request; p_enqueued_s : float }
 (** A decoded request plus the wall-clock instant it entered the queue

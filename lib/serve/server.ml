@@ -211,14 +211,14 @@ let bind_listen addr =
     Unix.listen fd 64;
     fd
 
-let create ?jobs ?engine ?response_cache_capacity ?(max_batch = 64) ?telemetry addr =
+let create ?jobs ?response_cache_capacity ?(max_batch = 64) ?telemetry addr =
   (* a client closing mid-response must surface as EPIPE, not kill us *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let listen_fd = bind_listen addr in
   {
     s_listen = listen_fd;
     s_addr = addr;
-    s_engine = Engine.create ?jobs ?engine ?response_cache_capacity ?telemetry ();
+    s_engine = Engine.create ?jobs ?response_cache_capacity ?telemetry ();
     s_queue = Parallel.Jobq.create ();
     s_stop = Atomic.make false;
     s_max_batch = max_batch;

@@ -42,7 +42,6 @@ type t
 
 val create :
   ?jobs:int ->
-  ?engine:Simbridge.Runner.engine ->
   ?response_cache_capacity:int ->
   ?max_batch:int ->
   ?telemetry:Telemetry.Registry.t ->

@@ -193,9 +193,9 @@ module Blocks = struct
 
   let default_max_len = 256
 
-  (* FNV-style mixing kept within OCaml's 63-bit int range.  The digest is
-     a sharing key for cross-run memo tables; within one analysis the
-     block table verifies content and never trusts the digest alone. *)
+  (* FNV-style mixing kept within OCaml's 63-bit int range.  The digest
+     only buckets candidates: the block table verifies content and never
+     trusts the digest alone. *)
   let mix h v =
     let h = (h lxor v) * 0x100000001b3 in
     h lxor (h lsr 29)
@@ -206,8 +206,8 @@ module Blocks = struct
     let pcs = tr.pcs and metas = tr.metas and auxs = tr.auxs in
     (* Pass 1: every pc that is ever a taken control-flow target is a
        leader everywhere, so one static block is segmented identically on
-       every dynamic path that reaches it — a prerequisite for instances
-       of the same block to share one cost entry. *)
+       every dynamic path that reaches it and all its instances intern to
+       one block id. *)
     let targets : (int, unit) Hashtbl.t = Hashtbl.create 1024 in
     for i = 0 to n - 1 do
       let m = Array.unsafe_get metas i in
@@ -327,16 +327,4 @@ module Blocks = struct
       occurs = shrink b_occ !n_blocks;
       digests = shrink b_dig !n_blocks;
     }
-
-  let words b = (2 * b.n_instances) + (5 * b.n_blocks) + 16
-
-  let repeat_fraction b total_insns =
-    if total_insns <= 0 then 0.0
-    else begin
-      let repeated = ref 0 in
-      for id = 0 to b.n_blocks - 1 do
-        if b.occurs.(id) > 1 then repeated := !repeated + (b.occurs.(id) * b.lens.(id))
-      done;
-      float_of_int !repeated /. float_of_int total_insns
-    end
 end

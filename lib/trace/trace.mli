@@ -98,14 +98,17 @@ val words : t -> int
 
 (** {2 Basic-block structure}
 
-    Memoized replay needs to know where a trace repeats itself.  [Blocks]
-    segments a compiled trace into dynamic basic-block instances and
-    interns them into a block table: instances with identical instruction
-    content (pc, packed metadata, and — for control kinds — branch
-    target; memory addresses excluded, since they vary per iteration)
-    share one block id.  Leaders are the trace start, every instruction
-    after a control instruction, every pc that is ever a taken control
-    target, and a length cap. *)
+    [Blocks] segments a compiled trace into dynamic basic-block instances
+    and interns them into a block table: instances with identical
+    instruction content (pc, packed metadata, and — for control kinds —
+    branch target; memory addresses excluded, since they vary per
+    iteration) share one block id.  Leaders are the trace start, every
+    instruction after a control instruction, every pc that is ever a
+    taken control target, and a length cap.
+
+    No timing model consumes the analysis.  Its one remaining user is
+    the perfbench harness, which times it as the [trace.blocks_s]
+    per-layer metric. *)
 module Blocks : sig
   type trace := t
 
@@ -118,7 +121,7 @@ module Blocks : sig
     loads : int array;  (** block -> loads (incl. AMOs) per instance *)
     stores : int array;  (** block -> stores per instance *)
     occurs : int array;  (** block -> number of instances *)
-    digests : int array;  (** block -> content digest (cross-run sharing key) *)
+    digests : int array;  (** block -> content digest *)
   }
 
   val default_max_len : int
@@ -127,11 +130,4 @@ module Blocks : sig
   (** Two passes over the packed arrays; block identity is exact (digest
       collisions fall back to content comparison).  Raises
       [Invalid_argument] if [max_len < 1]. *)
-
-  val words : t -> int
-  (** Approximate resident host size in words, for cache budgeting. *)
-
-  val repeat_fraction : t -> int -> float
-  (** Fraction of [total_insns] covered by blocks that occur more than
-      once — an upper bound on what memoization can fast-forward. *)
 end

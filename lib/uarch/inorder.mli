@@ -77,14 +77,5 @@ val now : t -> int
 val advance_to : t -> int -> unit
 (** Idle (e.g. blocked in MPI) until the given cycle. *)
 
-val fast_forward : t -> cycles:int -> insns:int -> loads:int -> stores:int -> unit
-(** Memoized-replay support: account [insns] retired instructions
-    ([loads]/[stores] of them memory operations) whose aggregate cost was
-    measured earlier, and advance the completion frontier by [cycles]
-    without touching caches, TLBs, the predictor, or queue state.  Like
-    {!advance_to}, the jump is a pipeline barrier: nothing issued after it
-    completes before the new frontier.  Raises [Invalid_argument] on a
-    negative amount. *)
-
 val stats : t -> stats
 val config_of : t -> config

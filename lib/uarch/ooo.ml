@@ -364,14 +364,6 @@ let advance_to t cycle =
     t.last_retire <- imax t.last_retire cycle
   end
 
-let fast_forward t ~cycles ~insns ~loads ~stores =
-  if cycles < 0 || insns < 0 || loads < 0 || stores < 0 then
-    invalid_arg "Ooo.fast_forward: negative amount";
-  t.n_insns <- t.n_insns + insns;
-  t.n_loads <- t.n_loads + loads;
-  t.n_stores <- t.n_stores + stores;
-  advance_to t (t.frontier + cycles)
-
 let stats t =
   let fs = Branch.Frontend.stats t.frontend in
   {

@@ -75,11 +75,5 @@ val warm : t -> Isa.Insn.t -> unit
 val now : t -> int
 val advance_to : t -> int -> unit
 
-val fast_forward : t -> cycles:int -> insns:int -> loads:int -> stores:int -> unit
-(** Same contract as {!Inorder.fast_forward}: bump retired-instruction
-    statistics and jump the completion frontier by [cycles] without
-    touching long-lived microarchitectural state; the jump is a full
-    pipeline barrier (redirect and retire pointers move with it). *)
-
 val stats : t -> stats
 val config_of : t -> config

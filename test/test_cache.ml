@@ -120,6 +120,27 @@ let test_invalid_config () =
   Alcotest.check_raises "bad sets" (Invalid_argument "Cache.config: sets must be a power of two")
     (fun () -> ignore (Cache.config ~name:"x" ~sets:3 ~ways:1 ()))
 
+let test_reuse_after_release () =
+  (* A cache built on a released cache's arrays must start as cold as a
+     fresh one: same completion cycles and counters over a stream that
+     dirties lines, trains the prefetcher and evicts by LRU. *)
+  let cfg = Cache.config ~name:"r" ~sets:4 ~ways:2 ~mshrs:2 ~prefetch_next:2 () in
+  let next = flat_next 20 in
+  let replay c =
+    let rng = Random.State.make [| 7 |] in
+    let cycles =
+      List.init 300 (fun i ->
+          let addr = 64 * Random.State.int rng 48 in
+          Cache.access c ~next ~cycle:(10 * i) ~addr ~write:(Random.State.bool rng))
+    in
+    (cycles, Cache.stats c)
+  in
+  let fresh = replay (Cache.create cfg) in
+  let used = Cache.create cfg in
+  ignore (replay used);
+  Cache.release used;
+  Alcotest.(check bool) "reused cache replays like a fresh one" true (replay (Cache.create cfg) = fresh)
+
 let prop_monotone_completion =
   (* Completion cycle never precedes issue cycle. *)
   QCheck.Test.make ~name:"cache completion >= issue" ~count:200
@@ -153,6 +174,7 @@ let suite =
     Alcotest.test_case "flush invalidates" `Quick test_flush;
     Alcotest.test_case "miss rate" `Quick test_miss_rate;
     Alcotest.test_case "invalid config" `Quick test_invalid_config;
+    Alcotest.test_case "reuse after release" `Quick test_reuse_after_release;
     QCheck_alcotest.to_alcotest prop_monotone_completion;
     QCheck_alcotest.to_alcotest prop_second_access_hits;
   ]

@@ -11,7 +11,6 @@ let () =
       ("interconnect", Test_interconnect.suite);
       ("uarch", Test_uarch.suite);
       ("trace", Test_trace.suite);
-      ("memo", Test_memo.suite);
       ("smpi", Test_smpi.suite);
       ("platform", Test_platform.suite);
       ("firesim", Test_firesim.suite);
@@ -27,4 +26,5 @@ let () =
       ("validate", Test_validate.suite);
       ("integration", Test_integration.suite);
       ("serve", Test_serve.suite);
+      ("cli", Test_cli.suite);
     ]

@@ -1,11 +1,15 @@
 (* Tests for compiled instruction traces: packed-field encode/decode
    round-trips (including the Amo/Fence/untaken-branch edge cases),
-   compile-time validation of malformed instructions, and the central
+   compile-time validation of malformed instructions, the central
    replay property — [`Trace] and [`Seq] engines produce structurally
-   identical [Soc.result]s on random kernel/platform/policy draws. *)
+   identical [Soc.result]s on random kernel/platform/policy draws — and
+   basic-block detection over compiled traces (partition, load/store
+   accounting, digest identity that ignores memory addresses but not
+   control targets). *)
 
 module In = Isa.Insn
 module T = Trace
+module B = Trace.Blocks
 module Cat = Platform.Catalog
 module Mb = Workloads.Microbench
 module R = Simbridge.Runner
@@ -171,6 +175,14 @@ let test_replay_identity_estimates () =
   Alcotest.(check bool) "results equal" true (a.result = b.result);
   Alcotest.(check bool) "estimates equal" true (a.estimate = b.estimate)
 
+(* A full run on the default engine must be bit-identical to the seed
+   [`Seq] engine: this is the fidelity gate every figure relies on. *)
+let test_full_run_identity () =
+  let kernel = Mb.find "DP1d" in
+  let seq = (R.run_kernel_timed ~scale:0.3 ~engine:`Seq Cat.banana_pi_sim kernel).result in
+  let tr = (R.run_kernel_timed ~scale:0.3 ~engine:`Trace Cat.banana_pi_sim kernel).result in
+  Alcotest.(check bool) "`Trace = `Seq bit-identity" true (seq = tr)
+
 let test_trace_cache_counts () =
   R.trace_cache_clear ();
   let kernel = Mb.find "EI" in
@@ -187,6 +199,86 @@ let test_trace_cache_counts () =
   Alcotest.(check int) "clear zeroes hits" 0 s3.tc_hits;
   Alcotest.(check int) "clear zeroes misses" 0 s3.tc_misses
 
+(* ---------------------------------------------------- block detection *)
+
+let kernel_trace name ~scale =
+  let k = Mb.find name in
+  T.compile (k.Workloads.Workload.stream ~scale)
+
+let test_blocks_partition () =
+  let tr = kernel_trace "MD" ~scale:0.3 in
+  let b = B.analyze tr in
+  Alcotest.(check bool) "has instances" true (b.B.n_instances > 0);
+  Alcotest.(check bool) "has blocks" true (b.B.n_blocks > 0);
+  Alcotest.(check int) "first instance at 0" 0 b.B.starts.(0);
+  (* Instances tile the trace: each starts where the previous ended. *)
+  let covered = ref 0 in
+  for i = 0 to b.B.n_instances - 1 do
+    Alcotest.(check int) (Printf.sprintf "instance %d contiguous" i) !covered b.B.starts.(i);
+    let id = b.B.ids.(i) in
+    Alcotest.(check bool) "id in range" true (id >= 0 && id < b.B.n_blocks);
+    Alcotest.(check bool) "positive length" true (b.B.lens.(id) > 0);
+    covered := !covered + b.B.lens.(id)
+  done;
+  Alcotest.(check int) "instances cover the trace" (T.length tr) !covered;
+  (* occurs is the instance histogram over blocks. *)
+  let occ_sum = Array.fold_left ( + ) 0 b.B.occurs in
+  Alcotest.(check int) "occurs sums to instances" b.B.n_instances occ_sum;
+  (* Per-block load/store counts, weighted by occurrences, reproduce the
+     trace-wide kind histogram. *)
+  let loads = ref 0 and stores = ref 0 in
+  for id = 0 to b.B.n_blocks - 1 do
+    loads := !loads + (b.B.occurs.(id) * b.B.loads.(id));
+    stores := !stores + (b.B.occurs.(id) * b.B.stores.(id))
+  done;
+  Alcotest.(check int) "loads (incl amo)"
+    (T.count_kind (fun k -> k = In.Load || k = In.Amo) tr)
+    !loads;
+  Alcotest.(check int) "stores" (T.count_kind (fun k -> k = In.Store) tr) !stores
+
+(* A two-iteration loop body whose only difference across iterations is
+   the memory addresses: both iterations must intern to the same block. *)
+let loop_iteration ~base addr =
+  [
+    In.make ~pc:base ~dst:1 ~src1:2 ~src2:3 Int_alu;
+    In.make ~pc:(base + 4) ~dst:4 ~src1:1 ~mem:{ addr; size = 8 } Load;
+    In.make ~pc:(base + 8) ~src1:4 ~src2:5 ~ctrl:{ taken = true; target = base } Branch;
+  ]
+
+let test_digest_ignores_addresses () =
+  let base = 0x1000 in
+  let insns = loop_iteration ~base 0x8000 @ loop_iteration ~base 0x9000 in
+  let b = B.analyze (T.compile (List.to_seq insns)) in
+  Alcotest.(check int) "two instances" 2 b.B.n_instances;
+  Alcotest.(check int) "one block" 1 b.B.n_blocks;
+  Alcotest.(check int) "occurs twice" 2 b.B.occurs.(0);
+  Alcotest.(check int) "loads per instance" 1 b.B.loads.(0)
+
+let test_digest_keeps_targets () =
+  (* Same instructions, different branch target: distinct blocks. *)
+  let a =
+    [
+      In.make ~pc:0x1000 ~dst:1 ~src1:2 Int_alu;
+      In.make ~pc:0x1004 ~src1:1 ~ctrl:{ taken = true; target = 0x1000 } Branch;
+    ]
+  in
+  let b_insns =
+    [
+      In.make ~pc:0x1000 ~dst:1 ~src1:2 Int_alu;
+      In.make ~pc:0x1004 ~src1:1 ~ctrl:{ taken = true; target = 0x2000 } Branch;
+    ]
+  in
+  let blk = B.analyze (T.compile (List.to_seq (a @ b_insns))) in
+  Alcotest.(check int) "two distinct blocks" 2 blk.B.n_blocks
+
+let test_max_len_segmentation () =
+  (* A straight-line run longer than max_len splits at the cap. *)
+  let insns = List.init 10 (fun i -> In.make ~pc:(0x1000 + (4 * i)) ~dst:1 ~src1:2 Int_alu) in
+  let b = B.analyze ~max_len:4 (T.compile (List.to_seq insns)) in
+  Alcotest.(check int) "instances 4+4+2" 3 b.B.n_instances;
+  let total = Array.fold_left (fun acc id -> acc + b.B.lens.(id)) 0 b.B.ids in
+  Alcotest.(check int) "covers all" 10 total
+
 let suite =
   [
     Alcotest.test_case "encode/decode round-trip (all kinds)" `Quick test_roundtrip;
@@ -197,5 +289,10 @@ let suite =
     Alcotest.test_case "compile rejects malformed insns" `Quick test_compile_rejects;
     QCheck_alcotest.to_alcotest prop_replay_identity;
     Alcotest.test_case "sampled estimates identical" `Quick test_replay_identity_estimates;
+    Alcotest.test_case "full run identical to seq engine" `Quick test_full_run_identity;
     Alcotest.test_case "trace cache hit accounting" `Quick test_trace_cache_counts;
+    Alcotest.test_case "block partition and accounting" `Quick test_blocks_partition;
+    Alcotest.test_case "digest ignores memory addresses" `Quick test_digest_ignores_addresses;
+    Alcotest.test_case "digest keeps control targets" `Quick test_digest_keeps_targets;
+    Alcotest.test_case "max_len splits straight-line runs" `Quick test_max_len_segmentation;
   ]

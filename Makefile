@@ -38,29 +38,22 @@ parallel-smoke: build
 	@cmp _build/parallel-smoke-seq.txt _build/parallel-smoke-par.txt \
 		&& echo "parallel-smoke: OK (fig1 --jobs 2 byte-identical to --jobs 1)"
 
-# CI smoke for the compiled-trace engine: fig1/fig2 replayed from
-# compiled traces must be bit-identical to the Seq reference path.
-# Runs the identity half only — the 2x host-MIPS assertion (`bench perf`)
-# is skipped because shared CI runners have no stable throughput to
-# gate on.  Writes BENCH_perf.json (uploaded as a CI artifact).
-# Release profile: the dev profile's -opaque makes throughput numbers
-# meaningless and the identity check needlessly slow.
+# CI smoke for the compiled-trace engine: every fig1/fig2 cell replayed
+# from compiled traces (jobs=1) must be bit-identical to the reference
+# interpreter in test/oracle, which feeds the lazy streams one
+# instruction at a time.  Identity only: no throughput is measured.
+# Release profile: the dev profile's -opaque makes the check needlessly
+# slow.
 perf-smoke:
 	dune build --profile release bench/main.exe
 	dune exec --profile release bench/main.exe -- perf-identity
 
-# The CI perf-trend gate: remeasure the Seq baseline on THIS host first
-# (ratio bars compared against another machine's baseline would gate on
-# hardware, not code), then run the full replay gate — identity and
-# trace >= 2x the same-host Seq baseline.  Writes BENCH_perf.json and a
-# ledger run report whose aggregate_mips is the trace-engine number
-# `history check` trends.
-# Note: this overwrites results/perf-baseline.json in the working tree;
-# don't commit the remeasured copy unless refreshing the baseline is
-# the point of the change.
+# The CI perf-trend gate: the identity check above plus the trace
+# engine's host MIPS on a fixed kernel mix.  Writes BENCH_perf.json and
+# a ledger run report whose aggregate_mips `history check` trends
+# against earlier `bench perf` runs on the same host.
 perf-trend:
 	dune build --profile release bench/main.exe
-	dune exec --profile release bench/main.exe -- perf-baseline
 	dune exec --profile release bench/main.exe -- perf
 
 # CI smoke for the run ledger: a pooled fig1 run must emit a run report
@@ -121,7 +114,8 @@ CLI := ./_build/default/bin/simbridge_cli.exe
 # two concurrent clients (fig2 after fig1 so the cross-request trace
 # cache is exercised), diff every payload against the one-shot CLI,
 # verify malformed flags (garbage --jobs, non-positive or non-finite
-# --scale, non-positive --ranks) and empty-history handling, then SIGTERM and
+# --scale, non-positive --ranks/--budget/--expect-cycles, NaN, infinite
+# or negative --tolerance) and empty-history handling, then SIGTERM and
 # assert a clean drain (exit 0 + final run report written).
 serve-smoke: build
 	@rm -f _build/serve-smoke.sock _build/serve-report.json _build/serve-history.jsonl
@@ -131,11 +125,14 @@ serve-smoke: build
 		&& echo "serve-smoke: garbage --jobs rejected with a usage error"; fi
 	@for args in "workload MM -p banana-pi-sim --scale=0" "workload MM -p banana-pi-sim --scale=-1" \
 		"workload MM -p banana-pi-sim --scale nan" "workload MM -p banana-pi-sim --scale=inf" \
-		"csv fig1 --scale=0" "workload cg --ranks=-3" "workload cg --ranks 0"; do \
+		"csv fig1 --scale=0" "workload cg --ranks=-3" "workload cg --ranks 0" \
+		"workload MM --budget=0" "workload MM --budget=-5" "workload MM --expect-cycles=-5" \
+		"workload MM --expect-cycles=0" "workload MM --tolerance nan" \
+		"workload MM --tolerance=-0.1" "workload MM --tolerance=inf"; do \
 		$(CLI) $$args --report "" > /dev/null 2>_build/serve-usage.err; STATUS=$$?; \
 		if [ $$STATUS -ne 124 ] || ! grep -q "option '--" _build/serve-usage.err; then \
 			echo "serve-smoke: FAIL ('$$args' exited $$STATUS, want a usage error)"; exit 1; fi; \
-	done; echo "serve-smoke: out-of-range --scale/--ranks rejected with usage errors"
+	done; echo "serve-smoke: out-of-range --scale/--ranks/--budget/--expect-cycles/--tolerance rejected with usage errors"
 	@$(CLI) history show --history _build/serve-history.jsonl \
 		| grep -q "no history recorded yet" \
 		&& echo "serve-smoke: empty history show exits 0 with a clear message"

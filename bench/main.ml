@@ -8,11 +8,9 @@
      dune exec bench/main.exe -- bechamel  # only the Bechamel suites
      dune exec bench/main.exe -- sampling  # sampled-simulation acceptance gate
      dune exec bench/main.exe -- parallel  # worker-pool acceptance gate
-     dune exec bench/main.exe -- perf      # replay acceptance gate (identity +
-                                           # trace 2x MIPS)
-     dune exec bench/main.exe -- perf-identity  # identity half only (CI smoke;
-                                           # writes BENCH_perf.json)
-     dune exec bench/main.exe -- perf-baseline  # remeasure results/perf-baseline.json (Seq path)
+     dune exec bench/main.exe -- perf      # replay gate: identity + host MIPS
+                                           # (BENCH_perf.json, run-report.json)
+     dune exec bench/main.exe -- perf-identity  # identity half only (CI smoke)
 
    Experiment ids: table1-5, fig1-7, runtimes, ablate-l1, ablate-clock,
    ablate-bus, simrate. *)
@@ -139,19 +137,20 @@ let run_parallel_gate () =
 
 (* `bench/main.exe perf` is the compiled-trace engine's acceptance gate:
 
-   (1) identity — fig1 and fig2 regenerated with engine [`Seq] and
-       [`Trace] at jobs=1 must be bit-identical (structural equality of
-       the figure record AND byte equality of the rendered CSV);
+   (1) identity — every fig1 and fig2 cell (39 kernels x 8 platform
+       columns at scale 1) run through the Runner at jobs=1 must give a
+       [Soc.result] structurally equal to the test-side reference
+       interpreter ([Oracle.run_kernel]: fresh SoC, setup then measured
+       stream fed one instruction at a time);
    (2) throughput — on a fixed kernel mix across the Banana Pi Rocket
-       model and the Large BOOM at scale 4, jobs=1, the trace engine's
-       aggregate host MIPS must be >= 2x the checked-in Seq-path
-       baseline (results/perf-baseline.json, remeasured on this host
-       class with `perf-baseline`).
+       model and the Large BOOM at scale 4, jobs=1, measure the trace
+       engine's aggregate host MIPS.  There is no fixed bar: the run
+       report's aggregate_mips is what `simbridge history check` trends
+       against the same command on the same host.
 
-   Both parts write their numbers to BENCH_perf.json.  `perf-identity`
-   asserts (1) only — that is the CI smoke, which must hold on any
-   runner regardless of how fast it is — but still measures and records
-   the throughput numbers in the artifact. *)
+   `perf` writes both to BENCH_perf.json and files a ledger run report;
+   `perf-identity` asserts (1) only — the CI smoke, which must hold on
+   any runner regardless of how fast it is. *)
 
 (* Compute-, branch-, and cache-resident kernels; the DRAM-chase MM is
    excluded because its runtime is setup-dominated and DRAM-bound, so it
@@ -159,7 +158,6 @@ let run_parallel_gate () =
 let perf_mix = [ "Cca"; "CS1"; "EI"; "EM5"; "DP1d"; "MD"; "MIM" ]
 let perf_platforms = [ Platform.Catalog.banana_pi_sim; Platform.Catalog.boom_large ]
 let perf_scale = 4.0
-let perf_baseline_path = "results/perf-baseline.json"
 
 type perf_cell = {
   pc_platform : string;
@@ -173,8 +171,7 @@ let cell_mips c = float_of_int c.pc_insns /. (c.pc_wall_s *. 1e6)
 (* Each cell is measured [perf_reps] times and the best (smallest) wall
    is kept: the quantity under test is the hot loop's throughput, and
    min-of-N is the standard way to strip transient host load out of a
-   wall-clock benchmark (both the checked-in baseline and the gate are
-   measured this way, so the comparison stays fair). *)
+   wall-clock benchmark. *)
 let perf_reps = 5
 
 (* Run the mix kernel-major (as the figure grids do) so every platform
@@ -184,18 +181,18 @@ let perf_reps = 5
    One untimed warm-up rep runs first so the trace compile lands outside
    every timed rep: rep 1 used to carry the cache miss, making best-of-5
    really best-of-4. *)
-let perf_cells ~engine =
+let perf_cells () =
   Simbridge.Runner.trace_cache_clear ();
   List.concat_map
     (fun kname ->
       let k = Workloads.Microbench.find kname in
       List.map
         (fun (cfg : Platform.Config.t) ->
-          ignore (Simbridge.Runner.run_kernel_timed ~scale:perf_scale ~engine cfg k);
+          ignore (Simbridge.Runner.run_kernel_timed ~scale:perf_scale cfg k);
           let best = ref infinity in
           let insns = ref 0 in
           for _ = 1 to perf_reps do
-            let t = Simbridge.Runner.run_kernel_timed ~scale:perf_scale ~engine cfg k in
+            let t = Simbridge.Runner.run_kernel_timed ~scale:perf_scale cfg k in
             if t.Simbridge.Runner.measure_wall_s < !best then
               best := t.Simbridge.Runner.measure_wall_s;
             insns := t.Simbridge.Runner.result.Platform.Soc.instructions
@@ -214,31 +211,6 @@ let aggregate_mips cells =
   let wall = List.fold_left (fun a c -> a +. c.pc_wall_s) 0.0 cells in
   if wall > 0.0 then float_of_int insns /. (wall *. 1e6) else 0.0
 
-(* The flat {"key": number, ...} JSON these files hold needs no real
-   parser: scan for quoted keys, each followed by a numeric literal. *)
-let read_flat_json path =
-  let ic = open_in path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  let len = String.length s in
-  let pairs = ref [] in
-  let i = ref 0 in
-  let is_num = function '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true | _ -> false in
-  while !i < len do
-    if s.[!i] = '"' then begin
-      let j = String.index_from s (!i + 1) '"' in
-      let key = String.sub s (!i + 1) (j - !i - 1) in
-      let k = ref (j + 1) in
-      while !k < len && (s.[!k] = ':' || s.[!k] = ' ') do incr k done;
-      let e = ref !k in
-      while !e < len && is_num s.[!e] do incr e done;
-      if !e > !k then pairs := (key, float_of_string (String.sub s !k (!e - !k))) :: !pairs;
-      i := max (!e) (j + 1)
-    end
-    else incr i
-  done;
-  List.rev !pairs
-
 let write_flat_json path pairs =
   let oc = open_out path in
   output_string oc "{\n";
@@ -249,120 +221,104 @@ let write_flat_json path pairs =
   output_string oc "}\n";
   close_out oc
 
-let perf_identity () =
-  let module E = Simbridge.Experiments in
-  let check name seq trace =
-    [ (name ^ " figure", seq = trace); (name ^ " csv", E.figure_csv seq = E.figure_csv trace) ]
-  in
-  let checks =
-    check "fig1" (E.fig1 ~jobs:1 ~engine:`Seq ()) (E.fig1 ~jobs:1 ~engine:`Trace ())
-    @ check "fig2" (E.fig2 ~jobs:1 ~engine:`Seq ()) (E.fig2 ~jobs:1 ~engine:`Trace ())
-  in
-  let bad = List.filter (fun (_, ok) -> not ok) checks in
-  List.iter
-    (fun (what, _) -> Printf.printf "FAIL %s: trace replay differs from the Seq path\n" what)
-    bad;
-  bad = []
+(* The platform columns of Experiments.fig1 / fig2, hardware first. *)
+let identity_figures =
+  let module Cat = Platform.Catalog in
+  [
+    ("fig1", [ Cat.banana_pi_hw; Cat.banana_pi_sim; Cat.fast_banana_pi_sim ]);
+    ("fig2", [ Cat.milkv_hw; Cat.boom_small; Cat.boom_medium; Cat.boom_large; Cat.milkv_sim ]);
+  ]
 
-let run_perf_baseline () =
-  let t0 = Unix.gettimeofday () in
-  let cells = perf_cells ~engine:`Seq in
-  let pairs =
-    List.map (fun c -> (c.pc_platform ^ "/" ^ c.pc_kernel, cell_mips c)) cells
-    @ [ ("aggregate_mips", aggregate_mips cells) ]
-  in
-  write_flat_json perf_baseline_path pairs;
-  Printf.printf "wrote %s: aggregate %.2f MIPS (Seq path, scale %.0f, jobs=1, %.1f s)\n%!"
-    perf_baseline_path (aggregate_mips cells) perf_scale
-    (Unix.gettimeofday () -. t0)
+let perf_identity () =
+  let cells = ref 0 and bad = ref 0 in
+  List.iter
+    (fun (fig, platforms) ->
+      let grid =
+        List.concat_map
+          (fun k -> List.map (fun cfg -> (cfg, k)) platforms)
+          Workloads.Microbench.evaluated
+      in
+      List.iter2
+        (fun ((cfg : Platform.Config.t), (k : Workloads.Workload.kernel)) t ->
+          incr cells;
+          if t.Simbridge.Runner.result <> Oracle.run_kernel cfg k then begin
+            incr bad;
+            Printf.printf "FAIL %s %s/%s: trace replay differs from the reference interpreter\n%!"
+              fig cfg.name k.name
+          end)
+        grid
+        (Simbridge.Runner.run_kernel_grid ~jobs:1 grid))
+    identity_figures;
+  if !bad = 0 then
+    Printf.printf "identity: %d fig1/fig2 cells bit-identical to the reference interpreter\n%!"
+      !cells;
+  !bad = 0
 
 let run_perf_gate ~identity_only () =
   let t0 = Unix.gettimeofday () in
   let id_ok = perf_identity () in
-  if id_ok then
-    Printf.printf "identity: fig1/fig2 trace replay bit-identical to the Seq path\n%!";
-  let cells = perf_cells ~engine:`Trace in
-  let agg = aggregate_mips cells in
-  let cache = Simbridge.Runner.trace_cache_stats () in
-  let lookups = cache.Simbridge.Runner.tc_hits + cache.Simbridge.Runner.tc_misses in
-  Printf.printf "%-16s %-6s %10s %9s\n" "platform" "kernel" "insns" "traceMIPS";
-  List.iter
-    (fun c ->
-      Printf.printf "%-16s %-6s %10d %9.1f\n" c.pc_platform c.pc_kernel c.pc_insns (cell_mips c))
-    cells;
-  Printf.printf
-    "trace engine aggregate: %.1f MIPS; trace cache %d/%d hits (%.0f%% hit rate, %d evictions)\n%!"
-    agg cache.Simbridge.Runner.tc_hits lookups
-    (if lookups > 0 then 100.0 *. float_of_int cache.Simbridge.Runner.tc_hits /. float_of_int lookups
-     else 0.0)
-    cache.Simbridge.Runner.tc_evictions;
-  let baseline = if Sys.file_exists perf_baseline_path then read_flat_json perf_baseline_path else [] in
-  let base_agg = List.assoc_opt "aggregate_mips" baseline in
-  let speedup = match base_agg with Some b when b > 0.0 -> agg /. b | _ -> 0.0 in
-  (match base_agg with
-  | Some b ->
-    Printf.printf "baseline (Seq path, %s): %.1f MIPS -> trace %.2fx\n%!" perf_baseline_path b
-      speedup
-  | None -> Printf.printf "no baseline at %s (run `perf-baseline` to measure one)\n%!" perf_baseline_path);
-  write_flat_json "BENCH_perf.json"
-    (List.map (fun c -> ("trace/" ^ c.pc_platform ^ "/" ^ c.pc_kernel, cell_mips c)) cells
-    @ [
-        ("aggregate_mips", agg);
-        ("baseline_aggregate_mips", Option.value base_agg ~default:0.0);
-        ("speedup_x", speedup);
-        ("identity_ok", if id_ok then 1.0 else 0.0);
-        ("cache_hits", float_of_int cache.Simbridge.Runner.tc_hits);
-        ("cache_misses", float_of_int cache.Simbridge.Runner.tc_misses);
-        ("wall_s", Unix.gettimeofday () -. t0);
-      ]);
-  let gate_ok = id_ok && (identity_only || speedup >= 2.0) in
-  (* The gate also files a ledger run report so CI can `history record`
-     bench trajectories alongside figure runs. *)
-  let module J = Validate.Jsonx in
-  let report =
-    Ledger.Run_report.build
-      ~wall_s:(Unix.gettimeofday () -. t0)
-      ~exit_status:(if gate_ok then 0 else 1)
-      ~command:(if identity_only then "bench perf-identity" else "bench perf")
-      ~config:[ ("scale", J.Num perf_scale); ("jobs", J.Num 1.0) ]
-        (* aggregate_mips is what `history check` trends and gates
-           (same command, same host). *)
-      ~metrics:[ ("aggregate_mips", J.Num agg) ]
-      ~telemetry:Telemetry.Registry.disabled
-      ~extra:
-        [
-          ( "perf",
-            J.Obj
-              [
-                ("aggregate_mips", J.Num agg);
-                ("baseline_aggregate_mips", J.Num (Option.value base_agg ~default:0.0));
-                ("speedup_x", J.Num speedup);
-                ("identity_ok", J.Bool id_ok);
-                ("cache_hits", J.Num (float_of_int cache.Simbridge.Runner.tc_hits));
-                ("cache_misses", J.Num (float_of_int cache.Simbridge.Runner.tc_misses));
-              ] );
-        ]
-      ()
-  in
-  Ledger.Run_report.write ~path:"run-report.json" report;
-  Printf.printf "run report    : run-report.json (%s)\n%!" (Ledger.Run_report.summary_line report);
   if identity_only then begin
     if not id_ok then exit 1;
-    Printf.printf
-      "perf identity: PASS (bit-identical figures; MIPS recorded in BENCH_perf.json, no speed \
-       bar)\n%!"
+    Printf.printf "perf identity: PASS\n%!"
   end
   else begin
-    if base_agg = None then begin
-      Printf.printf "FAIL perf: missing %s\n" perf_baseline_path;
-      exit 1
-    end;
-    if speedup < 2.0 then
-      Printf.printf "FAIL perf: trace engine %.1f MIPS is %.2fx baseline (< 2x)\n" agg speedup;
-    if not gate_ok then exit 1;
+    let cells = perf_cells () in
+    let agg = aggregate_mips cells in
+    let cache = Simbridge.Runner.trace_cache_stats () in
+    let lookups = cache.Simbridge.Runner.tc_hits + cache.Simbridge.Runner.tc_misses in
+    Printf.printf "%-16s %-6s %10s %9s\n" "platform" "kernel" "insns" "traceMIPS";
+    List.iter
+      (fun c ->
+        Printf.printf "%-16s %-6s %10d %9.1f\n" c.pc_platform c.pc_kernel c.pc_insns (cell_mips c))
+      cells;
     Printf.printf
-      "perf gate: PASS (bit-identical figures, trace %.1f MIPS = %.2fx >= 2x Seq baseline)\n%!"
-      agg speedup
+      "trace engine aggregate: %.1f MIPS; trace cache %d/%d hits (%.0f%% hit rate, %d evictions)\n%!"
+      agg cache.Simbridge.Runner.tc_hits lookups
+      (if lookups > 0 then
+         100.0 *. float_of_int cache.Simbridge.Runner.tc_hits /. float_of_int lookups
+       else 0.0)
+      cache.Simbridge.Runner.tc_evictions;
+    write_flat_json "BENCH_perf.json"
+      (List.map (fun c -> ("trace/" ^ c.pc_platform ^ "/" ^ c.pc_kernel, cell_mips c)) cells
+      @ [
+          ("aggregate_mips", agg);
+          ("identity_ok", if id_ok then 1.0 else 0.0);
+          ("cache_hits", float_of_int cache.Simbridge.Runner.tc_hits);
+          ("cache_misses", float_of_int cache.Simbridge.Runner.tc_misses);
+          ("wall_s", Unix.gettimeofday () -. t0);
+        ]);
+    (* The gate also files a ledger run report so CI can `history record`
+       bench trajectories alongside figure runs. *)
+    let module J = Validate.Jsonx in
+    let report =
+      Ledger.Run_report.build
+        ~wall_s:(Unix.gettimeofday () -. t0)
+        ~exit_status:(if id_ok then 0 else 1)
+        ~command:"bench perf"
+        ~config:[ ("scale", J.Num perf_scale); ("jobs", J.Num 1.0) ]
+          (* aggregate_mips is what `history check` trends and gates
+             (same command, same host). *)
+        ~metrics:[ ("aggregate_mips", J.Num agg) ]
+        ~telemetry:Telemetry.Registry.disabled
+        ~extra:
+          [
+            ( "perf",
+              J.Obj
+                [
+                  ("aggregate_mips", J.Num agg);
+                  ("identity_ok", J.Bool id_ok);
+                  ("cache_hits", J.Num (float_of_int cache.Simbridge.Runner.tc_hits));
+                  ("cache_misses", J.Num (float_of_int cache.Simbridge.Runner.tc_misses));
+                ] );
+          ]
+        ()
+    in
+    Ledger.Run_report.write ~path:"run-report.json" report;
+    Printf.printf "run report    : run-report.json (%s)\n%!" (Ledger.Run_report.summary_line report);
+    if not id_ok then exit 1;
+    Printf.printf
+      "perf gate: PASS (bit-identical figure cells; trace %.1f MIPS, trended by `history check`)\n%!"
+      agg
   end
 
 (* --------------------------------------------------------------- serve *)
@@ -703,11 +659,10 @@ let () =
   | [ _; "parallel" ] -> run_parallel_gate ()
   | [ _; "perf" ] -> run_perf_gate ~identity_only:false ()
   | [ _; "perf-identity" ] -> run_perf_gate ~identity_only:true ()
-  | [ _; "perf-baseline" ] -> run_perf_baseline ()
   | [ _; "serve" ] -> run_serve_gate ()
   | [ _; id ] -> run_experiment id
   | _ ->
     prerr_endline
       "usage: main.exe [experiment-id | bechamel | sampling | parallel | perf | perf-identity | \
-       perf-baseline | serve]";
+       serve]";
     exit 1

@@ -712,6 +712,18 @@ let pos_float =
   in
   Arg.conv ~docv:"X" (parse, Format.pp_print_float)
 
+(* --tolerance: a relative error bound.  NaN or a negative bound fails
+   every comparison and an infinite one passes every one, so either
+   would decide the smoke gate without looking at the simulator. *)
+let nonneg_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some v when Float.is_finite v && v >= 0.0 -> Ok v
+    | Some _ | None ->
+      Error (`Msg (Printf.sprintf "expected a finite non-negative number, got '%s'" s))
+  in
+  Arg.conv ~docv:"X" (parse, Format.pp_print_float)
+
 let scale_arg =
   Arg.(value & opt pos_float 1.0 & info [ "scale" ] ~doc:"Workload size multiplier (default 1.0).")
 
@@ -810,7 +822,7 @@ let workload_cmd =
   let budget =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some pos_int) None
       & info [ "budget" ]
           ~doc:
             "Stop traversing the measured stream after $(docv) instructions and extrapolate from \
@@ -820,7 +832,7 @@ let workload_cmd =
   let expect_cycles =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some pos_int) None
       & info [ "expect-cycles" ]
           ~doc:
             "Smoke check: exit nonzero unless the run's (estimated) cycle count is within \
@@ -829,7 +841,7 @@ let workload_cmd =
   in
   let tolerance =
     Arg.(
-      value & opt float 0.10
+      value & opt nonneg_float 0.10
       & info [ "tolerance" ] ~doc:"Relative tolerance for --expect-cycles (default 0.10).")
   in
   Cmd.v (Cmd.info "workload" ~doc:"Run one workload on one platform")

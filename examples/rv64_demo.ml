@@ -67,7 +67,7 @@ let () =
   List.iter
     (fun (cfg : Platform.Config.t) ->
       let soc = Platform.Soc.create cfg in
-      let r = Platform.Soc.run_stream soc (M.run (fresh_machine ())) in
+      let r = Platform.Soc.run_trace soc (Trace.compile (M.run (fresh_machine ()))) in
       Format.printf "  %-20s %8d cycles  (IPC %.2f)@." cfg.name r.Platform.Soc.cycles
         (float_of_int r.Platform.Soc.instructions /. float_of_int r.Platform.Soc.cycles))
     [ Platform.Catalog.banana_pi_sim; Platform.Catalog.banana_pi_hw ];

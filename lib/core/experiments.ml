@@ -171,7 +171,7 @@ let chunks n l =
   in
   go [] l
 
-let microbench_figure ?(policy = Sampling.Policy.Full) ?budget ?jobs ?engine
+let microbench_figure ?(policy = Sampling.Policy.Full) ?budget ?jobs
     ?(telemetry = Telemetry.Registry.disabled) ~id ~title ~hw ~sims ~scale () =
   let kernels = Mb.evaluated in
   let platforms = hw :: sims in
@@ -192,7 +192,7 @@ let microbench_figure ?(policy = Sampling.Policy.Full) ?budget ?jobs ?engine
         Array.of_list
           (List.map
              (fun t -> t.Runner.result)
-             (Runner.run_kernel_grid ~scale ~policy ?budget ?jobs ?engine ~telemetry grid)))
+             (Runner.run_kernel_grid ~scale ~policy ?budget ?jobs ~telemetry grid)))
   in
   (* Platform row [p]: that platform's result for every kernel, in kernel
      order — cell (kernel ki, platform p) landed at index ki*nplat + p. *)
@@ -219,14 +219,14 @@ let microbench_figure ?(policy = Sampling.Policy.Full) ?budget ?jobs ?engine
   in
   { id; title; note; reference = Some 1.0; series }
 
-let fig1 ?(scale = 1.0) ?policy ?budget ?jobs ?engine ?telemetry () =
-  microbench_figure ?policy ?budget ?jobs ?engine ?telemetry ~id:"fig1"
+let fig1 ?(scale = 1.0) ?policy ?budget ?jobs ?telemetry () =
+  microbench_figure ?policy ?budget ?jobs ?telemetry ~id:"fig1"
     ~title:"MicroBench: Rocket models vs Banana Pi hardware" ~hw:Cat.banana_pi_hw
     ~sims:[ Cat.banana_pi_sim; Cat.fast_banana_pi_sim ]
     ~scale ()
 
-let fig2 ?(scale = 1.0) ?policy ?budget ?jobs ?engine ?telemetry () =
-  microbench_figure ?policy ?budget ?jobs ?engine ?telemetry ~id:"fig2"
+let fig2 ?(scale = 1.0) ?policy ?budget ?jobs ?telemetry () =
+  microbench_figure ?policy ?budget ?jobs ?telemetry ~id:"fig2"
     ~title:"MicroBench: BOOM models vs MILK-V hardware" ~hw:Cat.milkv_hw
     ~sims:[ Cat.boom_small; Cat.boom_medium; Cat.boom_large; Cat.milkv_sim ]
     ~scale ()
@@ -528,10 +528,10 @@ let fig7 ?(scale = 1.0) ?jobs ?telemetry () =
    one-shot CLI has always done). *)
 let figure_ids = [ "fig1"; "fig2"; "fig3a"; "fig3b"; "fig4a"; "fig4b"; "fig5"; "fig6"; "fig7" ]
 
-let figure_by_id ?scale ?jobs ?telemetry ?engine id =
+let figure_by_id ?scale ?jobs ?telemetry id =
   match id with
-  | "fig1" -> Some (fig1 ?scale ?jobs ?engine ?telemetry ())
-  | "fig2" -> Some (fig2 ?scale ?jobs ?engine ?telemetry ())
+  | "fig1" -> Some (fig1 ?scale ?jobs ?telemetry ())
+  | "fig2" -> Some (fig2 ?scale ?jobs ?telemetry ())
   | "fig3a" -> Some (List.nth (fig3 ?scale ?jobs ?telemetry ()) 0)
   | "fig3b" -> Some (List.nth (fig3 ?scale ?jobs ?telemetry ()) 1)
   | "fig4a" -> Some (List.nth (fig4 ?scale ?jobs ?telemetry ()) 0)

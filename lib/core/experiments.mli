@@ -46,22 +46,18 @@ val fig1 :
   ?policy:Sampling.Policy.t ->
   ?budget:int ->
   ?jobs:int ->
-  ?engine:Runner.engine ->
   ?telemetry:Telemetry.Registry.t ->
   unit ->
   figure
 (** MicroBench on Banana Pi Sim Model and Fast model vs Banana Pi HW.
     [policy] (default [Full]) and [budget] select the sampled fast path
-    (see {!Runner.run_kernel_timed}); [engine] (default [`Trace]) selects
-    compiled-trace replay vs the reference [Seq.t] traversal — both
-    produce the identical figure. *)
+    (see {!Runner.run_kernel_timed}). *)
 
 val fig2 :
   ?scale:float ->
   ?policy:Sampling.Policy.t ->
   ?budget:int ->
   ?jobs:int ->
-  ?engine:Runner.engine ->
   ?telemetry:Telemetry.Registry.t ->
   unit ->
   figure
@@ -134,16 +130,12 @@ val figure_by_id :
   ?scale:float ->
   ?jobs:int ->
   ?telemetry:Telemetry.Registry.t ->
-  ?engine:Runner.engine ->
   string ->
   figure option
 (** Compute one panel by id ([None] for an unknown id).  [fig3a]
     etc. compute the parent two-panel figure and return the requested
     panel, exactly as the one-shot CLI does — so a served payload built
-    from this function is byte-identical to [simbridge csv ID].
-    [engine] reaches the microbench panels (fig1/fig2); the app figures
-    (fig3–fig7) drive MPI ranks through the streaming path and ignore
-    it. *)
+    from this function is byte-identical to [simbridge csv ID]. *)
 
 val app_runtime_table :
   ?scale:float -> ?jobs:int -> ?telemetry:Telemetry.Registry.t -> Workloads.Workload.app -> string

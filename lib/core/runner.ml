@@ -27,7 +27,7 @@ type timed = {
   measure_wall_s : float;
 }
 
-type engine = [ `Trace | `Seq ]
+type engine = [ `Trace ]
 
 (* ------------------------------------------------------- trace cache *)
 
@@ -161,12 +161,16 @@ let publish_trace_cache_stats reg =
 let cache_attr hit = ("trace_cache", Telemetry.Trace.Str (if hit then "hit" else "miss"))
 
 let run_kernel_timed ?(scale = 1.0) ?(telemetry = Registry.disabled)
-    ?(policy = Sampling.Policy.Full) ?budget ?(engine : engine = `Trace) config
+    ?(policy = Sampling.Policy.Full) ?budget ?engine:(_ : engine = `Trace) config
     (kernel : Workloads.Workload.kernel) =
   Log.info (fun m ->
       m "kernel %s on %s (scale %.2f, %s)" kernel.Workloads.Workload.name
         config.Platform.Config.name scale (Sampling.Policy.to_string policy));
   let soc = Platform.Soc.create config in
+  let trace ~setup stream =
+    Trace_cache.find_or_compile ~kernel:kernel.Workloads.Workload.name ~scale ~setup (fun () ->
+        Trace.compile (stream ~scale))
+  in
   (* Setup (working-set initialization) runs on the same SoC but is not
      timed.  A [Full] run drives it through the detailed model; a sampled
      run warms it functionally — setup exists to install memory contents,
@@ -183,25 +187,14 @@ let run_kernel_timed ?(scale = 1.0) ?(telemetry = Registry.disabled)
     | None -> None
     | Some setup ->
       let ph = Registry.phase_start telemetry ~ts:0 "setup" in
+      let tr, hit = trace ~setup:true setup in
+      setup_cache := cache_attr hit;
       let b =
-        match engine with
-        | `Seq -> (
-          match policy with
-          | Sampling.Policy.Full -> Platform.Soc.run_stream soc (setup ~scale)
-          | Sampling.Policy.Sampled _ ->
-            Seq.iter (Platform.Soc.warm_insn soc) (setup ~scale);
-            Platform.Soc.collect_result soc ~ranks:1 ~comm:None)
-        | `Trace -> (
-          let tr, hit =
-            Trace_cache.find_or_compile ~kernel:kernel.Workloads.Workload.name ~scale ~setup:true
-              (fun () -> Trace.compile (setup ~scale))
-          in
-          setup_cache := cache_attr hit;
-          match policy with
-          | Sampling.Policy.Full -> Platform.Soc.run_trace soc tr
-          | Sampling.Policy.Sampled _ ->
-            Platform.Soc.warm_trace soc tr ~lo:0 ~hi:(Trace.length tr);
-            Platform.Soc.collect_result soc ~ranks:1 ~comm:None)
+        match policy with
+        | Sampling.Policy.Full -> Platform.Soc.run_trace soc tr
+        | Sampling.Policy.Sampled _ ->
+          Platform.Soc.warm_trace soc tr ~lo:0 ~hi:(Trace.length tr);
+          Platform.Soc.collect_result soc ~ranks:1 ~comm:None
       in
       Registry.phase_end telemetry ph ~ts:b.Platform.Soc.cycles ~args:(phase_args b) ();
       Some b
@@ -210,18 +203,7 @@ let run_kernel_timed ?(scale = 1.0) ?(telemetry = Registry.disabled)
      counts as setup, not as measured time: it happens once per (kernel,
      scale) and is shared by every grid cell replaying that stream, so it
      belongs with working-set preparation rather than simulation speed. *)
-  let measure_cache = ref ("trace_cache", Telemetry.Trace.Str "off") in
-  let measure_tr =
-    match engine with
-    | `Seq -> None
-    | `Trace ->
-      let tr, hit =
-        Trace_cache.find_or_compile ~kernel:kernel.Workloads.Workload.name ~scale ~setup:false
-          (fun () -> Trace.compile (kernel.Workloads.Workload.stream ~scale))
-      in
-      measure_cache := cache_attr hit;
-      Some tr
-  in
+  let tr, measure_hit = trace ~setup:false kernel.Workloads.Workload.stream in
   let setup_wall_s = Unix.gettimeofday () -. t0 in
   Registry.span_end telemetry sp_setup
     ~args:
@@ -235,29 +217,16 @@ let run_kernel_timed ?(scale = 1.0) ?(telemetry = Registry.disabled)
   let ts0 = match before with None -> 0 | Some b -> b.Platform.Soc.cycles in
   let ph = Registry.phase_start telemetry ~ts:ts0 "measure" in
   let sp_measure = Registry.span_start telemetry "measure" in
-  let iface = Platform.Soc.core_iface soc 0 in
   let t1 = Unix.gettimeofday () in
+  (* The same trace is replayed for warming and detailed intervals. *)
   let estimate =
-    match measure_tr with
-    | None ->
-      let core =
-        {
-          Sampling.Engine.feed = iface.Smpi.feed;
-          warm = Platform.Soc.warm_insn soc;
-          now = iface.Smpi.now;
-        }
-      in
-      Sampling.Engine.run ~telemetry ?budget ~policy core (kernel.Workloads.Workload.stream ~scale)
-    | Some tr ->
-      (* The same trace is replayed for warming and detailed intervals —
-         the Seq path re-forces the lazy stream per traversal. *)
-      Sampling.Engine.run_trace ~telemetry ?budget ~policy
-        {
-          Sampling.Engine.feed_range = (fun ~lo ~hi -> Platform.Soc.feed_trace soc tr ~lo ~hi);
-          warm_range = (fun ~lo ~hi -> Platform.Soc.warm_trace soc tr ~lo ~hi);
-          tnow = iface.Smpi.now;
-        }
-        ~len:(Trace.length tr)
+    Sampling.Engine.run ~telemetry ?budget ~policy
+      {
+        Sampling.Engine.feed_range = (fun ~lo ~hi -> Platform.Soc.feed_trace soc tr ~lo ~hi);
+        warm_range = (fun ~lo ~hi -> Platform.Soc.warm_trace soc tr ~lo ~hi);
+        now = (Platform.Soc.core_iface soc 0).Smpi.now;
+      }
+      ~len:(Trace.length tr)
   in
   let measure_wall_s = Unix.gettimeofday () -. t1 in
   let r = Platform.Soc.collect_result soc ~ranks:1 ~comm:None in
@@ -265,7 +234,7 @@ let run_kernel_timed ?(scale = 1.0) ?(telemetry = Registry.disabled)
   Registry.span_end telemetry sp_measure
     ~args:
       [
-        !measure_cache;
+        cache_attr measure_hit;
         ("cycles", Telemetry.Trace.Int estimate.Sampling.Estimate.est_cycles);
         ("instructions", Telemetry.Trace.Int r.Platform.Soc.instructions);
       ]
@@ -334,13 +303,13 @@ let run_app ?(scale = 1.0) ?(codegen = Workloads.Codegen.default) ?(telemetry = 
 let kernel_cell_label (config : Platform.Config.t) (kernel : Workloads.Workload.kernel) =
   config.Platform.Config.name ^ "/" ^ kernel.Workloads.Workload.name
 
-let run_kernel_grid ?scale ?policy ?budget ?jobs ?telemetry ?engine grid =
+let run_kernel_grid ?scale ?policy ?budget ?jobs ?telemetry grid =
   Parallel.Pool.run ?jobs ?telemetry
     (List.map
        (fun (config, kernel) ->
          Parallel.Pool.cell ~label:(kernel_cell_label config kernel) (fun (ctx : Parallel.Pool.ctx) ->
-             run_kernel_timed ?scale ~telemetry:ctx.Parallel.Pool.telemetry ?policy ?budget ?engine
-               config kernel))
+             run_kernel_timed ?scale ~telemetry:ctx.Parallel.Pool.telemetry ?policy ?budget config
+               kernel))
        grid)
 
 let run_app_grid ?scale ?jobs ?telemetry grid =
@@ -359,14 +328,14 @@ let relative_speedup ~(sim : Platform.Soc.result) ~(hw : Platform.Soc.result) =
   if sim.Platform.Soc.seconds <= 0.0 then invalid_arg "relative_speedup: empty simulation run";
   hw.Platform.Soc.seconds /. sim.Platform.Soc.seconds
 
-let kernel_relative ?scale ?policy ?budget ?engine ~sim ~hw kernel =
+let kernel_relative ?scale ?policy ?budget ~sim ~hw kernel =
   (* Under a traversal budget both runs stop at the same instruction
      position (the cutoff is position-based, not timing-based), so the
      estimated-seconds ratio is a pure CPI-per-Hz ratio over an identical
      stream prefix — comparable to the full-run relative speedup whenever
      the kernel is steady-state. *)
-  let s = (run_kernel_timed ?scale ?policy ?budget ?engine sim kernel).result in
-  let h = (run_kernel_timed ?scale ?policy ?budget ?engine hw kernel).result in
+  let s = (run_kernel_timed ?scale ?policy ?budget sim kernel).result in
+  let h = (run_kernel_timed ?scale ?policy ?budget hw kernel).result in
   relative_speedup ~sim:s ~hw:h
 
 let app_relative ?scale ?(mismatched_codegen = true) ~ranks ~sim ~hw app =

@@ -16,13 +16,13 @@ type timed = {
   measure_wall_s : float;  (** host wall-clock spent in the measured phase *)
 }
 
-type engine = [ `Trace | `Seq ]
-(** How the measured stream is driven through the timing model.
-    [`Trace] (the default) compiles the kernel's [Seq.t] stream into a
-    flat {!Trace.t} once — cached across grid cells sharing (kernel,
-    scale) — and replays it allocation-free; [`Seq] re-forces the lazy
-    stream per traversal, as the seed did.  [`Trace] and [`Seq] are
-    bit-identical; only host throughput differs (see [bench perf]). *)
+type engine = [ `Trace ]
+(** The one way a kernel is timed: its [Seq.t] streams are compiled into
+    flat {!Trace.t}s — cached across grid cells sharing (kernel, scale) —
+    and replayed allocation-free.  This single-value type and
+    {!run_kernel_timed}'s [?engine] exist only because the benchmark
+    harness ([perfbench/cells.ml]) still passes [~engine:`Trace]; both go
+    away with the next change to that harness. *)
 
 type trace_cache_stats = { tc_hits : int; tc_misses : int; tc_evictions : int }
 
@@ -112,7 +112,6 @@ val run_kernel_grid :
   ?budget:int ->
   ?jobs:int ->
   ?telemetry:Telemetry.Registry.t ->
-  ?engine:engine ->
   (Platform.Config.t * Workloads.Workload.kernel) list ->
   timed list
 (** {!run_kernel_timed} over a (platform, kernel) grid. *)
@@ -132,7 +131,6 @@ val kernel_relative :
   ?scale:float ->
   ?policy:Sampling.Policy.t ->
   ?budget:int ->
-  ?engine:engine ->
   sim:Platform.Config.t ->
   hw:Platform.Config.t ->
   Workloads.Workload.kernel ->

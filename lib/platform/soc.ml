@@ -342,20 +342,8 @@ let run_ranks ?quantum ?telemetry soc program =
   let comm = Smpi.Engine.run ?quantum ?telemetry (fabric soc) ifaces program in
   collect soc ~ranks ~comm:(Some comm)
 
-let run_stream soc stream =
-  (match soc.cores.(0) with
-  | In c -> Uarch.Inorder.run c stream
-  | Oo c -> Uarch.Ooo.run c stream);
-  collect soc ~ranks:1 ~comm:None
-
-let warm_insn soc insn =
-  match soc.cores.(0) with
-  | In c -> Uarch.Inorder.warm c insn
-  | Oo c -> Uarch.Ooo.warm c insn
-
 (* Trace replay on core 0: cycle-identical to feeding the equivalent
    Insn.t stream, without the per-instruction allocation. *)
-
 let feed_trace soc tr ~lo ~hi =
   match soc.cores.(0) with
   | In c -> Uarch.Inorder.feed_trace c tr ~lo ~hi

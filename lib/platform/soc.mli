@@ -4,8 +4,8 @@
     per-core L1I/L1D, the shared banked L2, the optional LLC, the system
     bus between the private and shared levels, and the DRAM channels
     behind everything.  [run_ranks] then co-simulates a multi-rank MPI
-    program on it; [run_stream] is the single-stream convenience used by
-    the microbenchmarks.
+    program on it; [run_trace] replays a compiled single-stream trace
+    (a microbenchmark kernel) on core 0.
 
     A fresh [t] should be created per measurement: caches start cold
     (kernels are expected to include their own warmup phase, as the
@@ -57,24 +57,17 @@ val counters : t -> (string * int) list
     TLB, bus, and summed core stats.  Cumulative and monotone — difference
     two snapshots to isolate a measured region. *)
 
-val run_stream : t -> Isa.Insn.t Seq.t -> result
-(** Run a single instruction stream on core 0. *)
-
-val warm_insn : t -> Isa.Insn.t -> unit
-(** Functionally warm core 0 with one instruction: caches, TLBs, and
-    branch predictor state advance, pipeline timing and retired counts do
-    not (see {!Uarch.Inorder.warm}).  The sampled-simulation engine uses
-    this between detailed intervals. *)
-
 val run_trace : t -> Trace.t -> result
-(** {!run_stream} over a compiled trace: cycle-identical results, no
-    per-instruction allocation. *)
+(** Run a compiled trace on core 0, allocation-free. *)
 
 val feed_trace : t -> Trace.t -> lo:int -> hi:int -> unit
 (** Detailed-feed trace indices [lo, hi) to core 0. *)
 
 val warm_trace : t -> Trace.t -> lo:int -> hi:int -> unit
-(** Functionally warm core 0 with trace indices [lo, hi). *)
+(** Functionally warm core 0 with trace indices [lo, hi): caches, TLBs,
+    and branch predictor state advance, pipeline timing and retired
+    counts do not (see {!Uarch.Inorder.warm_trace}).  The sampled-simulation
+    engine uses this between detailed intervals. *)
 
 val memsys_of_core : t -> int -> Uarch.Memsys.t
 (** Expose a core's memory-system interface (for tests and calibration). *)

@@ -1,93 +1,16 @@
-(* The sampled-simulation engine: one pass over the instruction stream,
-   dispatching every instruction to the detailed timing model or the
-   functional-warming fast path according to the policy's interval
-   schedule, accumulating per-interval CPI samples as it goes. *)
+(* The sampled-simulation engine: one pass over a compiled trace,
+   handing every segment of the policy's interval schedule to the
+   detailed timing model or the functional-warming fast path and
+   accumulating per-interval CPI samples as it goes.  The schedule is
+   piecewise constant in the stream position ({!Interval.segment}), so
+   each segment is a single range call: no per-instruction dispatch and
+   no per-instruction allocation. *)
 
 type core = {
-  feed : Isa.Insn.t -> unit;  (** detailed timing step *)
-  warm : Isa.Insn.t -> unit;  (** functional-warming step *)
-  now : unit -> int;  (** completion frontier, cycles *)
-}
-
-type trace_core = {
   feed_range : lo:int -> hi:int -> unit;  (** detailed timing over [lo, hi) *)
   warm_range : lo:int -> hi:int -> unit;  (** functional warming over [lo, hi) *)
-  tnow : unit -> int;  (** completion frontier, cycles *)
+  now : unit -> int;  (** completion frontier, cycles *)
 }
-
-exception Budget_reached
-
-(* Shared by [run] and [run_trace]: per-run sampling accumulators plus the
-   segment-close bookkeeping, so the two traversals cannot drift. *)
-type sampled_acc = {
-  stats : Util.Stats.Online.t;
-  mutable detailed_insns : int;
-  mutable warmup_insns : int;
-  mutable warmed_insns : int;
-  mutable measured_cycles : int;
-  mutable warmup_cycles : int;
-  mutable intervals_detailed : int;
-  mutable intervals_warmed : int;
-  mutable last_warmed_interval : int;
-  stratum_warmed : (int, int ref) Hashtbl.t;
-  stratum_cpi : (int, float) Hashtbl.t;
-}
-
-let new_acc () =
-  {
-    stats = Util.Stats.Online.create ();
-    detailed_insns = 0;
-    warmup_insns = 0;
-    warmed_insns = 0;
-    measured_cycles = 0;
-    warmup_cycles = 0;
-    intervals_detailed = 0;
-    intervals_warmed = 0;
-    last_warmed_interval = -1;
-    stratum_warmed = Hashtbl.create 64;
-    stratum_cpi = Hashtbl.create 64;
-  }
-
-(* Close a segment of [seg_insns] instructions of interval [seg_interval]
-   in [seg_mode] whose detailed/warming work advanced the frontier by
-   [delta] cycles. *)
-let acc_close acc ~detail_every ~seg_mode ~seg_interval ~seg_insns ~delta =
-  if seg_insns > 0 then begin
-    match (seg_mode : Interval.mode) with
-    | Interval.Detailed ->
-      acc.measured_cycles <- acc.measured_cycles + delta;
-      acc.intervals_detailed <- acc.intervals_detailed + 1;
-      let cpi = float_of_int delta /. float_of_int seg_insns in
-      Util.Stats.Online.add acc.stats cpi;
-      Hashtbl.replace acc.stratum_cpi (seg_interval / detail_every) cpi
-    | Interval.Warmup -> acc.warmup_cycles <- acc.warmup_cycles + delta
-    | Interval.Warming -> (
-      let stratum = seg_interval / detail_every in
-      match Hashtbl.find_opt acc.stratum_warmed stratum with
-      | Some r -> r := !r + seg_insns
-      | None -> Hashtbl.add acc.stratum_warmed stratum (ref seg_insns))
-  end
-
-(* The per-stratum CPI extrapolation over the warmed instructions; strata
-   whose sample never closed fall back to the global mean. *)
-let acc_estimate acc ~policy ~total_insns ~complete =
-  let mean_cpi =
-    if Util.Stats.Online.count acc.stats = 0 then 0.0 else Util.Stats.Online.mean acc.stats
-  in
-  let extrapolated =
-    Hashtbl.fold
-      (fun stratum warmed sum ->
-        let cpi =
-          match Hashtbl.find_opt acc.stratum_cpi stratum with Some c -> c | None -> mean_cpi
-        in
-        sum +. (cpi *. float_of_int !warmed))
-      acc.stratum_warmed 0.0
-  in
-  Estimate.of_samples ~policy ~stats:acc.stats ~extrapolated ~total_insns
-    ~detailed_insns:acc.detailed_insns ~warmup_insns:acc.warmup_insns
-    ~warmed_insns:acc.warmed_insns ~measured_cycles:acc.measured_cycles
-    ~warmup_cycles:acc.warmup_cycles ~intervals_detailed:acc.intervals_detailed
-    ~intervals_warmed:acc.intervals_warmed ~complete
 
 let publish_telemetry telemetry est =
   if Telemetry.Registry.enabled telemetry then
@@ -112,74 +35,23 @@ let publish_telemetry telemetry est =
           if detailed = 0 then 0 else est.Estimate.total_insns * 100 / detailed );
       ]
 
-let run ?(telemetry = Telemetry.Registry.disabled) ?budget ~policy core stream =
+let run ?(telemetry = Telemetry.Registry.disabled) ?budget ~policy core ~len =
   Policy.validate policy;
+  if len < 0 then invalid_arg "Sampling.Engine.run: negative length";
   (match budget with
   | Some b when b <= 0 -> invalid_arg "Sampling.Engine.run: budget must be positive"
   | _ -> ());
   match policy with
   | Policy.Full ->
     let c0 = core.now () in
-    let n = ref 0 in
     let stop = match budget with Some b -> b | None -> max_int in
-    let complete = ref true in
-    (try
-       Seq.iter
-         (fun insn ->
-           incr n;
-           core.feed insn;
-           if !n >= stop then begin
-             complete := false;
-             raise Budget_reached
-           end)
-         stream
-     with Budget_reached -> ());
-    let e = Estimate.exact ~policy ~cycles:(core.now () - c0) ~insns:!n in
-    { e with Estimate.complete = !complete }
+    (* Reaching the budget marks the estimate incomplete, even when it
+       lands exactly on the last instruction. *)
+    let n = if len >= stop then stop else len in
+    core.feed_range ~lo:0 ~hi:n;
+    let e = Estimate.exact ~policy ~cycles:(core.now () - c0) ~insns:n in
+    { e with Estimate.complete = len < stop }
   | Policy.Sampled { interval; detail_every; warmup } ->
-    let acc = new_acc () in
-    let pos = ref 0 in
-    (* Per-stratum accounting (a stratum = detail_every consecutive
-       intervals holding one detailed sample): each stratum's warmed
-       instructions are extrapolated by its own sample's CPI, so a phase
-       change in the stream costs at most one stratum of error instead of
-       reweighting the whole estimate.  Strata whose sample never closed
-       (budget cut, stream end) fall back to the global mean. *)
-    (* The schedule is piecewise constant, so the hot loop only compares the
-       position against the current segment's end; the mode and boundary are
-       recomputed a handful of times per interval, not per instruction.
-       [seg_until] starts at 0 to force the first open_segment. *)
-    let seg_mode = ref Interval.Warming in
-    let seg_interval = ref (-1) in
-    let seg_start = ref 0 in
-    let seg_insns = ref 0 in
-    let seg_until = ref 0 in
-    let close_segment () =
-      acc_close acc ~detail_every ~seg_mode:!seg_mode ~seg_interval:!seg_interval
-        ~seg_insns:!seg_insns
-        ~delta:(core.now () - !seg_start);
-      seg_insns := 0
-    in
-    let open_segment p =
-      let idx = p / interval in
-      let iend = (idx + 1) * interval in
-      let mode, until =
-        if idx = 0 then (Interval.Warmup, iend)
-        else if Interval.detailed ~detail_every idx then (Interval.Detailed, iend)
-        else if Interval.detailed ~detail_every (idx + 1) then
-          if p >= iend - warmup then (Interval.Warmup, iend)
-          else (Interval.Warming, iend - warmup)
-        else (Interval.Warming, iend)
-      in
-      seg_mode := mode;
-      seg_interval := idx;
-      seg_start := core.now ();
-      seg_until := until;
-      if mode = Interval.Warming && idx <> acc.last_warmed_interval then begin
-        acc.last_warmed_interval <- idx;
-        acc.intervals_warmed <- acc.intervals_warmed + 1
-      end
-    in
     (* Stop at the first interval boundary on/after the budget, so the last
        CPI sample covers a whole interval. *)
     let stop =
@@ -187,104 +59,70 @@ let run ?(telemetry = Telemetry.Registry.disabled) ?budget ~policy core stream =
       | None -> max_int
       | Some b -> (b + interval - 1) / interval * interval
     in
-    let complete = ref true in
-    (try
-       Seq.iter
-         (fun insn ->
-           if !pos >= !seg_until then begin
-             close_segment ();
-             open_segment !pos
-           end;
-           (match !seg_mode with
-           | Interval.Detailed ->
-             acc.detailed_insns <- acc.detailed_insns + 1;
-             core.feed insn
-           | Interval.Warmup ->
-             acc.warmup_insns <- acc.warmup_insns + 1;
-             core.feed insn
-           | Interval.Warming ->
-             acc.warmed_insns <- acc.warmed_insns + 1;
-             core.warm insn);
-           incr seg_insns;
-           incr pos;
-           if !pos = stop then begin
-             complete := false;
-             raise Budget_reached
-           end)
-         stream
-     with Budget_reached -> ());
-    close_segment ();
-    let est = acc_estimate acc ~policy ~total_insns:!pos ~complete:!complete in
-    publish_telemetry telemetry est;
-    est
-
-(* Trace-replay twin of [run]: the schedule is piecewise constant in the
-   stream position, so over a compiled trace every segment becomes one
-   [feed_range]/[warm_range] call — the per-instruction mode dispatch
-   disappears along with the per-instruction allocation.  Segment
-   boundaries, budget rounding, and completeness semantics replicate
-   [run] exactly; the qcheck identity property in the test suite holds
-   the two traversals together. *)
-let run_trace ?(telemetry = Telemetry.Registry.disabled) ?budget ~policy core ~len =
-  Policy.validate policy;
-  if len < 0 then invalid_arg "Sampling.Engine.run_trace: negative length";
-  (match budget with
-  | Some b when b <= 0 -> invalid_arg "Sampling.Engine.run_trace: budget must be positive"
-  | _ -> ());
-  match policy with
-  | Policy.Full ->
-    let c0 = core.tnow () in
-    let stop = match budget with Some b -> b | None -> max_int in
-    (* [run] marks the estimate incomplete when traversal reaches the
-       budget, even if that was exactly the last instruction. *)
-    let n = if len >= stop then stop else len in
-    let complete = len < stop in
-    core.feed_range ~lo:0 ~hi:n;
-    let e = Estimate.exact ~policy ~cycles:(core.tnow () - c0) ~insns:n in
-    { e with Estimate.complete }
-  | Policy.Sampled { interval; detail_every; warmup } ->
-    let acc = new_acc () in
-    let stop =
-      match budget with
-      | None -> max_int
-      | Some b -> (b + interval - 1) / interval * interval
-    in
     let total = if len >= stop then stop else len in
-    let complete = len < stop in
+    let stats = Util.Stats.Online.create () in
+    (* Per-stratum accounting (a stratum = detail_every consecutive
+       intervals holding one detailed sample): each stratum's warmed
+       instructions are extrapolated by its own sample's CPI, so a phase
+       change in the stream costs at most one stratum of error instead of
+       reweighting the whole estimate.  Strata whose sample never closed
+       (budget cut, stream end) fall back to the global mean. *)
+    let stratum_warmed : (int, int ref) Hashtbl.t = Hashtbl.create 64 in
+    let stratum_cpi : (int, float) Hashtbl.t = Hashtbl.create 64 in
+    let detailed_insns = ref 0 and warmup_insns = ref 0 and warmed_insns = ref 0 in
+    let measured_cycles = ref 0 and warmup_cycles = ref 0 in
+    let intervals_detailed = ref 0 and intervals_warmed = ref 0 in
     let pos = ref 0 in
     while !pos < total do
-      let p = !pos in
-      let idx = p / interval in
-      let iend = (idx + 1) * interval in
-      let mode, until =
-        if idx = 0 then (Interval.Warmup, iend)
-        else if Interval.detailed ~detail_every idx then (Interval.Detailed, iend)
-        else if Interval.detailed ~detail_every (idx + 1) then
-          if p >= iend - warmup then (Interval.Warmup, iend)
-          else (Interval.Warming, iend - warmup)
-        else (Interval.Warming, iend)
-      in
-      if mode = Interval.Warming && idx <> acc.last_warmed_interval then begin
-        acc.last_warmed_interval <- idx;
-        acc.intervals_warmed <- acc.intervals_warmed + 1
-      end;
-      let seg_end = if until > total then total else until in
-      let count = seg_end - p in
-      let c0 = core.tnow () in
+      let lo = !pos in
+      let mode, until = Interval.segment ~interval ~detail_every ~warmup lo in
+      let idx = Interval.index_of ~interval lo in
+      let stratum = idx / detail_every in
+      let hi = if until > total then total else until in
+      let count = hi - lo in
+      let c0 = core.now () in
+      (match mode with
+      | Interval.Detailed | Interval.Warmup -> core.feed_range ~lo ~hi
+      | Interval.Warming -> core.warm_range ~lo ~hi);
+      let delta = core.now () - c0 in
       (match mode with
       | Interval.Detailed ->
-        acc.detailed_insns <- acc.detailed_insns + count;
-        core.feed_range ~lo:p ~hi:seg_end
+        detailed_insns := !detailed_insns + count;
+        measured_cycles := !measured_cycles + delta;
+        incr intervals_detailed;
+        let cpi = float_of_int delta /. float_of_int count in
+        Util.Stats.Online.add stats cpi;
+        Hashtbl.replace stratum_cpi stratum cpi
       | Interval.Warmup ->
-        acc.warmup_insns <- acc.warmup_insns + count;
-        core.feed_range ~lo:p ~hi:seg_end
-      | Interval.Warming ->
-        acc.warmed_insns <- acc.warmed_insns + count;
-        core.warm_range ~lo:p ~hi:seg_end);
-      acc_close acc ~detail_every ~seg_mode:mode ~seg_interval:idx ~seg_insns:count
-        ~delta:(core.tnow () - c0);
-      pos := seg_end
+        warmup_insns := !warmup_insns + count;
+        warmup_cycles := !warmup_cycles + delta
+      | Interval.Warming -> (
+        (* An interval holds at most one warming segment: its start. *)
+        warmed_insns := !warmed_insns + count;
+        incr intervals_warmed;
+        match Hashtbl.find_opt stratum_warmed stratum with
+        | Some r -> r := !r + count
+        | None -> Hashtbl.add stratum_warmed stratum (ref count)));
+      pos := hi
     done;
-    let est = acc_estimate acc ~policy ~total_insns:total ~complete in
+    let mean_cpi =
+      if Util.Stats.Online.count stats = 0 then 0.0 else Util.Stats.Online.mean stats
+    in
+    let extrapolated =
+      Hashtbl.fold
+        (fun stratum warmed sum ->
+          let cpi =
+            match Hashtbl.find_opt stratum_cpi stratum with Some c -> c | None -> mean_cpi
+          in
+          sum +. (cpi *. float_of_int !warmed))
+        stratum_warmed 0.0
+    in
+    let est =
+      Estimate.of_samples ~policy ~stats ~extrapolated ~total_insns:total
+        ~detailed_insns:!detailed_insns ~warmup_insns:!warmup_insns ~warmed_insns:!warmed_insns
+        ~measured_cycles:!measured_cycles ~warmup_cycles:!warmup_cycles
+        ~intervals_detailed:!intervals_detailed ~intervals_warmed:!intervals_warmed
+        ~complete:(len < stop)
+    in
     publish_telemetry telemetry est;
     est

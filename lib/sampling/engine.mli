@@ -1,14 +1,16 @@
-(** The sampled-simulation engine: drives an instruction stream through a
-    core in one pass, switching between detailed timing and functional
-    warming per the policy's interval schedule. *)
+(** The sampled-simulation engine: drives a compiled instruction trace
+    through a core in one pass, switching between detailed timing and
+    functional warming per the policy's interval schedule. *)
 
+(** The core under simulation, as range-based callbacks over a compiled
+    trace (e.g. {!Platform.Soc.feed_trace} / {!Platform.Soc.warm_trace}
+    partially applied to one trace).  Keeping the trace behind callbacks
+    leaves this library independent of the trace representation. *)
 type core = {
-  feed : Isa.Insn.t -> unit;
-      (** detailed timing step (e.g. {!Uarch.Inorder.feed} via
-          {!Platform.Soc.core_iface}) *)
-  warm : Isa.Insn.t -> unit;
-      (** functional-warming step: caches / TLBs / branch predictor only
-          (e.g. {!Platform.Soc.warm_insn}) *)
+  feed_range : lo:int -> hi:int -> unit;  (** detailed timing over [lo, hi) *)
+  warm_range : lo:int -> hi:int -> unit;
+      (** functional warming over [lo, hi): caches / TLBs / branch
+          predictor only *)
   now : unit -> int;  (** completion frontier, cycles *)
 }
 
@@ -17,43 +19,20 @@ val run :
   ?budget:int ->
   policy:Policy.t ->
   core ->
-  Isa.Insn.t Seq.t ->
+  len:int ->
   Estimate.t
-(** [run ~policy core stream] traverses [stream], feeding each instruction
-    to [core.feed] (detailed intervals and warmup windows) or [core.warm]
-    (everything else), and returns the extrapolated cycle estimate.
+(** [run ~policy core ~len] traverses trace positions [0, len), walking the
+    interval schedule segment by segment ({!Interval.segment}): detailed
+    intervals and warmup windows go to [core.feed_range], everything else
+    to [core.warm_range].  Returns the extrapolated cycle estimate.
 
     [budget] stops traversal at the first interval boundary at or past
     that many instructions; the estimate is then marked incomplete and its
     {!Estimate.cpi} — not its absolute cycle count — is the comparable
-    figure.  With [policy = Full] the whole stream is fed in detail and
-    the estimate is exact.
+    figure.  With [policy = Full] the whole trace is fed in detail and
+    the estimate is exact.  Raises [Invalid_argument] on an invalid
+    policy, a negative [len] or a non-positive [budget].
 
     When [telemetry] is a live registry, publishes ["sampling.*"] counters
     (detailed vs warmed instruction and cycle split, interval counts, and
     the achieved simulated-work speedup x100). *)
-
-(** Trace-replay core: range-based callbacks over a compiled trace of
-    [len] instructions (e.g. {!Platform.Soc.feed_trace} /
-    {!Platform.Soc.warm_trace} partially applied to one trace).  Keeping
-    the trace behind callbacks leaves this library independent of the
-    trace representation. *)
-type trace_core = {
-  feed_range : lo:int -> hi:int -> unit;  (** detailed timing over [lo, hi) *)
-  warm_range : lo:int -> hi:int -> unit;  (** functional warming over [lo, hi) *)
-  tnow : unit -> int;  (** completion frontier, cycles *)
-}
-
-val run_trace :
-  ?telemetry:Telemetry.Registry.t ->
-  ?budget:int ->
-  policy:Policy.t ->
-  trace_core ->
-  len:int ->
-  Estimate.t
-(** {!run} over a compiled trace of [len] instructions.  The interval
-    schedule is piecewise constant in the stream position, so each
-    warmup/detailed/warming segment becomes a single range call.
-    Estimates — including budget rounding, per-stratum extrapolation, and
-    the [complete] flag — are identical to [run] over the equivalent
-    stream. *)

@@ -44,15 +44,20 @@ let detailed ~detail_every index =
    cold-start transient (caches and queues filling), so it is simulated in
    detail and counted exactly but must not contribute a CPI sample — a
    systematic sample including it would weight the transient by
-   [detail_every] instead of once. *)
-let mode_of ~interval ~detail_every ~warmup pos =
+   [detail_every] instead of once.  A warming interval that precedes a
+   detailed one splits at [iend - warmup]; every other interval is one
+   segment. *)
+let segment ~interval ~detail_every ~warmup pos =
   let idx = index_of ~interval pos in
-  if idx = 0 then Warmup
-  else if detailed ~detail_every idx then Detailed
-  else
-    let next_start = (idx + 1) * interval in
-    if detailed ~detail_every (idx + 1) && pos >= next_start - warmup then Warmup
-    else Warming
+  let iend = (idx + 1) * interval in
+  if idx = 0 then (Warmup, iend)
+  else if detailed ~detail_every idx then (Detailed, iend)
+  else if detailed ~detail_every (idx + 1) then
+    if pos >= iend - warmup then (Warmup, iend) else (Warming, iend - warmup)
+  else (Warming, iend)
+
+let mode_of ~interval ~detail_every ~warmup pos =
+  fst (segment ~interval ~detail_every ~warmup pos)
 
 let mode_name = function
   | Detailed -> "detailed"

@@ -37,4 +37,11 @@ val mode_of : interval:int -> detail_every:int -> warmup:int -> int -> mode
     statistics (a systematic sample would overweight it by
     [detail_every]). *)
 
+val segment : interval:int -> detail_every:int -> warmup:int -> int -> mode * int
+(** [segment pos] is [(mode_of pos, e)] where [e > pos] ends the constant
+    run holding [pos]: every position in [[pos, e)] has that mode, and [e]
+    never passes the end of [pos]'s interval, so each interval's
+    detailed work closes as its own CPI sample.  The sampling driver
+    walks the schedule segment by segment through this function. *)
+
 val mode_name : mode -> string

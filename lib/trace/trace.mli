@@ -1,14 +1,13 @@
 (** Compiled struct-of-arrays instruction traces.
 
-    A workload stream ([Isa.Insn.t Seq.t]) costs a record allocation, two
-    option boxes, and a [Seq] node per instruction *per traversal* — and
-    sampled runs traverse a stream for functional warming and detailed
-    timing separately.  [compile] pays the generator cost once and packs
-    the stream into three flat [int array]s (PC / packed metadata /
-    address-or-target); replay consumers then index those arrays directly,
+    Workloads generate lazy streams ([Isa.Insn.t Seq.t]) that cost a
+    record allocation, two option boxes, and a [Seq] node per instruction
+    each time they are forced.  [compile] forces a stream once and packs
+    it into three flat [int array]s (PC / packed metadata /
+    address-or-target); the timing models replay those arrays directly,
     allocating nothing per instruction, and the compiled trace can be
     replayed any number of times (setup, warming, detailed pass, multiple
-    platforms).
+    platforms).  Every microbenchmark kernel is timed this way.
 
     {b Sharing contract.}  Traces are immutable after [compile] and safe
     to share across domains and threads without synchronization; only

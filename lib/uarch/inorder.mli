@@ -50,25 +50,20 @@ val create : config -> Memsys.t -> t
 val feed : t -> Isa.Insn.t -> unit
 (** Retire one instruction, advancing the model's clock. *)
 
-val run : t -> Isa.Insn.t Seq.t -> unit
-(** Feed a whole stream. *)
-
 val feed_trace : t -> Trace.t -> lo:int -> hi:int -> unit
 (** Retire trace indices [lo, hi): cycle-identical to {!feed}ing the same
     instructions, but decoding packed trace fields directly — no
     [Insn.t] reconstruction, no allocation in the loop. *)
 
 val warm_trace : t -> Trace.t -> lo:int -> hi:int -> unit
-(** {!warm} over trace indices [lo, hi), allocation-free. *)
-
-val warm : t -> Isa.Insn.t -> unit
-(** Functional warming for sampled simulation: update long-lived
-    microarchitectural state — caches and TLBs (through the memory
-    system) and the branch predictor — without modeling pipeline timing
-    and without counting the instruction in {!stats}.  Memory traffic
-    issues at the completion frontier and advances it, keeping fill
-    timestamps consistent when {!feed} resumes.  Cache/TLB statistics do
-    include the warming traffic. *)
+(** Functional warming for sampled simulation over trace indices
+    [lo, hi), allocation-free: update long-lived microarchitectural
+    state — caches and TLBs (through the memory system's content-only
+    [warm_*] operations) and the branch predictor — without modeling
+    pipeline timing and without counting the instructions in {!stats}.
+    The completion frontier does not move; the warmup window before the
+    next detailed interval re-establishes pipeline pressure.  Cache/TLB
+    statistics do include the warming traffic. *)
 
 val now : t -> int
 (** Current completion frontier in cycles: all work issued so far is done

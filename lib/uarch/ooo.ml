@@ -309,7 +309,7 @@ let feed_trace t tr ~lo ~hi =
       ~target:(Array.unsafe_get auxs j)
   done
 
-(* Functional warming — see {!Inorder.warm}: caches, TLBs, and the branch
+(* Functional warming — see {!Inorder.warm_trace}: caches, TLBs, and the branch
    predictor are updated through the memory system's content-only
    [warm_*] operations; pipeline structures (ROB, queues, ports), the
    frontier, and retired-instruction statistics are not touched.  The
@@ -335,11 +335,6 @@ let warm_scalar t ~pc ~(kind : Isa.Insn.kind) ~addr ~size ~taken ~target =
     end
   | _ -> ()
 
-let warm t (i : Isa.Insn.t) =
-  let addr, size = match i.mem with Some m -> (m.addr, m.size) | None -> (0, 0) in
-  let taken, target = match i.ctrl with Some c -> (c.taken, c.target) | None -> (false, 0) in
-  warm_scalar t ~pc:i.pc ~kind:i.kind ~addr ~size ~taken ~target
-
 let warm_trace t tr ~lo ~hi =
   if lo < 0 || hi > Trace.length tr || lo > hi then invalid_arg "Ooo.warm_trace: bad range";
   let pcs = Trace.pcs tr and metas = Trace.metas tr and auxs = Trace.auxs tr in
@@ -354,7 +349,6 @@ let warm_trace t tr ~lo ~hi =
       ~target:(Array.unsafe_get auxs j)
   done
 
-let run t stream = Seq.iter (feed t) stream
 let now t = t.frontier
 
 let advance_to t cycle =

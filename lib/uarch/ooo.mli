@@ -57,7 +57,7 @@ type t
 
 val create : config -> Memsys.t -> t
 val feed : t -> Isa.Insn.t -> unit
-val run : t -> Isa.Insn.t Seq.t -> unit
+(** Retire one instruction, advancing the model's clock. *)
 
 val feed_trace : t -> Trace.t -> lo:int -> hi:int -> unit
 (** Retire trace indices [lo, hi): cycle-identical to {!feed}ing the same
@@ -65,12 +65,10 @@ val feed_trace : t -> Trace.t -> lo:int -> hi:int -> unit
     [Insn.t] reconstruction, no allocation in the loop. *)
 
 val warm_trace : t -> Trace.t -> lo:int -> hi:int -> unit
-(** {!warm} over trace indices [lo, hi), allocation-free. *)
-
-val warm : t -> Isa.Insn.t -> unit
-(** Functional warming for sampled simulation — same contract as
-    {!Inorder.warm}: caches, TLBs, and branch predictor state advance;
-    pipeline timing and retired-instruction statistics do not. *)
+(** Functional warming for sampled simulation over trace indices
+    [lo, hi) — same contract as {!Inorder.warm_trace}: caches, TLBs, and
+    branch predictor state advance; pipeline timing and
+    retired-instruction statistics do not. *)
 
 val now : t -> int
 val advance_to : t -> int -> unit

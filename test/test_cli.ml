@@ -35,4 +35,11 @@ let suite =
       ("--scale", [ "csv"; "fig1"; "--scale=0" ]);
       ("--ranks", [ "workload"; "cg"; "--ranks=-3" ]);
       ("--ranks", [ "workload"; "cg"; "--ranks"; "0" ]);
+      ("--budget", [ "workload"; "MM"; "--budget=0" ]);
+      ("--budget", [ "workload"; "MM"; "--budget=-5" ]);
+      ("--expect-cycles", [ "workload"; "MM"; "--expect-cycles=-5" ]);
+      ("--expect-cycles", [ "workload"; "MM"; "--expect-cycles=0" ]);
+      ("--tolerance", [ "workload"; "MM"; "--tolerance"; "nan" ]);
+      ("--tolerance", [ "workload"; "MM"; "--tolerance=-0.1" ]);
+      ("--tolerance", [ "workload"; "MM"; "--tolerance=inf" ]);
     ]

@@ -46,7 +46,7 @@ let test_table5_invariants () =
 
 let test_run_stream_basic () =
   let soc = Platform.Soc.create Platform.Catalog.rocket1 in
-  let r = Platform.Soc.run_stream soc (alu_stream 1000) in
+  let r = Platform.Soc.run_trace soc (Trace.compile (alu_stream 1000)) in
   Alcotest.(check int) "all retired" 1000 r.Platform.Soc.instructions;
   Alcotest.(check bool) "took cycles" true (r.Platform.Soc.cycles >= 1000);
   Alcotest.(check bool) "seconds consistent" true
@@ -55,7 +55,7 @@ let test_run_stream_basic () =
 let test_determinism () =
   let run () =
     let soc = Platform.Soc.create Platform.Catalog.banana_pi_sim in
-    (Platform.Soc.run_stream soc (load_stream ~stride:64 5000)).Platform.Soc.cycles
+    (Platform.Soc.run_trace soc (Trace.compile (load_stream ~stride:64 5000))).Platform.Soc.cycles
   in
   Alcotest.(check int) "bit-identical reruns" (run ()) (run ())
 
@@ -64,7 +64,7 @@ let test_memory_hierarchy_effects () =
      DRAM: the DRAM-bound run must be much slower. *)
   let time stride n =
     let soc = Platform.Soc.create Platform.Catalog.rocket1 in
-    let r = Platform.Soc.run_stream soc (load_stream ~stride n) in
+    let r = Platform.Soc.run_trace soc (Trace.compile (load_stream ~stride n)) in
     r.Platform.Soc.cycles
   in
   let l1_resident = time 0 20_000 in
@@ -87,7 +87,7 @@ let test_llc_absorbs_l2_misses () =
   in
   let time cfg =
     let soc = Platform.Soc.create cfg in
-    (Platform.Soc.run_stream soc stream).Platform.Soc.cycles
+    (Platform.Soc.run_trace soc (Trace.compile stream)).Platform.Soc.cycles
   in
   Alcotest.(check bool) "LLC helps" true (time Platform.Catalog.milkv_sim < time no_llc)
 
@@ -139,7 +139,7 @@ let test_frequency_scaling_effect () =
      work gains far less (the paper's Fast model DRAM observation). *)
   let time cfg stream =
     let soc = Platform.Soc.create cfg in
-    (Platform.Soc.run_stream soc stream).Platform.Soc.seconds
+    (Platform.Soc.run_trace soc (Trace.compile stream)).Platform.Soc.seconds
   in
   let base = Platform.Catalog.banana_pi_sim and fast = Platform.Catalog.fast_banana_pi_sim in
   let compute_gain = time base (alu_stream 20_000) /. time fast (alu_stream 20_000) in

@@ -175,7 +175,7 @@ let test_machine_stream_times_on_platform () =
     M.run m
   in
   let soc = Platform.Soc.create Platform.Catalog.banana_pi_sim in
-  let r = Platform.Soc.run_stream soc (mk ()) in
+  let r = Platform.Soc.run_trace soc (Trace.compile (mk ())) in
   Alcotest.(check int) "all retired" (2 + (3 * 2000) + 1) r.Platform.Soc.instructions;
   Alcotest.(check bool) "took plausible cycles" true
     (r.Platform.Soc.cycles > 4000 && r.Platform.Soc.cycles < 100_000)

@@ -67,6 +67,21 @@ let prop_one_detailed_per_stratum =
       let off = I.stratum_offset ~detail_every group in
       !hits = 1 && off >= 0 && off < detail_every)
 
+(* [Interval.segment] is the one definition of the schedule the driver
+   walks: from any position, its end bounds a non-empty run of constant
+   mode that never crosses an interval boundary. *)
+let prop_segment_constant =
+  QCheck.Test.make ~name:"segment: constant mode over [p, end)" ~count:300
+    QCheck.(quad (int_range 1 200) (int_range 1 12) (int_range 0 100) (int_range 0 20_000))
+    (fun (interval, detail_every, warmup_pct, p) ->
+      let warmup = interval * warmup_pct / 100 in
+      let mode, e = I.segment ~interval ~detail_every ~warmup p in
+      let constant = ref (e > p && e <= ((p / interval) + 1) * interval) in
+      for q = p to e - 1 do
+        if I.mode_of ~interval ~detail_every ~warmup q <> mode then constant := false
+      done;
+      !constant)
+
 let test_mode_of_schedule () =
   let interval = 100 and detail_every = 4 and warmup = 30 in
   let mode = I.mode_of ~interval ~detail_every ~warmup in
@@ -242,6 +257,7 @@ let suite =
     Alcotest.test_case "policy validate" `Quick test_policy_validate;
     QCheck_alcotest.to_alcotest prop_one_detailed_per_stratum;
     Alcotest.test_case "interval schedule modes" `Quick test_mode_of_schedule;
+    QCheck_alcotest.to_alcotest prop_segment_constant;
     Alcotest.test_case "detail_every=1 selects all" `Quick test_detail_every_one_all_detailed;
     Alcotest.test_case "exact estimate" `Quick test_estimate_exact;
     Alcotest.test_case "accuracy compare" `Quick test_accuracy_compare;

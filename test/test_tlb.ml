@@ -63,7 +63,7 @@ let test_soc_integration () =
           ~pc:0 Isa.Insn.Load)
   in
   let soc = Platform.Soc.create Platform.Catalog.banana_pi_sim in
-  let r = Platform.Soc.run_stream soc stream in
+  let r = Platform.Soc.run_trace soc (Trace.compile stream) in
   Alcotest.(check bool)
     (Printf.sprintf "walks recorded (%d)" r.Platform.Soc.tlb_walks)
     true
@@ -83,7 +83,7 @@ let test_tlb_pressure_costs_cycles () =
   in
   let time stream =
     let soc = Platform.Soc.create Platform.Catalog.banana_pi_sim in
-    (Platform.Soc.run_stream soc stream).Platform.Soc.cycles
+    (Platform.Soc.run_trace soc (Trace.compile stream)).Platform.Soc.cycles
   in
   Alcotest.(check bool) "page sweep slower" true (time many_pages > time one_page)
 

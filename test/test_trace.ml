@@ -1,11 +1,12 @@
 (* Tests for compiled instruction traces: packed-field encode/decode
    round-trips (including the Amo/Fence/untaken-branch edge cases),
    compile-time validation of malformed instructions, the central
-   replay property — [`Trace] and [`Seq] engines produce structurally
-   identical [Soc.result]s on random kernel/platform/policy draws — and
-   basic-block detection over compiled traces (partition, load/store
-   accounting, digest identity that ignores memory addresses but not
-   control targets). *)
+   replay properties — the runner's compiled-trace replay produces
+   structurally identical [Soc.result]s (and, sampled, estimates) to the
+   one-instruction-at-a-time references in [Oracle] on random
+   kernel/platform draws — and basic-block detection over compiled
+   traces (partition, load/store accounting, digest identity that
+   ignores memory addresses but not control targets). *)
 
 module In = Isa.Insn
 module T = Trace
@@ -147,49 +148,45 @@ let test_compile_rejects () =
 (* ------------------------------------------ replay identity property *)
 
 (* Trace replay must be a pure host-side optimization: identical
-   [Soc.result] to the [`Seq] path for any kernel, either core model
-   (banana = in-order Rocket2, boom = OoO), Full or sampled policy.
-   Structural equality covers every counter, the per-core array, and the
-   float cycle estimates. *)
-let replay_kernels = [ "Cca"; "EI"; "MD"; "DP1d"; "CRd"; "MIM" ]
+   [Soc.result] to feeding the lazy streams one instruction at a time,
+   for any kernel (setup stream included) on either core model (banana =
+   in-order Rocket2, boom = OoO).  Structural equality covers every
+   counter, the per-core array, and the float seconds. *)
+let kernel_gen = QCheck.(pair (int_range 0 (List.length Mb.evaluated - 1)) bool)
+let draw (ki, use_boom) =
+  (List.nth Mb.evaluated ki, if use_boom then Cat.boom_large else Cat.banana_pi_sim)
 
-let prop_replay_identity =
-  let n_k = List.length replay_kernels in
-  QCheck.Test.make ~name:"trace replay = seq replay (random kernel/platform/policy)" ~count:24
-    QCheck.(triple (int_range 0 (n_k - 1)) bool bool)
-    (fun (ki, use_boom, sampled) ->
-      let kernel = Mb.find (List.nth replay_kernels ki) in
-      let platform = if use_boom then Cat.boom_large else Cat.banana_pi_sim in
-      let policy = if sampled then Sampling.Policy.default_sampled else Sampling.Policy.Full in
-      let scale = 0.3 in
-      let seq = (R.run_kernel_timed ~scale ~policy ~engine:`Seq platform kernel).result in
-      let tr = (R.run_kernel_timed ~scale ~policy ~engine:`Trace platform kernel).result in
-      seq = tr)
+let prop_replay_oracle =
+  QCheck.Test.make ~name:"trace replay = seq oracle (random kernel/platform)" ~count:24 kernel_gen
+    (fun d ->
+      let kernel, platform = draw d in
+      let scale = 0.2 in
+      (R.run_kernel_timed ~scale platform kernel).result = Oracle.run_kernel ~scale platform kernel)
 
-let test_replay_identity_estimates () =
-  (* The sampled estimate (error bounds included) must also match. *)
-  let kernel = Mb.find "MD" in
-  let policy = Sampling.Policy.default_sampled in
-  let a = R.run_kernel_timed ~scale:0.4 ~policy ~engine:`Seq Cat.boom_large kernel in
-  let b = R.run_kernel_timed ~scale:0.4 ~policy ~engine:`Trace Cat.boom_large kernel in
-  Alcotest.(check bool) "results equal" true (a.result = b.result);
-  Alcotest.(check bool) "estimates equal" true (a.estimate = b.estimate)
-
-(* A full run on the default engine must be bit-identical to the seed
-   [`Seq] engine: this is the fidelity gate every figure relies on. *)
-let test_full_run_identity () =
-  let kernel = Mb.find "DP1d" in
-  let seq = (R.run_kernel_timed ~scale:0.3 ~engine:`Seq Cat.banana_pi_sim kernel).result in
-  let tr = (R.run_kernel_timed ~scale:0.3 ~engine:`Trace Cat.banana_pi_sim kernel).result in
-  Alcotest.(check bool) "`Trace = `Seq bit-identity" true (seq = tr)
+(* The segment-walking sampling driver against the per-position
+   reference, on random policies and budgets: same result, same
+   estimate (error bounds and completeness included). *)
+let prop_sampled_reference =
+  QCheck.Test.make ~name:"sampled driver = per-position reference" ~count:16
+    QCheck.(
+      pair kernel_gen
+        (quad (int_range 50 600) (int_range 1 8) (int_range 0 100) (option (int_range 1 20_000))))
+    (fun (d, (interval, detail_every, warmup_pct, budget)) ->
+      let kernel, platform = draw d in
+      let policy =
+        Sampling.Policy.Sampled { interval; detail_every; warmup = interval * warmup_pct / 100 }
+      in
+      let scale = 0.2 in
+      let t = R.run_kernel_timed ~scale ~policy ?budget platform kernel in
+      (t.result, t.estimate) = Oracle.run_kernel_sampled ~scale ?budget ~policy platform kernel)
 
 let test_trace_cache_counts () =
   R.trace_cache_clear ();
   let kernel = Mb.find "EI" in
-  ignore (R.run_kernel_timed ~scale:0.2 ~engine:`Trace Cat.banana_pi_sim kernel);
+  ignore (R.run_kernel_timed ~scale:0.2 Cat.banana_pi_sim kernel);
   let s1 = R.trace_cache_stats () in
   (* Second run of the same (kernel, scale, seed) must hit, not recompile. *)
-  ignore (R.run_kernel_timed ~scale:0.2 ~engine:`Trace Cat.boom_large kernel);
+  ignore (R.run_kernel_timed ~scale:0.2 Cat.boom_large kernel);
   let s2 = R.trace_cache_stats () in
   Alcotest.(check bool) "first run misses" true (s1.tc_misses > 0);
   Alcotest.(check int) "second run compiles nothing" s1.tc_misses s2.tc_misses;
@@ -287,9 +284,8 @@ let suite =
     Alcotest.test_case "raw layout agrees with accessors" `Quick test_raw_layout;
     Alcotest.test_case "to_seq identity" `Quick test_to_seq_identity;
     Alcotest.test_case "compile rejects malformed insns" `Quick test_compile_rejects;
-    QCheck_alcotest.to_alcotest prop_replay_identity;
-    Alcotest.test_case "sampled estimates identical" `Quick test_replay_identity_estimates;
-    Alcotest.test_case "full run identical to seq engine" `Quick test_full_run_identity;
+    QCheck_alcotest.to_alcotest prop_replay_oracle;
+    QCheck_alcotest.to_alcotest prop_sampled_reference;
     Alcotest.test_case "trace cache hit accounting" `Quick test_trace_cache_counts;
     Alcotest.test_case "block partition and accounting" `Quick test_blocks_partition;
     Alcotest.test_case "digest ignores memory addresses" `Quick test_digest_ignores_addresses;

@@ -13,12 +13,12 @@ let independent n = List.init n (fun i -> alu ~pc:(i * 4 mod 256) ~dst:(5 + (i m
 
 let run_inorder ?(cfg = Uarch.Inorder.rocket ()) ?(mem = Uarch.Memsys.ideal ~latency:1) insns =
   let c = Uarch.Inorder.create cfg mem in
-  Uarch.Inorder.run c (List.to_seq insns);
+  List.iter (Uarch.Inorder.feed c) insns;
   Uarch.Inorder.stats c
 
 let run_ooo ?(cfg = Uarch.Ooo.boom_large ()) ?(mem = Uarch.Memsys.ideal ~latency:1) insns =
   let c = Uarch.Ooo.create cfg mem in
-  Uarch.Ooo.run c (List.to_seq insns);
+  List.iter (Uarch.Ooo.feed c) insns;
   Uarch.Ooo.stats c
 
 let test_inorder_serial_ipc () =
@@ -84,7 +84,7 @@ let test_inorder_mispredict_penalty_scales_with_depth () =
 
 let test_inorder_advance_to () =
   let c = Uarch.Inorder.create (Uarch.Inorder.rocket ()) (Uarch.Memsys.ideal ~latency:1) in
-  Uarch.Inorder.run c (List.to_seq (independent 10));
+  List.iter (Uarch.Inorder.feed c) (independent 10);
   let t = Uarch.Inorder.now c in
   Uarch.Inorder.advance_to c (t + 1000);
   Alcotest.(check int) "idled" (t + 1000) (Uarch.Inorder.now c);

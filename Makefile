@@ -170,8 +170,9 @@ serve-smoke: build
 
 # The serve load gate: 1000 mixed fig1-7 queries from 4 concurrent
 # pipelining clients against one daemon; every payload diffed against
-# the sequential oracle, and the cross-request trace-cache hit rate
-# must be > 0.  Writes BENCH_serve.json (uploaded as a CI artifact).
+# the sequential oracle, each of the 10 unique keys computed exactly
+# once, and the cross-request trace-cache hit rate must be > 0.  Writes
+# BENCH_serve.json (uploaded as a CI artifact).
 serve-bench:
 	dune build --profile release bench/main.exe
 	dune exec --profile release bench/main.exe -- serve

@@ -323,10 +323,11 @@ let run_perf_gate ~identity_only () =
 
 (* --------------------------------------------------------------- serve *)
 
-(* The serve load-test gate (ISSUE 7): stand the daemon up on a Unix
-   socket, fire >= 1000 mixed fig1-7 (plus grid-cell) queries from 4
-   concurrent pipelining clients, and require every payload to be
-   byte-identical to the sequential jobs=1 oracle — then require the
+(* The serve load-test gate: stand the daemon up on a Unix socket, fire
+   >= 1000 mixed fig1-7 (plus grid-cell) queries from 4 concurrent
+   pipelining clients, and require every payload to be byte-identical to
+   the sequential jobs=1 oracle, every unique key to be computed exactly
+   once (repeats are answered from the response cache), and the
    cross-request trace cache to have actually fired (fig2 replays fig1's
    compiled kernel streams).  Numbers land in BENCH_serve.json. *)
 
@@ -351,8 +352,8 @@ let serve_queries_per_client = 250
 let serve_pipeline_depth = 8
 
 (* Each client walks the mix from its own offset, so at any instant the
-   four connections overlap on some keys (exercising batch coalescing)
-   and disagree on others (exercising the response cache). *)
+   four connections overlap on some keys (a repeat queued behind its
+   first computation) and disagree on others. *)
 let serve_query ~ci i = List.nth serve_mix ((i + (ci * 3)) mod List.length serve_mix)
 
 let percentile sorted p =
@@ -471,18 +472,17 @@ let run_serve_gate () =
   let qps = if serve_wall > 0.0 then float_of_int total /. serve_wall else 0.0 in
   let mips = Option.value (Ledger.Run_report.aggregate_mips reg) ~default:0.0 in
   let computed = stat_float stats [ "computed" ] in
-  let coalesced = stat_float stats [ "coalesced" ] in
   let cached = stat_float stats [ "cached" ] in
-  let cache_hit_rate = (coalesced +. cached) /. float_of_int total in
+  let cache_hit_rate = cached /. float_of_int total in
   let tc_hit_rate =
     if tc_lookups > 0 then float_of_int tc.Simbridge.Runner.tc_hits /. float_of_int tc_lookups
     else 0.0
   in
   Printf.printf
-    "served %d queries in %.1f s (%.1f q/s): %.0f computed, %.0f coalesced, %.0f cached; \
+    "served %d queries in %.1f s (%.1f q/s): %.0f computed, %.0f cached; \
      latency p50 %.0f ms / p99 %.0f ms; aggregate %.1f MIPS\n\
      trace cache (cold start): %d hits / %d lookups (%.0f%% cross-request hit rate)\n%!"
-    total serve_wall qps computed coalesced cached (p50 *. 1e3) (p99 *. 1e3) mips
+    total serve_wall qps computed cached (p50 *. 1e3) (p99 *. 1e3) mips
     tc.Simbridge.Runner.tc_hits tc_lookups (100.0 *. tc_hit_rate);
   write_flat_json "BENCH_serve.json"
     [
@@ -498,7 +498,6 @@ let run_serve_gate () =
       ("p99_ms", p99 *. 1e3);
       ("aggregate_mips", mips);
       ("computed", computed);
-      ("coalesced", coalesced);
       ("cached", cached);
       ("response_cache_hit_rate", cache_hit_rate);
       ("trace_cache_hits", float_of_int tc.Simbridge.Runner.tc_hits);
@@ -506,12 +505,13 @@ let run_serve_gate () =
       ("trace_cache_hit_rate", tc_hit_rate);
     ];
   let ok = Atomic.get mismatches = 0 && Atomic.get verified = total in
+  let computed_ok = computed = float_of_int (List.length uniq) in
   let tc_ok = tc.Simbridge.Runner.tc_hits > 0 in
   let module J = Validate.Jsonx in
   let report =
     Ledger.Run_report.build
       ~wall_s:(Unix.gettimeofday () -. t0)
-      ~exit_status:(if ok && tc_ok then 0 else 1)
+      ~exit_status:(if ok && computed_ok && tc_ok then 0 else 1)
       ~command:"bench serve" ~config:[ ("clients", J.Num (float_of_int serve_clients)) ]
       ~telemetry:reg
       ~extra:
@@ -538,14 +538,19 @@ let run_serve_gate () =
       total (Atomic.get mismatches);
     exit 1
   end;
+  if not computed_ok then begin
+    Printf.printf "FAIL serve: %.0f computations for %d unique keys (each must be computed once)\n"
+      computed (List.length uniq);
+    exit 1
+  end;
   if not tc_ok then begin
     Printf.printf "FAIL serve: no cross-request trace-cache hits (hit rate must be > 0)\n";
     exit 1
   end;
   Printf.printf
     "serve gate: PASS (%d/%d byte-identical to the sequential oracle at any interleaving, \
-     trace-cache hit rate %.0f%%)\n%!"
-    (Atomic.get verified) total (100.0 *. tc_hit_rate)
+     %d keys computed once each, trace-cache hit rate %.0f%%)\n%!"
+    (Atomic.get verified) total (List.length uniq) (100.0 *. tc_hit_rate)
 
 (* ----------------------------------------------------------- bechamel *)
 

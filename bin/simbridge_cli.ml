@@ -20,7 +20,7 @@
 
    Service mode (lib/serve):
      serve                persistent daemon answering NDJSON queries over
-                          a Unix/TCP socket, batching across clients
+                          a Unix/TCP socket, one request at a time
      query                one query against a running daemon; stdout is
                           byte-identical to the one-shot command *)
 
@@ -85,7 +85,7 @@ let run_experiment verbose seed jobs trace_capacity report_path trace_path id =
   in
   Ledger.Progress.install_if_tty ();
   let t0 = Unix.gettimeofday () in
-  Telemetry.Span.root ~name:("run:" ^ id) reg (fun () ->
+  Telemetry.Registry.span_with reg ~root:true ("run:" ^ id) (fun () ->
       if id = "all" then
         List.iter
           (fun (id, _, render) ->
@@ -118,7 +118,7 @@ let csv_figure jobs trace_capacity report_path id scale =
   Ledger.Progress.install_if_tty ();
   let t0 = Unix.gettimeofday () in
   let fig =
-    Telemetry.Span.root ~name:("csv:" ^ id) reg (fun () ->
+    Telemetry.Registry.span_with reg ~root:true ("csv:" ^ id) (fun () ->
         Simbridge.Experiments.figure_by_id ~scale ~telemetry:reg id)
   in
   Ledger.Progress.uninstall ();
@@ -213,7 +213,7 @@ let run_workload verbose name platform ranks scale telemetry_dir seed jobs trace
   let t0 = Unix.gettimeofday () in
   let estimate = ref None in
   let kernel = try Some (Workloads.Microbench.find name) with Not_found -> None in
-  Telemetry.Span.root ~name:("workload:" ^ name) reg (fun () ->
+  Telemetry.Registry.span_with reg ~root:true ("workload:" ^ name) (fun () ->
       match kernel with
       | Some k ->
         let t = Simbridge.Runner.run_kernel_timed ~scale ~telemetry:reg ~policy ?budget config k in
@@ -391,7 +391,7 @@ let run_validate verbose seed jobs trace_capacity figures update_golden strict r
   Ledger.Progress.install_if_tty ();
   let t0 = Unix.gettimeofday () in
   let report =
-    Telemetry.Span.root ~name:"validate" reg (fun () ->
+    Telemetry.Registry.span_with reg ~root:true "validate" (fun () ->
         Validate.Fidelity.run ~telemetry:reg ~update_golden ~results_dir ~expectations ids)
   in
   Ledger.Progress.uninstall ();
@@ -559,7 +559,7 @@ let parse_addr flag s =
    in-flight requests, refuse new ones, then flush the ledger — the
    final run report covers every request served. *)
 let run_serve verbose seed jobs trace_capacity report_path trace_path history_path listen
-    response_cache trace_cache_mib max_batch =
+    response_cache trace_cache_mib =
   setup_logs verbose;
   Util.Rng.set_global_seed seed;
   setup_jobs jobs;
@@ -573,8 +573,7 @@ let run_serve verbose seed jobs trace_capacity report_path trace_path history_pa
   let t0 = Unix.gettimeofday () in
   let srv =
     try
-      Serve.Server.create ~jobs ~response_cache_capacity:response_cache ~max_batch
-        ~telemetry:reg addr
+      Serve.Server.create ~jobs ~response_cache_capacity:response_cache ~telemetry:reg addr
     with Unix.Unix_error (e, _, _) ->
       Format.eprintf "cannot listen on %s: %s@."
         (Serve.Protocol.addr_to_string addr)
@@ -584,13 +583,13 @@ let run_serve verbose seed jobs trace_capacity report_path trace_path history_pa
   let on_signal _ = Serve.Server.stop srv in
   Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
   Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-  Format.eprintf "serving on %s (jobs=%d, response cache=%d, batch<=%d); SIGTERM drains@."
+  Format.eprintf "serving on %s (jobs=%d, response cache=%d); SIGTERM drains@."
     (Serve.Protocol.addr_to_string addr)
-    jobs response_cache max_batch;
+    jobs response_cache;
   (* The root span wraps the whole service lifetime; the registry is
      written by the main thread only here (before the dispatcher starts)
      and after [run] returns (all service threads joined). *)
-  Telemetry.Span.root ~name:"serve" reg (fun () -> Serve.Server.run srv);
+  Telemetry.Registry.span_with reg ~root:true "serve" (fun () -> Serve.Server.run srv);
   let wall_s = Unix.gettimeofday () -. t0 in
   let served = Serve.Engine.requests_served (Serve.Server.engine srv) in
   Format.eprintf "drained after %d request%s in %.1f s@." served
@@ -606,7 +605,6 @@ let run_serve verbose seed jobs trace_capacity report_path trace_path history_pa
             ("jobs", num_j jobs);
             ("trace_capacity", num_j trace_capacity);
             ("response_cache", num_j response_cache);
-            ("max_batch", num_j max_batch);
           ]
         ~extra:[ ("serve", Serve.Engine.stats_json (Serve.Server.engine srv)) ]
         ~telemetry:reg ()
@@ -1031,13 +1029,6 @@ let serve_cmd =
              default 192 MiB)."
           ~docv:"MIB")
   in
-  let max_batch =
-    Arg.(
-      value & opt pos_int 64
-      & info [ "max-batch" ]
-          ~doc:"Most queued requests one dispatcher batch may coalesce (default 64)."
-          ~docv:"N")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
@@ -1047,7 +1038,7 @@ let serve_cmd =
           requests, refuses new ones, and flushes the run report before exiting 0.")
     Term.(
       const run_serve $ verbose_arg $ seed_arg $ jobs_arg $ trace_capacity_arg $ report_arg
-      $ trace $ history $ listen_arg $ response_cache $ trace_cache_mib $ max_batch)
+      $ trace $ history $ listen_arg $ response_cache $ trace_cache_mib)
 
 let query_cmd =
   let connect =

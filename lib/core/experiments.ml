@@ -523,23 +523,34 @@ let fig7 ?(scale = 1.0) ?jobs ?telemetry () =
 
 (* The per-panel figure index shared by `simbridge csv`, the validate
    subsystem's recompute path, and the serve daemon: one id per rendered
-   CSV/golden file.  fig3/fig4 ids select a panel of the two-panel
-   figure (both panels are computed; the unused one is discarded, as the
-   one-shot CLI has always done). *)
+   CSV/golden file. *)
 let figure_ids = [ "fig1"; "fig2"; "fig3a"; "fig3b"; "fig4a"; "fig4b"; "fig5"; "fig6"; "fig7" ]
 
+let figures ?scale ?jobs ?telemetry ids =
+  (* the two panels of fig3 (fig4) come from one grid run *)
+  let fig3 = lazy (fig3 ?scale ?jobs ?telemetry ()) in
+  let fig4 = lazy (fig4 ?scale ?jobs ?telemetry ()) in
+  let panel l i = List.nth (Lazy.force l) i in
+  List.map
+    (fun id ->
+      let fig =
+        match id with
+        | "fig1" -> fig1 ?scale ?jobs ?telemetry ()
+        | "fig2" -> fig2 ?scale ?jobs ?telemetry ()
+        | "fig3a" -> panel fig3 0
+        | "fig3b" -> panel fig3 1
+        | "fig4a" -> panel fig4 0
+        | "fig4b" -> panel fig4 1
+        | "fig5" -> fig5 ?scale ?jobs ?telemetry ()
+        | "fig6" -> fig6 ?scale ?jobs ?telemetry ()
+        | "fig7" -> fig7 ?scale ?jobs ?telemetry ()
+        | id -> invalid_arg ("Experiments.figures: unknown figure " ^ id)
+      in
+      (id, fig))
+    ids
+
 let figure_by_id ?scale ?jobs ?telemetry id =
-  match id with
-  | "fig1" -> Some (fig1 ?scale ?jobs ?telemetry ())
-  | "fig2" -> Some (fig2 ?scale ?jobs ?telemetry ())
-  | "fig3a" -> Some (List.nth (fig3 ?scale ?jobs ?telemetry ()) 0)
-  | "fig3b" -> Some (List.nth (fig3 ?scale ?jobs ?telemetry ()) 1)
-  | "fig4a" -> Some (List.nth (fig4 ?scale ?jobs ?telemetry ()) 0)
-  | "fig4b" -> Some (List.nth (fig4 ?scale ?jobs ?telemetry ()) 1)
-  | "fig5" -> Some (fig5 ?scale ?jobs ?telemetry ())
-  | "fig6" -> Some (fig6 ?scale ?jobs ?telemetry ())
-  | "fig7" -> Some (fig7 ?scale ?jobs ?telemetry ())
-  | _ -> None
+  if List.mem id figure_ids then List.assoc_opt id (figures ?scale ?jobs ?telemetry [ id ]) else None
 
 let app_runtime_table ?(scale = 1.0) ?jobs ?(telemetry = Telemetry.Registry.disabled) (app : W.app) =
   let platforms = [ Cat.banana_pi_hw; Cat.banana_pi_sim; Cat.milkv_hw; Cat.milkv_sim ] in

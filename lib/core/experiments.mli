@@ -126,6 +126,16 @@ val figure_ids : string list
     fig5; fig6; fig7] — the vocabulary shared by [simbridge csv], the
     golden CSVs, and the serve protocol. *)
 
+val figures :
+  ?scale:float ->
+  ?jobs:int ->
+  ?telemetry:Telemetry.Registry.t ->
+  string list ->
+  (string * figure) list
+(** Compute the listed panels by id, in list order.  The two panels of
+    fig3 (fig4) share one grid run, so asking for both costs one run.
+    Raises [Invalid_argument] on an id not in {!figure_ids}. *)
+
 val figure_by_id :
   ?scale:float ->
   ?jobs:int ->

@@ -1,12 +1,10 @@
 (* Mutex + condition variable; both are stdlib and work across threads
-   and domains alike.  The queue holds a reversed accumulator so push is
-   O(1) and the batch drain reverses once. *)
+   and domains alike. *)
 
 type 'a t = {
   mutex : Mutex.t;
   nonempty : Condition.t;
-  mutable rev_items : 'a list;  (* newest first *)
-  mutable count : int;
+  items : 'a Queue.t;
   mutable is_closed : bool;
 }
 
@@ -14,8 +12,7 @@ let create () =
   {
     mutex = Mutex.create ();
     nonempty = Condition.create ();
-    rev_items = [];
-    count = 0;
+    items = Queue.create ();
     is_closed = false;
   }
 
@@ -23,26 +20,19 @@ let push t x =
   Mutex.protect t.mutex (fun () ->
       if t.is_closed then false
       else begin
-        t.rev_items <- x :: t.rev_items;
-        t.count <- t.count + 1;
+        Queue.push x t.items;
         Condition.signal t.nonempty;
         true
       end)
 
-let pop_batch t =
+let pop t =
   Mutex.protect t.mutex (fun () ->
-      while t.rev_items = [] && not t.is_closed do
+      while Queue.is_empty t.items && not t.is_closed do
         Condition.wait t.nonempty t.mutex
       done;
-      let batch = List.rev t.rev_items in
-      t.rev_items <- [];
-      t.count <- 0;
-      batch)
+      Queue.take_opt t.items)
 
 let close t =
   Mutex.protect t.mutex (fun () ->
       t.is_closed <- true;
       Condition.broadcast t.nonempty)
-
-let closed t = Mutex.protect t.mutex (fun () -> t.is_closed)
-let length t = Mutex.protect t.mutex (fun () -> t.count)

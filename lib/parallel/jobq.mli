@@ -4,18 +4,16 @@
     The {!Pool} runs a {e fixed} grid of cells and joins; a persistent
     service ([simbridge serve]) instead has producer threads (one per
     client connection) feeding an open-ended stream of requests to a
-    single dispatcher thread, which drains whatever has accumulated,
-    coalesces overlapping work, and submits the deduplicated batch to
-    the Domain pool.  This queue is that seam: multi-producer,
-    single-or-multi-consumer, blocking, with close-and-drain semantics
-    for graceful shutdown.
+    single dispatcher thread, which takes them one at a time.  This
+    queue is that seam: multi-producer, single-or-multi-consumer,
+    blocking, with close-and-drain semantics for graceful shutdown.
 
     Unlike the pool, the queue makes no determinism promises by itself —
     arrival order depends on client scheduling.  Determinism of the
     {e payloads} is the serve engine's contract (every response is a
     pure function of its query); the queue only guarantees that no
     pushed element is lost: everything accepted before {!close} is
-    returned by some {!pop_batch} call. *)
+    returned by some {!pop} call, in push order. *)
 
 type 'a t
 
@@ -26,20 +24,12 @@ val push : 'a t -> 'a -> bool
     (and drops the element) when the queue has been closed — producers
     use this to answer "shutting down" instead of enqueueing. *)
 
-val pop_batch : 'a t -> 'a list
-(** Block until at least one element is available (or the queue is
-    closed), then drain and return {e everything} queued, in arrival
-    order.  The all-at-once drain is what enables request batching:
-    elements that accumulated while the consumer was busy come back as
-    one batch.  Returns [[]] only when the queue is closed and empty —
-    the consumer's signal to exit. *)
+val pop : 'a t -> 'a option
+(** Block until an element is available (or the queue is closed), then
+    remove and return the oldest.  Returns [None] only when the queue is
+    closed and empty — the consumer's signal to exit. *)
 
 val close : 'a t -> unit
 (** Refuse further pushes and wake every blocked consumer.  Elements
-    already queued remain poppable ({!pop_batch} keeps returning them
-    until empty), so close-then-drain loses nothing.  Idempotent. *)
-
-val closed : 'a t -> bool
-
-val length : 'a t -> int
-(** Elements currently queued (racy by nature; for stats only). *)
+    already queued remain poppable ({!pop} keeps returning them until
+    empty), so close-then-drain loses nothing.  Idempotent. *)

@@ -6,7 +6,8 @@
     Responses come back in request order on one connection (the server
     answers a request on the connection's reader thread only when none
     of that connection's requests is queued, and the dispatcher answers
-    each batch in arrival order), so matching by [id] is a safety net,
+    queued requests one at a time in arrival order), so matching by
+    [id] is a safety net,
     not a necessity. *)
 
 type t

@@ -11,7 +11,7 @@ type request = { rq_id : string; rq_op : op }
 type report = J.t
 type response = { rs_id : string; rs_result : (string * report, string) result }
 
-(* Scales are keyed (and coalesced) by exact bit pattern: "%h" prints
+(* Scales are keyed by exact bit pattern: "%h" prints
    the float losslessly, so 1.0 and 1.0+ulp never collide while two
    textual spellings of the same double always do. *)
 let query_key = function

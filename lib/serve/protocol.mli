@@ -12,7 +12,7 @@
     {b Determinism contract.}  For a [Figure] query, the [payload] of a
     successful response is byte-identical to the one-shot CLI's stdout
     for the same query ([simbridge csv FIG --scale S] for [`Csv]) at any
-    [--jobs], any batching, and any client interleaving: figures are
+    [--jobs] and any client interleaving: figures are
     pure functions of [(figure, scale, global seed)] and the pool
     reassembles cells in grid order.  The [report] section is the only
     part that varies run-to-run (wall-clock, cache temperatures). *)
@@ -27,8 +27,8 @@ type query =
           is the machine payload ([figure_csv]), [`Render] the ASCII
           chart ([render_figure]). *)
   | Cell of { platform : string; kernel : string; scale : float }
-      (** A single microbench grid cell — the unit the dispatcher
-          coalesces across clients before submitting to the pool. *)
+      (** A single microbench grid cell, computed as a one-cell grid;
+          its payload is the cell's CSV row under a header. *)
 
 type op =
   | Ping  (** liveness probe; payload ["pong"] *)
@@ -42,7 +42,7 @@ type request = { rq_id : string; rq_op : op }
 
 type report = Validate.Jsonx.t
 (** The per-request run-report-shaped section: request id, computation
-    key, served-from (computed / coalesced / cached), queue wait,
+    key, served-from (computed / cached / inline), queue wait,
     compute wall, phase breakdown, trace-cache delta, span id. *)
 
 type response = { rs_id : string; rs_result : (string * report, string) result }
@@ -64,8 +64,7 @@ val parse_response : string -> (response, string) result
 
 val query_key : query -> string
 (** Canonical computation key: two requests with the same key are
-    answered by one computation (the batching layer's dedup key and the
-    response cache's index).  Scales are keyed by their exact bit
+    answered by one computation (the response cache's index).  Scales are keyed by their exact bit
     pattern (hex float), so distinct floats never alias. *)
 
 (** {2 Endpoints} *)

@@ -13,7 +13,6 @@ type t = {
   s_engine : Engine.t;
   s_queue : (conn * Engine.pending) Parallel.Jobq.t;
   s_stop : bool Atomic.t;
-  s_max_batch : int;
   s_conns_mutex : Mutex.t;
   mutable s_conns : conn list;
   mutable s_readers : Thread.t list;
@@ -148,42 +147,29 @@ let reader t c =
 
 (* ---------------------------------------------------------- dispatcher *)
 
-let rec chunk n = function
-  | [] -> []
-  | items ->
-    let rec take k acc = function
-      | rest when k = 0 -> (List.rev acc, rest)
-      | [] -> (List.rev acc, [])
-      | x :: rest -> take (k - 1) (x :: acc) rest
-    in
-    let head, rest = take n [] items in
-    head :: chunk n rest
-
-let dispatch_chunk t items =
-  match Engine.execute t.s_engine (List.map snd items) with
-  | responses ->
-    List.iter2
-      (fun (c, _) resp ->
-        send_response c resp;
-        conn_finish_one c)
-      items responses
-  | exception exn ->
-    (* Engine.execute converts per-request failures itself; this is the
-       backstop that keeps the dispatcher alive if it ever throws. *)
-    let msg = "internal error: " ^ Printexc.to_string exn in
-    List.iter
-      (fun (c, p) ->
-        send_response c
-          Protocol.{ rs_id = p.Engine.p_req.Protocol.rq_id; rs_result = Error msg };
-        conn_finish_one c)
-      items
+(* One request per computation, its response written as soon as it is
+   ready, so a queued request waits only for what is ahead of it. *)
+let dispatch t (c, p) =
+  let resp =
+    try Engine.execute t.s_engine p
+    with exn ->
+      (* Engine.execute converts request failures itself; this is the
+         backstop that keeps the dispatcher alive if it ever throws. *)
+      Protocol.
+        {
+          rs_id = p.Engine.p_req.Protocol.rq_id;
+          rs_result = Error ("internal error: " ^ Printexc.to_string exn);
+        }
+  in
+  send_response c resp;
+  conn_finish_one c
 
 let dispatcher t =
   let rec loop () =
-    match Parallel.Jobq.pop_batch t.s_queue with
-    | [] -> ()  (* queue closed and fully drained *)
-    | batch ->
-      List.iter (dispatch_chunk t) (chunk t.s_max_batch batch);
+    match Parallel.Jobq.pop t.s_queue with
+    | None -> ()  (* queue closed and fully drained *)
+    | Some item ->
+      dispatch t item;
       loop ()
   in
   loop ()
@@ -211,7 +197,7 @@ let bind_listen addr =
     Unix.listen fd 64;
     fd
 
-let create ?jobs ?response_cache_capacity ?(max_batch = 64) ?telemetry addr =
+let create ?jobs ?response_cache_capacity ?telemetry addr =
   (* a client closing mid-response must surface as EPIPE, not kill us *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let listen_fd = bind_listen addr in
@@ -221,7 +207,6 @@ let create ?jobs ?response_cache_capacity ?(max_batch = 64) ?telemetry addr =
     s_engine = Engine.create ?jobs ?response_cache_capacity ?telemetry ();
     s_queue = Parallel.Jobq.create ();
     s_stop = Atomic.make false;
-    s_max_batch = max_batch;
     s_conns_mutex = Mutex.create ();
     s_conns = [];
     s_readers = [];

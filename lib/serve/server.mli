@@ -1,10 +1,13 @@
 (** The serve daemon's socket front end.
 
     One accept loop (the thread that calls {!run}), one reader thread
-    per connection, and one dispatcher thread draining the shared
-    {!Parallel.Jobq} into {!Engine.execute} batches.  Requests arriving
-    close together — from one pipelining client or from many concurrent
-    clients — land in the same batch and are coalesced by the engine.
+    per connection, and one dispatcher thread that pops the shared
+    {!Parallel.Jobq} one request at a time, answers it with
+    {!Engine.execute} and writes its response before taking the next.
+    A queued request therefore waits only for the requests ahead of it,
+    never for later ones.  A repeat of a queued query is not
+    recomputed: by the time it is popped the first answer is in the
+    response cache (unless response caching is off or it was evicted).
 
     {b Answered on the reader thread.}  A [ping], a [stats], or a query
     already in the response cache is answered by the connection's own
@@ -34,7 +37,8 @@
     request and writes every response, and only then are client sockets
     shut down and reader threads joined.  Responses are serialized
     fully before a single locked write+flush, so a client never
-    observes a partial frame — even across a mid-batch shutdown.
+    observes a partial frame — even when shutdown arrives with
+    requests queued.
     {!run} returns after the drain; the CLI then writes the final run
     report from the daemon registry. *)
 
@@ -43,14 +47,12 @@ type t
 val create :
   ?jobs:int ->
   ?response_cache_capacity:int ->
-  ?max_batch:int ->
   ?telemetry:Telemetry.Registry.t ->
   Protocol.addr ->
   t
 (** Bind and listen immediately (raises [Unix.Unix_error] on failure; a
-    stale Unix-socket path is unlinked first).  [max_batch] caps how
-    many queued requests one {!Engine.execute} call may take (default
-    64); the remaining options are passed to {!Engine.create}. *)
+    stale Unix-socket path is unlinked first).  The options are passed
+    to {!Engine.create}. *)
 
 val engine : t -> Engine.t
 

@@ -51,13 +51,11 @@ type report = {
   r_totals : totals;
 }
 
-(* ------------------------------------------------------- figure registry *)
-
-let known_ids = [ "fig1"; "fig2"; "fig3a"; "fig3b"; "fig4a"; "fig4b"; "fig5"; "fig6"; "fig7" ]
+(* ------------------------------------------------------------ figure ids *)
 
 let expand_spec spec =
   let spec = String.trim spec in
-  if spec = "" || spec = "all" then Ok known_ids
+  if spec = "" || spec = "all" then Ok E.figure_ids
   else
     let expand tok =
       match tok with
@@ -68,11 +66,11 @@ let expand_spec spec =
       | "5" | "fig5" -> Ok [ "fig5" ]
       | "6" | "fig6" -> Ok [ "fig6" ]
       | "7" | "fig7" -> Ok [ "fig7" ]
-      | t when List.mem t known_ids -> Ok [ t ]
+      | t when List.mem t E.figure_ids -> Ok [ t ]
       | t ->
         Error
           (Printf.sprintf "unknown figure %S (expected 1-7, figN, or one of: %s)" t
-             (String.concat ", " known_ids))
+             (String.concat ", " E.figure_ids))
     in
     let rec collect acc = function
       | [] -> Ok acc
@@ -87,31 +85,8 @@ let expand_spec spec =
     if toks = [] then Error "empty --figures spec"
     else
       Result.map
-        (fun wanted -> List.filter (fun id -> List.mem id wanted) known_ids)
+        (fun wanted -> List.filter (fun id -> List.mem id wanted) E.figure_ids)
         (collect [] toks)
-
-(* Panels sharing a driver (fig3a/b, fig4a/b) come from one grid run. *)
-let generate ?jobs ids =
-  let fig3 = lazy (E.fig3 ?jobs ()) in
-  let fig4 = lazy (E.fig4 ?jobs ()) in
-  let panel l i = List.nth (Lazy.force l) i in
-  List.map
-    (fun id ->
-      let fig =
-        match id with
-        | "fig1" -> E.fig1 ?jobs ()
-        | "fig2" -> E.fig2 ?jobs ()
-        | "fig3a" -> panel fig3 0
-        | "fig3b" -> panel fig3 1
-        | "fig4a" -> panel fig4 0
-        | "fig4b" -> panel fig4 1
-        | "fig5" -> E.fig5 ?jobs ()
-        | "fig6" -> E.fig6 ?jobs ()
-        | "fig7" -> E.fig7 ?jobs ()
-        | id -> invalid_arg ("Fidelity.generate: unknown figure " ^ id)
-      in
-      (id, fig))
-    ids
 
 (* ------------------------------------------------------- figure access *)
 
@@ -408,7 +383,7 @@ let check_figure ?(telemetry = Telemetry.Registry.disabled) ~expectations ~golde
   fr
 
 let run ?telemetry ?jobs ?(update_golden = false) ~results_dir ~expectations ids =
-  let figs = generate ?jobs ids in
+  let figs = E.figures ?jobs ids in
   let r_figures =
     List.map
       (fun (id, fig) ->

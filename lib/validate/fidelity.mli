@@ -60,20 +60,12 @@ type report = {
   r_totals : totals;
 }
 
-val known_ids : string list
-(** [fig1 .. fig7] in check order (fig3/fig4 split into their a/b
-    panels, matching the golden CSV granularity). *)
-
 val expand_spec : string -> (string list, string) result
 (** Parse the CLI's [--figures] spec: a comma list of figure numbers
     ([1], [3]) or ids ([fig4b]); numbers and bare [fig3]/[fig4] expand
-    to both panels; ["all"] (or [""]) is every known figure.  The result
-    preserves check order and dedupes. *)
-
-val generate : ?jobs:int -> string list -> (string * Simbridge.Experiments.figure) list
-(** Recompute the listed figures at scale 1 (the golden scale).  Panels
-    sharing a driver (fig3a/fig3b, fig4a/fig4b) are computed in one grid
-    submission. *)
+    to both panels; ["all"] (or [""]) is every id of
+    {!Simbridge.Experiments.figure_ids}.  The result preserves check
+    order and dedupes. *)
 
 val check_figure :
   ?telemetry:Telemetry.Registry.t ->
@@ -97,7 +89,9 @@ val run :
   expectations:Expectations.t ->
   string list ->
   report
-(** Recompute and check the listed figure ids.  With [update_golden]
+(** Recompute the listed figure ids at scale 1 (the golden scale) with
+    {!Simbridge.Experiments.figures}, so fig3/fig4 panels share one grid
+    run, and check them.  With [update_golden]
     (default false) each recomputed figure is first written back to its
     golden CSV — making the refresh an explicit, reviewable diff — and
     then checked against what was just written (so a successful update

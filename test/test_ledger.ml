@@ -85,7 +85,7 @@ let test_build_report_sanity () =
   let reg = Reg.create () in
   Simbridge.Runner.trace_cache_clear ();
   let _ =
-    Telemetry.Span.root ~name:"test" reg (fun () ->
+    Reg.span_with reg ~root:true "test" (fun () ->
         Simbridge.Runner.run_kernel ~scale:0.05 ~telemetry:reg Platform.Catalog.banana_pi_sim
           (Workloads.Microbench.find "Cca"))
   in
@@ -164,9 +164,9 @@ let run_grid ~jobs =
   let cells =
     List.init 6 (fun i ->
         Pool.cell ~label:(Printf.sprintf "cell%d" i) (fun ctx ->
-            Telemetry.Span.with_ ~name:"work" ctx.Pool.telemetry (fun () -> i * i)))
+            Reg.span_with ctx.Pool.telemetry "work" (fun () -> i * i)))
   in
-  let results = Telemetry.Span.root ~name:"grid" reg (fun () -> Pool.run ~jobs ~telemetry:reg cells) in
+  let results = Reg.span_with reg ~root:true "grid" (fun () -> Pool.run ~jobs ~telemetry:reg cells) in
   (results, span_tree reg)
 
 let test_span_tree_job_invariant () =
@@ -192,7 +192,7 @@ let test_span_tree_job_invariant () =
 let test_pool_span_queue_wait_annotated () =
   let reg = Reg.create () in
   let cells = List.init 3 (fun i -> Pool.cell ~label:"c" (fun _ -> i)) in
-  let _ = Telemetry.Span.root ~name:"g" reg (fun () -> Pool.run ~jobs:2 ~telemetry:reg cells) in
+  let _ = Reg.span_with reg ~root:true "g" (fun () -> Pool.run ~jobs:2 ~telemetry:reg cells) in
   let cell_spans =
     Trace.to_list (Reg.trace reg)
     |> List.filter (fun e -> e.Trace.cat = "span" && e.Trace.name = "c")

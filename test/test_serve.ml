@@ -1,8 +1,9 @@
 (* Tests for the serve subsystem: protocol round-trips (qcheck),
-   malformed-frame rejection, the batching engine (dedup / coalesce /
-   response cache / oracle identity), the blocking job queue, and a real
-   Unix-socket daemon exercised by concurrent clients including a
-   mid-batch shutdown that must never leave a partial frame. *)
+   malformed-frame rejection, the engine (response cache / oracle
+   identity), the blocking job queue, and a real Unix-socket daemon
+   exercised by concurrent clients, including a shutdown with requests
+   queued that must never leave a partial frame and a queued request
+   that must not wait for a later one. *)
 
 module P = Serve.Protocol
 module Engine = Serve.Engine
@@ -213,13 +214,15 @@ let test_addr_parsing () =
 
 let test_jobq_order_and_close () =
   let q = Parallel.Jobq.create () in
+  let pop () = Parallel.Jobq.pop q in
   List.iter (fun i -> Alcotest.(check bool) "push accepted" true (Parallel.Jobq.push q i)) [ 1; 2; 3 ];
-  Alcotest.(check (list int)) "drains in push order" [ 1; 2; 3 ] (Parallel.Jobq.pop_batch q);
+  Alcotest.(check (list (option int))) "pops in push order" [ Some 1; Some 2; Some 3 ]
+    (List.init 3 (fun _ -> pop ()));
   ignore (Parallel.Jobq.push q 4);
   Parallel.Jobq.close q;
   Alcotest.(check bool) "push after close refused" false (Parallel.Jobq.push q 5);
-  Alcotest.(check (list int)) "queued items survive close" [ 4 ] (Parallel.Jobq.pop_batch q);
-  Alcotest.(check (list int)) "closed+empty returns []" [] (Parallel.Jobq.pop_batch q)
+  Alcotest.(check (option int)) "queued items survive close" (Some 4) (pop ());
+  Alcotest.(check (option int)) "closed+empty returns None" None (pop ())
 
 let test_jobq_blocking_consumer () =
   let q = Parallel.Jobq.create () in
@@ -228,10 +231,10 @@ let test_jobq_blocking_consumer () =
     Thread.create
       (fun () ->
         let rec loop () =
-          match Parallel.Jobq.pop_batch q with
-          | [] -> ()
-          | items ->
-            got := !got @ items;
+          match Parallel.Jobq.pop q with
+          | None -> ()
+          | Some item ->
+            got := !got @ [ item ];
             loop ()
         in
         loop ())
@@ -269,69 +272,59 @@ let payload_of resp =
   | Error msg -> Alcotest.failf "unexpected error response: %s" msg
   | Ok (payload, _) -> payload
 
-let test_engine_dedup_and_cache () =
+let test_engine_repeat_key_cached () =
   let e = Engine.create ~jobs:1 () in
   let q = cellq () in
-  let batch = [ mk_pending "a" q; mk_pending "b" q; mk_pending "c" (cellq ~scale:0.03 ()) ] in
-  (match Engine.execute e batch with
-  | [ ra; rb; rc ] ->
-    Alcotest.(check string) "ids echoed in order" "a,b,c"
-      (String.concat "," [ ra.P.rs_id; rb.P.rs_id; rc.P.rs_id ]);
-    Alcotest.(check string) "first arrival computed" "computed" (served_of ra);
-    Alcotest.(check string) "duplicate coalesced" "coalesced" (served_of rb);
-    Alcotest.(check string) "distinct key computed" "computed" (served_of rc);
-    Alcotest.(check string) "coalesced payload identical" (payload_of ra) (payload_of rb)
-  | rs -> Alcotest.failf "expected 3 responses, got %d" (List.length rs));
-  (* a later batch with the same key is served from the response LRU *)
-  match Engine.execute e [ mk_pending "d" q ] with
-  | [ rd ] ->
-    Alcotest.(check string) "second batch cached" "cached" (served_of rd);
-    (match Engine.oracle q with
-    | Ok expect -> Alcotest.(check string) "cached payload = sequential oracle" expect (payload_of rd)
-    | Error msg -> Alcotest.failf "oracle failed: %s" msg);
-    Alcotest.(check int) "four requests counted" 4 (Engine.requests_served e)
-  | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs)
+  let ra = Engine.execute e (mk_pending "a" q) in
+  let rb = Engine.execute e (mk_pending "b" q) in
+  let rc = Engine.execute e (mk_pending "c" (cellq ~scale:0.03 ())) in
+  Alcotest.(check string) "ids echoed" "a,b,c"
+    (String.concat "," [ ra.P.rs_id; rb.P.rs_id; rc.P.rs_id ]);
+  Alcotest.(check string) "first request computed" "computed" (served_of ra);
+  Alcotest.(check string) "repeated key cached" "cached" (served_of rb);
+  Alcotest.(check string) "distinct key computed" "computed" (served_of rc);
+  (match Engine.oracle q with
+  | Ok expect -> Alcotest.(check string) "cached payload = sequential oracle" expect (payload_of rb)
+  | Error msg -> Alcotest.failf "oracle failed: %s" msg);
+  let stat =
+    stats_of (Engine.execute e Engine.{ p_req = P.{ rq_id = "s"; rq_op = Stats }; p_enqueued_s = 0.0 })
+  in
+  Alcotest.(check int) "each key computed once" 2 (stat "computed");
+  Alcotest.(check int) "one cached answer" 1 (stat "cached");
+  Alcotest.(check int) "four requests counted" 4 (Engine.requests_served e)
 
 let test_engine_errors_and_inline () =
   let e = Engine.create ~jobs:1 () in
   let bad_fig = P.Figure { fmt = `Csv; figure = "fig99"; scale = 1.0 } in
   let bad_cell = P.Cell { platform = "banana-pi-sim"; kernel = "NOPE"; scale = 1.0 } in
-  let batch =
-    [
-      mk_pending "f" bad_fig;
-      mk_pending "c" bad_cell;
-      Engine.{ p_req = P.{ rq_id = "p"; rq_op = Ping }; p_enqueued_s = 0.0 };
-      Engine.{ p_req = P.{ rq_id = "s"; rq_op = Stats }; p_enqueued_s = 0.0 };
-    ]
-  in
-  match Engine.execute e batch with
-  | [ rf; rc; rp; rs ] ->
-    (match rf.P.rs_result with
-    | Error msg -> Alcotest.(check bool) "unknown figure named" true
-        (String.length msg > 0 && String.sub msg 0 14 = "unknown figure")
-    | Ok _ -> Alcotest.fail "fig99 should fail");
-    Alcotest.(check bool) "unknown kernel errors" true (Result.is_error rc.P.rs_result);
-    Alcotest.(check string) "ping answers pong" "pong" (payload_of rp);
-    Alcotest.(check string) "ping served inline" "inline" (served_of rp);
-    (match J.parse (payload_of rs) with
-    | Ok stats ->
-      Alcotest.(check bool) "stats payload is JSON with schema" true
-        (J.member "schema" stats = Some (J.Str "simbridge-serve-stats/1"))
-    | Error msg -> Alcotest.failf "stats payload unparseable: %s" msg)
-  | rs -> Alcotest.failf "expected 4 responses, got %d" (List.length rs)
+  let op id rq_op = Engine.execute e Engine.{ p_req = P.{ rq_id = id; rq_op }; p_enqueued_s = 0.0 } in
+  let rf = Engine.execute e (mk_pending "f" bad_fig) in
+  let rc = Engine.execute e (mk_pending "c" bad_cell) in
+  let rp = op "p" Ping in
+  let rs = op "s" Stats in
+  (match rf.P.rs_result with
+  | Error msg -> Alcotest.(check bool) "unknown figure named" true
+      (String.length msg > 0 && String.sub msg 0 14 = "unknown figure")
+  | Ok _ -> Alcotest.fail "fig99 should fail");
+  Alcotest.(check bool) "unknown kernel errors" true (Result.is_error rc.P.rs_result);
+  Alcotest.(check string) "ping answers pong" "pong" (payload_of rp);
+  Alcotest.(check string) "ping served inline" "inline" (served_of rp);
+  (match J.parse (payload_of rs) with
+  | Ok stats ->
+    Alcotest.(check bool) "stats payload is JSON with schema" true
+      (J.member "schema" stats = Some (J.Str "simbridge-serve-stats/1"))
+  | Error msg -> Alcotest.failf "stats payload unparseable: %s" msg);
+  Alcotest.(check int) "both failures counted as errors" 2 (stats_of rs "errors")
 
 let test_engine_figure_oracle_identity () =
   (* the headline contract, in-process: a served figure payload is
      byte-identical to the one-shot CSV at a different jobs setting *)
   let e = Engine.create ~jobs:2 () in
   let q = P.Figure { fmt = `Csv; figure = "fig1"; scale = 0.05 } in
-  match Engine.execute e [ mk_pending "x" q ] with
-  | [ r ] -> (
-    match Engine.oracle q with
-    | Ok expect ->
-      Alcotest.(check string) "served fig1 = sequential oracle" expect (payload_of r)
-    | Error msg -> Alcotest.failf "oracle failed: %s" msg)
-  | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs)
+  let r = Engine.execute e (mk_pending "x" q) in
+  match Engine.oracle q with
+  | Ok expect -> Alcotest.(check string) "served fig1 = sequential oracle" expect (payload_of r)
+  | Error msg -> Alcotest.failf "oracle failed: %s" msg
 
 (* -------------------------------------------------------------- server *)
 
@@ -486,11 +479,32 @@ let test_fast_path_counted () =
       Alcotest.(check int) "computed" 1 (stat "computed");
       Alcotest.(check int) "cached" 1 (stat "cached");
       Alcotest.(check int) "inline" 1 (stat "inline");
-      Alcotest.(check int) "one batch (the computation)" 1 (stat "batches");
       (* the drain summary reads this; the stats request counts too *)
       Alcotest.(check int) "requests served" 4
         (Engine.requests_served (Serve.Server.engine srv));
       Serve.Client.close c)
+
+let test_queued_cell_not_late () =
+  (* While connection 0's cold figure occupies the dispatcher, connection
+     1 queues a cold cell and then connection 2 a slower cold figure.
+     The cell is answered as soon as it is computed: a stats request
+     sent right after its answer sees the figure still computing. *)
+  with_server ~jobs:1 (fun sock _srv ->
+      let c0 = raw_connect sock and c1 = raw_connect sock and c2 = raw_connect sock in
+      Fun.protect ~finally:(fun () -> List.iter (fun r -> Unix.close r.fd) [ c0; c1; c2 ])
+      @@ fun () ->
+      let fig id figure scale = P.{ rq_id = id; rq_op = Run (Figure { fmt = `Csv; figure; scale }) } in
+      raw_send c0 (frames [ fig "busy" "fig6" 0.1 ]);
+      Unix.sleepf 0.1;
+      raw_send c1 (frames [ P.{ rq_id = "cell"; rq_op = Run (cellq ~scale:0.04 ()) } ]);
+      Unix.sleepf 0.05;
+      raw_send c2 (frames [ fig "slow" "fig6" 0.2 ]);
+      Alcotest.(check string) "cell computed" "computed" (served_of (raw_response c1));
+      raw_send c1 (frames [ P.{ rq_id = "s"; rq_op = Stats } ]);
+      let stat = stats_of (raw_response c1) in
+      Alcotest.(check int) "cell answered before the later figure was computed" 2 (stat "computed");
+      Alcotest.(check string) "busy figure computed" "computed" (served_of (raw_response c0));
+      Alcotest.(check string) "slow figure computed" "computed" (served_of (raw_response c2)))
 
 let test_non_reading_client () =
   (* A queues a cold cell and thousands of pings, and never reads: once
@@ -507,6 +521,13 @@ let test_non_reading_client () =
       raw_send b (frames [ P.{ rq_id = "b"; rq_op = Run (cellq ()) } ]);
       let resp = raw_response ~secs:(10.0 *. Serve.Server.send_timeout_s) b in
       Alcotest.(check string) "B's cell answered" "computed" (served_of resp);
+      (* B's cell may have been queued among A's pings, and answered
+         before A's buffer filled.  A second cell, queued once all of A's
+         frames are, is answered only after the dispatcher is past every
+         ping; reading A before that would make A a reading client. *)
+      raw_send b (frames [ P.{ rq_id = "b2"; rq_op = Run (cellq ~scale:0.03 ()) } ]);
+      let resp = raw_response ~secs:(10.0 *. Serve.Server.send_timeout_s) b in
+      Alcotest.(check string) "B's second cell answered" "computed" (served_of resp);
       (* A was disconnected: its stream ends well short of 5001 frames *)
       let rec frames_until_eof n =
         match raw_recv ~secs:(5.0 *. Serve.Server.send_timeout_s) a with
@@ -538,18 +559,20 @@ let suite =
     Alcotest.test_case "endpoint address parsing" `Quick test_addr_parsing;
     Alcotest.test_case "jobq order and close" `Quick test_jobq_order_and_close;
     Alcotest.test_case "jobq blocking consumer" `Quick test_jobq_blocking_consumer;
-    Alcotest.test_case "engine dedup, coalesce, response cache" `Quick test_engine_dedup_and_cache;
+    Alcotest.test_case "engine repeated key answered from cache" `Quick test_engine_repeat_key_cached;
     Alcotest.test_case "engine errors and inline ops" `Quick test_engine_errors_and_inline;
     Alcotest.test_case "served figure = sequential oracle" `Slow test_engine_figure_oracle_identity;
     Alcotest.test_case "unix-socket daemon, concurrent clients" `Quick
       test_server_concurrent_clients;
-    Alcotest.test_case "mid-batch shutdown leaves no partial frame" `Quick
+    Alcotest.test_case "shutdown with requests queued: no partial frame" `Quick
       test_server_drain_no_partial_frames;
     Alcotest.test_case "cached and ping answered beside a cold compute" `Quick
       test_fast_path_skips_cold_compute;
     Alcotest.test_case "cached behind cold keeps connection order" `Quick
       test_fast_path_keeps_connection_order;
     Alcotest.test_case "fast-path answers counted in stats" `Quick test_fast_path_counted;
+    Alcotest.test_case "queued cell not held back by a later figure" `Quick
+      test_queued_cell_not_late;
     Alcotest.test_case "non-reading client does not stall others" `Quick test_non_reading_client;
     Alcotest.test_case "oversized frame rejected and closed" `Quick test_oversized_frame;
   ]

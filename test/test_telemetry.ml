@@ -269,11 +269,11 @@ let test_span_basics () =
   let reg = Reg.create () in
   (* Without a root, spans are inert: callers that never opened one
      (e.g. the deterministic-merge tests) see no trace events. *)
-  Telemetry.Span.with_ ~name:"orphan" reg (fun () -> ());
+  Reg.span_with reg "orphan" (fun () -> ());
   Alcotest.(check int) "no orphan span recorded" 0 (Trace.length (Reg.trace reg));
   let out =
-    Telemetry.Span.root ~name:"outer" reg (fun () ->
-        Telemetry.Span.with_ ~name:"inner" ~attrs:[ Telemetry.Span.int "k" 7 ] reg (fun () -> 42))
+    Reg.span_with reg ~root:true "outer" (fun () ->
+        Reg.span_with reg ~args:[ ("k", Trace.Int 7) ] "inner" (fun () -> 42))
   in
   Alcotest.(check int) "body result returned" 42 out;
   let spans = List.filter (fun e -> e.Trace.cat = "span") (Trace.to_list (Reg.trace reg)) in
@@ -283,8 +283,10 @@ let test_span_basics () =
   let parent e = match List.assoc "parent" e.Trace.args with Trace.Str s -> s | _ -> "?" in
   Alcotest.(check string) "outer is a root" "" (parent (find "outer"));
   Alcotest.(check string) "inner nests under outer" (id (find "outer")) (parent (find "inner"));
+  Alcotest.(check bool) "inner carries its attribute" true
+    (List.assoc_opt "k" (find "inner").Trace.args = Some (Trace.Int 7));
   Alcotest.(check bool) "disabled registry spans are free" true
-    (Telemetry.Span.root ~name:"x" Reg.disabled (fun () -> true))
+    (Reg.span_with Reg.disabled ~root:true "x" (fun () -> true))
 
 let suite =
   [

@@ -156,7 +156,7 @@ let test_expectations_load_real () =
           (fun (s : X.shape_spec) ->
             Alcotest.(check bool) (id ^ " shape has provenance") true (s.X.sprov <> ""))
           fe.X.shapes)
-    F.known_ids
+    Simbridge.Experiments.figure_ids
 
 let test_expectations_decode_errors () =
   let decode s = Result.bind (J.parse s) X.of_json in
@@ -193,8 +193,8 @@ let test_expand_spec () =
   let check what spec expected =
     Alcotest.(check (list string)) what expected (ok_exn "expand" (F.expand_spec spec))
   in
-  check "all" "all" F.known_ids;
-  check "empty = all" "" F.known_ids;
+  check "all" "all" Simbridge.Experiments.figure_ids;
+  check "empty = all" "" Simbridge.Experiments.figure_ids;
   check "number" "1" [ "fig1" ];
   check "panel parent expands" "3" [ "fig3a"; "fig3b" ];
   check "explicit panel" "fig4b" [ "fig4b" ];
@@ -510,7 +510,7 @@ let test_golden_csvs_meet_expectations () =
             Alcotest.failf "%s shape violated: %s — %s (%s)" id s.F.sc_desc s.F.sc_detail
               s.F.sc_prov)
         fr.F.fr_shapes)
-    F.known_ids
+    Simbridge.Experiments.figure_ids
 
 let suite =
   [

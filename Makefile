@@ -1,4 +1,4 @@
-.PHONY: all build test check bench sampling-smoke parallel-smoke perf-smoke perf-trend ledger-smoke serve-smoke serve-bench validate validate-smoke update-golden clean
+.PHONY: all build test check bench sampling-smoke parallel-smoke perf-smoke perf-trend hotpath-lint ledger-smoke serve-smoke serve-bench validate validate-smoke update-golden clean
 
 # Worker domains for smoke runs (0 = auto); CI passes JOBS=2 so the
 # parallel path is exercised on every push.
@@ -55,6 +55,13 @@ perf-smoke:
 perf-trend:
 	dune build --profile release bench/main.exe
 	dune exec --profile release bench/main.exe -- perf
+
+# CI lint for the exact replay path: no function in the release objects
+# of lib/{uarch,cache,dram,platform,branch,interconnect} may call OCaml's
+# polymorphic comparison (a C call per use); names each one that does.
+hotpath-lint:
+	dune build --profile release bench/main.exe bin/simbridge_cli.exe
+	sh tools/hotpath-lint.sh
 
 # CI smoke for the run ledger: a pooled fig1 run must emit a run report
 # and a span-bearing Perfetto trace, two recorded runs must pass the

@@ -41,14 +41,18 @@ type next_level = cycle:int -> addr:int -> write:bool -> int
 type t = {
   cfg : config;
   line_shift : int;  (* log2 line, precomputed off the hot path *)
-  tags : int array;  (* sets*ways, -1 = invalid; stores line address *)
-  last_use : int array;  (* monotone use counter per way *)
+  (* Per-way state, sets*ways.  A way is valid iff its [last_use] stamp
+     is above [cold_clock]; the other four arrays mean something only
+     for valid ways. *)
+  tags : int array;  (* line address *)
+  last_use : int array;  (* [use_clock] at the way's last touch *)
   dirty : bool array;
   fill_done : int array;  (* cycle the line's refill completes *)
   pref_tag : bool array;  (* line was prefetched and not yet demanded *)
   bank_free : int array;  (* cycle at which each bank accepts a new access *)
   mshr_done : int array;  (* completion cycles of outstanding misses *)
   mutable use_clock : int;
+  mutable cold_clock : int;  (* [use_clock] when the cache was last made cold *)
   streams : int array;  (* stream table: expected next miss line per stream *)
   mutable stream_rr : int;
   mutable s_accesses : int;
@@ -70,7 +74,12 @@ let log2 n =
    reuse each dropped 64 MiB LLC leaves 40 MiB of arrays for the GC, and
    how many of those are still unswept when the next is allocated, so
    the peak heap, depends on where the major cycle stands.  A size is
-   held at most as many times as caches of it were ever live at once. *)
+   held at most as many times as caches of it were ever live at once.
+
+   Taking a spare over costs O(1), not a clear of every line: the new
+   cache's use clock starts where the old one stopped, so every way the
+   old cache touched reads as invalid.  Sizes, not geometries, match: a
+   16384x64 LLC takes over a 65536x16 one's arrays. *)
 let spare : t list ref = ref []
 let spare_lock = Mutex.create ()
 
@@ -86,16 +95,11 @@ let take_spare n =
 
 let create cfg =
   let n = cfg.sets * cfg.ways in
-  let tags, last_use, dirty, fill_done, pref_tag =
+  let tags, last_use, dirty, fill_done, pref_tag, clock =
     match take_spare n with
-    | Some c ->
-      Array.fill c.tags 0 n (-1);
-      Array.fill c.last_use 0 n 0;
-      Array.fill c.dirty 0 n false;
-      Array.fill c.fill_done 0 n 0;
-      Array.fill c.pref_tag 0 n false;
-      (c.tags, c.last_use, c.dirty, c.fill_done, c.pref_tag)
-    | None -> (Array.make n (-1), Array.make n 0, Array.make n false, Array.make n 0, Array.make n false)
+    | Some c -> (c.tags, c.last_use, c.dirty, c.fill_done, c.pref_tag, c.use_clock)
+    | None ->
+      (Array.make n (-1), Array.make n 0, Array.make n false, Array.make n 0, Array.make n false, 0)
   in
   {
     cfg;
@@ -107,7 +111,8 @@ let create cfg =
     pref_tag;
     bank_free = Array.make cfg.banks 0;
     mshr_done = Array.make cfg.mshrs 0;
-    use_clock = 0;
+    use_clock = clock;
+    cold_clock = clock;
     streams = Array.make 8 min_int;
     stream_rr = 0;
     s_accesses = 0;
@@ -130,17 +135,21 @@ let bank_of t addr =
   let line = addr lsr t.line_shift in
   line land (t.cfg.banks - 1)
 
+let[@inline] valid t slot = Array.unsafe_get t.last_use slot > t.cold_clock
+
 (* Loops below use local refs and unsafe array accesses rather than inner
    recursive functions — without flambda the latter allocate a closure per
    call, and these run once per memory access in the replay hot loop.
-   Indices are in range by construction ([set] < sets, [w] < ways). *)
+   Indices are in range by construction ([set] < sets, [w] < ways).
+   A way left over from before the cache was last made cold may still
+   hold [line]; [find_way] skips it and scans on. *)
 let find_way t set line =
   let base = set * t.cfg.ways in
   let found = ref (-1) in
   let w = ref 0 in
   let ways = t.cfg.ways in
   while !w < ways do
-    if Array.unsafe_get t.tags (base + !w) = line then begin
+    if Array.unsafe_get t.tags (base + !w) = line && valid t (base + !w) then begin
       found := base + !w;
       w := ways
     end
@@ -148,18 +157,16 @@ let find_way t set line =
   done;
   !found
 
+(* The first invalid way, else the least recently used one.  An invalid
+   way's stamp is below every valid way's, so once [best] is invalid no
+   later way replaces it. *)
 let victim_way t set =
   let base = set * t.cfg.ways in
   let best = ref base in
   for w = 1 to t.cfg.ways - 1 do
     let i = base + w in
-    let tag_i = Array.unsafe_get t.tags i in
-    let tag_b = Array.unsafe_get t.tags !best in
-    if tag_i = -1 && tag_b <> -1 then best := i
-    else if
-      tag_i <> -1 && tag_b <> -1
-      && Array.unsafe_get t.last_use i < Array.unsafe_get t.last_use !best
-    then best := i
+    let use_b = Array.unsafe_get t.last_use !best in
+    if use_b > t.cold_clock && Array.unsafe_get t.last_use i < use_b then best := i
   done;
   !best
 
@@ -186,27 +193,21 @@ let stream_advance t line =
     if Array.unsafe_get t.streams i = line then Array.unsafe_set t.streams i (line + t.cfg.line)
   done
 
-(* Reserve an MSHR for a miss issued at [cycle]; returns the cycle at which
-   the miss can actually be sent downstream. *)
-let grab_mshr t cycle =
+(* The MSHR a miss takes: the one that frees earliest.  An index, not a
+   (slot, issue cycle) pair, which would be allocated on every miss. *)
+let grab_mshr t =
   let best = ref 0 in
   for i = 1 to t.cfg.mshrs - 1 do
     if Array.unsafe_get t.mshr_done i < Array.unsafe_get t.mshr_done !best then best := i
   done;
-  let start =
-    if t.mshr_done.(!best) <= cycle then cycle
-    else begin
-      t.s_mshr_stalls <- t.s_mshr_stalls + 1;
-      t.mshr_done.(!best)
-    end
-  in
-  (!best, start)
+  !best
 
 (* Install [line] (absent) by evicting a victim; returns the slot. *)
 let install t set line ~fill ~dirty ~prefetched ~next =
   let victim = victim_way t set in
-  if t.tags.(victim) <> -1 then t.s_evictions <- t.s_evictions + 1;
-  if t.tags.(victim) <> -1 && t.dirty.(victim) && t.cfg.write_back then begin
+  let evicting = valid t victim in
+  if evicting then t.s_evictions <- t.s_evictions + 1;
+  if evicting && t.dirty.(victim) && t.cfg.write_back then begin
     t.s_writebacks <- t.s_writebacks + 1;
     (* The write-back consumes downstream bandwidth but is off the demand
        access's critical path. *)
@@ -274,7 +275,15 @@ let access ?(prefetchable = true) t ~next ~cycle ~addr ~write =
        t.streams.(t.stream_rr) <- line + t.cfg.line;
        t.stream_rr <- (t.stream_rr + 1) mod Array.length t.streams
      end);
-    let mshr, issue = grab_mshr t start in
+    let mshr = grab_mshr t in
+    let issue =
+      let free = Array.unsafe_get t.mshr_done mshr in
+      if free <= start then start
+      else begin
+        t.s_mshr_stalls <- t.s_mshr_stalls + 1;
+        free
+      end
+    in
     (* Refill from downstream; the tag lookup has already cost hit_latency. *)
     let fill_done = next ~cycle:(issue + t.cfg.hit_latency) ~addr:line ~write:false in
     t.mshr_done.(mshr) <- fill_done;
@@ -299,7 +308,7 @@ type warm_next = addr:int -> write:bool -> unit
 
 let rec warm_install t set line ~dirty ~prefetched ~(next : warm_next) =
   let victim = victim_way t set in
-  if t.tags.(victim) <> -1 then begin
+  if valid t victim then begin
     t.s_evictions <- t.s_evictions + 1;
     if t.dirty.(victim) && t.cfg.write_back then begin
       t.s_writebacks <- t.s_writebacks + 1;
@@ -356,10 +365,7 @@ let probe t ~addr =
   find_way t (set_of t addr) line >= 0
 
 let flush t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.dirty 0 (Array.length t.dirty) false;
-  Array.fill t.fill_done 0 (Array.length t.fill_done) 0;
-  Array.fill t.pref_tag 0 (Array.length t.pref_tag) false;
+  t.cold_clock <- t.use_clock;
   Array.fill t.streams 0 (Array.length t.streams) min_int;
   Array.fill t.bank_free 0 (Array.length t.bank_free) 0;
   Array.fill t.mshr_done 0 (Array.length t.mshr_done) 0

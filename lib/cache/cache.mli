@@ -67,12 +67,17 @@ type next_level = cycle:int -> addr:int -> write:bool -> int
     cycle back. *)
 
 val create : config -> t
-(** A cold cache.  Its line arrays may be those of a released cache of
-    the same size, reset to the cold state. *)
+(** A cold cache.  Its line arrays may be those of a released cache with
+    the same number of lines (sets × ways), in any geometry.  Taking them
+    over costs O(1), not a clear of every line: a way is valid only if
+    it was touched after the cache was made cold, so whatever the
+    arrays held before reads as invalid.  The cache behaves exactly like
+    one on fresh arrays. *)
 
 val release : t -> unit
 (** [release t] hands [t]'s line arrays to a later [create] of the same
-    size, on any domain.  [t] must not be used afterwards. *)
+    number of lines, on any domain.  [t] must not be used afterwards.
+    The arrays are not cleared here either; see {!create}. *)
 
 val access :
   ?prefetchable:bool -> t -> next:next_level -> cycle:int -> addr:int -> write:bool -> int
@@ -100,7 +105,8 @@ val probe : t -> addr:int -> bool
 (** Would [addr] hit right now?  (No state change; for tests.) *)
 
 val flush : t -> unit
-(** Invalidate all lines and reset bank/MSHR availability (not stats). *)
+(** Invalidate all lines (in O(1), as {!create} does) and reset
+    bank/MSHR availability and the stream table (not stats). *)
 
 val stats : t -> stats
 val reset_stats : t -> unit

@@ -166,7 +166,11 @@ let run_kernel_timed ?(scale = 1.0) ?(telemetry = Registry.disabled)
   Log.info (fun m ->
       m "kernel %s on %s (scale %.2f, %s)" kernel.Workloads.Workload.name
         config.Platform.Config.name scale (Sampling.Policy.to_string policy));
-  let soc = Platform.Soc.create config in
+  (* A kernel runs on core 0.  The other cores would sit idle, touching
+     no shared cache, bus or DRAM state, so a one-core SoC simulates the
+     same machine, without building three more cores' TLBs, predictors
+     and L1s for every cell (garbage the major GC must then sweep). *)
+  let soc = Platform.Soc.create (Platform.Config.with_cores config 1) in
   let trace ~setup stream =
     Trace_cache.find_or_compile ~kernel:kernel.Workloads.Workload.name ~scale ~setup (fun () ->
         Trace.compile (stream ~scale))

@@ -61,6 +61,7 @@ type channel = {
 
 type t = {
   cfg : config;
+  burst : float;  (* [burst_ns cfg], computed once *)
   chans : channel array;
   mutable s_requests : int;
   mutable s_reads : int;
@@ -71,6 +72,11 @@ type t = {
   mutable s_queue_stalls : int;
   s_data_bus_ns : float array;  (* 1 element; accumulated per request *)
 }
+
+let burst_ns cfg =
+  (* Time to move one cache line over the channel's data bus. *)
+  let bytes_per_us = cfg.data_rate_mts *. float_of_int cfg.bus_bytes in
+  float_of_int cfg.line_bytes /. bytes_per_us *. 1000.0
 
 let create cfg =
   if cfg.channels <= 0 then invalid_arg "Dram.create: channels";
@@ -92,6 +98,7 @@ let create cfg =
   in
   {
     cfg;
+    burst = burst_ns cfg;
     chans = Array.init cfg.channels mk_chan;
     s_requests = 0;
     s_reads = 0;
@@ -103,12 +110,14 @@ let create cfg =
     s_data_bus_ns = Array.make 1 0.0;
   }
 
-let burst_ns cfg =
-  (* Time to move one cache line over the channel's data bus. *)
-  let bytes_per_us = cfg.data_rate_mts *. float_of_int cfg.bus_bytes in
-  float_of_int cfg.line_bytes /. bytes_per_us *. 1000.0
+(* [Float.max] for the times below, which are never NaN and never -0.0:
+   the stdlib's also tests sign bits, a C call per use. *)
+let[@inline] fmax (a : float) b = if b > a then b else a
 
-let request t ~time_ns ~addr ~write =
+(* The request model, on unboxed floats.  Inlined into both entry points
+   below so that neither boxes a time on the way in or out (a float
+   crossing a call is boxed). *)
+let[@inline] serve t ~time_ns ~addr ~write =
   let cfg = t.cfg in
   let line = addr / cfg.line_bytes in
   let chan = t.chans.(line mod cfg.channels) in
@@ -140,8 +149,7 @@ let request t ~time_ns ~addr ~write =
   in
   let open_row = Array.unsafe_get chan.bank_open_row bank_i in
   let issue =
-    Float.max admitted (Float.max (Array.unsafe_get chan.bank_ready_ns bank_i) 0.0)
-    +. cfg.ctrl_latency_ns
+    fmax admitted (fmax (Array.unsafe_get chan.bank_ready_ns bank_i) 0.0) +. cfg.ctrl_latency_ns
   in
   let array_ns =
     if open_row = row then begin
@@ -162,14 +170,26 @@ let request t ~time_ns ~addr ~write =
   in
   Array.unsafe_set chan.bank_open_row bank_i row;
   let data_ready = issue +. array_ns in
-  let burst = burst_ns cfg in
-  let xfer_start = Float.max data_ready (Array.unsafe_get chan.bus_free_ns 0) in
+  let burst = t.burst in
+  let xfer_start = fmax data_ready (Array.unsafe_get chan.bus_free_ns 0) in
   let completion = xfer_start +. burst in
   Array.unsafe_set chan.bus_free_ns 0 completion;
   Array.unsafe_set t.s_data_bus_ns 0 (Array.unsafe_get t.s_data_bus_ns 0 +. burst);
   Array.unsafe_set chan.bank_ready_ns bank_i data_ready;
   chan.queue_done.(!slot) <- completion;
   completion
+
+let request t ~time_ns ~addr ~write = serve t ~time_ns ~addr ~write
+
+(* [Util.Units.cycles_to_ns] in, [Util.Units.ns_to_cycles] out, written
+   out here so that the times stay unboxed floats. *)
+let request_cycles t ~freq_hz ~cycle ~addr ~write =
+  let time_ns = float_of_int cycle /. freq_hz *. 1e9 in
+  let ns = serve t ~time_ns ~addr ~write in
+  if ns <= 0.0 then 0
+  else
+    let c = int_of_float (Float.ceil (ns *. 1e-9 *. freq_hz)) in
+    if c >= 1 then c else 1
 
 let stats t =
   {

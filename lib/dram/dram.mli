@@ -68,6 +68,12 @@ val request : t -> time_ns:float -> addr:int -> write:bool -> float
     line transfer completes.  The channel is chosen by line-interleaving
     on the address. *)
 
+val request_cycles : t -> freq_hz:float -> cycle:int -> addr:int -> write:bool -> int
+(** {!request} for a client clocked at [freq_hz]: the request is issued at
+    [cycle] and the completion time comes back in cycles, rounded up as
+    {!Util.Units.ns_to_cycles} does.  Equal to converting with
+    {!Util.Units} around {!request}, without boxing a time. *)
+
 val stats : t -> stats
 
 val channel_stats : t -> chan_stats array

@@ -109,7 +109,7 @@ module Latency = struct
       amo = 8;
     }
 
-  let of_kind t = function
+  let[@inline] of_kind t = function
     | Int_alu -> t.int_alu
     | Int_mul -> t.int_mul
     | Int_div -> t.int_div

@@ -40,14 +40,11 @@ type result = {
 }
 
 (* The downstream path below the shared L2: LLC if present, then DRAM.
-   DRAM works in nanoseconds; convert at the boundary. *)
+   DRAM works in nanoseconds; [Dram.request_cycles] converts at the
+   boundary. *)
 let downstream soc =
-  let freq = Config.freq_hz soc.cfg in
-  let dram_next ~cycle ~addr ~write =
-    let t_ns = Util.Units.cycles_to_ns ~freq_hz:freq cycle in
-    let done_ns = Dram.request soc.dram ~time_ns:t_ns ~addr ~write in
-    Util.Units.ns_to_cycles ~freq_hz:freq done_ns
-  in
+  let freq_hz = Config.freq_hz soc.cfg in
+  let dram_next ~cycle ~addr ~write = Dram.request_cycles soc.dram ~freq_hz ~cycle ~addr ~write in
   match soc.llc with
   | None -> dram_next
   | Some llc -> fun ~cycle ~addr ~write -> Cache.access llc ~next:dram_next ~cycle ~addr ~write
@@ -55,13 +52,16 @@ let downstream soc =
 (* The path from a core's private L1s down: cross the system bus, look up
    the shared L2, and below that the downstream path.  Instruction-side
    refills do not train the L2 stream prefetcher (it observes data-side
-   demand misses only). *)
+   demand misses only).  The option is built once here: passing
+   [~prefetchable] to the optional argument would allocate a [Some] per
+   access. *)
 let l2_path soc ~prefetchable =
   let next = downstream soc in
   let line = soc.cfg.Config.l2.Cache.line in
+  let prefetchable = Some prefetchable in
   fun ~cycle ~addr ~write ->
     let c = Interconnect.Bus.transfer soc.bus ~cycle ~bytes:line in
-    Cache.access ~prefetchable soc.l2 ~next ~cycle:c ~addr ~write
+    Cache.access ?prefetchable soc.l2 ~next ~cycle:c ~addr ~write
 
 (* Content-only (functional-warming) twin of the downstream path: same
    cache-content transitions, no bus/DRAM timing.  DRAM carries no content
@@ -74,7 +74,8 @@ let warm_downstream soc : Cache.warm_next =
 
 let warm_l2_path soc ~prefetchable : Cache.warm_next =
   let next = warm_downstream soc in
-  fun ~addr ~write -> Cache.warm_access ~prefetchable soc.l2 ~next ~addr ~write
+  let prefetchable = Some prefetchable in
+  fun ~addr ~write -> Cache.warm_access ?prefetchable soc.l2 ~next ~addr ~write
 
 let memsys_for soc i =
   let l2d = l2_path soc ~prefetchable:true in
@@ -87,11 +88,11 @@ let memsys_for soc i =
   let itlb = soc.itlb.(i) in
   {
     Uarch.Memsys.load =
-      (fun ~cycle ~addr ~size:_ ->
+      (fun ~cycle ~addr ->
         let cycle = cycle + Tlb.translate dtlb ~addr in
         Cache.access l1d ~next:l2d ~cycle ~addr ~write:false);
     store =
-      (fun ~cycle ~addr ~size:_ ->
+      (fun ~cycle ~addr ->
         let cycle = cycle + Tlb.translate dtlb ~addr in
         Cache.access l1d ~next:l2d ~cycle ~addr ~write:true);
     ifetch =
@@ -99,11 +100,11 @@ let memsys_for soc i =
         let cycle = cycle + Tlb.translate itlb ~addr:pc in
         Cache.access l1i ~next:l2i ~cycle ~addr:pc ~write:false);
     warm_load =
-      (fun ~addr ~size:_ ->
+      (fun ~addr ->
         ignore (Tlb.translate dtlb ~addr);
         Cache.warm_access l1d ~next:wl2d ~addr ~write:false);
     warm_store =
-      (fun ~addr ~size:_ ->
+      (fun ~addr ->
         ignore (Tlb.translate dtlb ~addr);
         Cache.warm_access l1d ~next:wl2d ~addr ~write:true);
     warm_ifetch =

@@ -100,7 +100,7 @@ let bump t c = if c > t.frontier then t.frontier <- c
 
 (* Demand-fetch the icache line holding [pc] if the frontend moved to a new
    line; a taken transfer also restarts line streaming. *)
-let fetch t pc earliest =
+let[@inline] fetch t pc earliest =
   let line = pc lsr Util.Arch.cache_line_shift in
   if line <> t.fetch_line then begin
     t.fetch_line <- line;
@@ -111,8 +111,10 @@ let fetch t pc earliest =
 (* Index of the earliest-free entry; callers read q.(i) themselves rather
    than receiving a (slot, ready) pair — a tuple allocation per memory
    instruction otherwise.  One scan per memory instruction: running
-   minimum in a local, no bounds checks. *)
-let grab_slot q =
+   minimum in a local, no bounds checks.  The [int array] annotation
+   matters: left polymorphic, every [<] is a call to the generic compare
+   and every read checks for a float array. *)
+let grab_slot (q : int array) =
   let best = ref 0 in
   let bestv = ref (Array.unsafe_get q 0) in
   for i = 1 to Array.length q - 1 do
@@ -127,9 +129,9 @@ let grab_slot q =
 (* The timing step on unpacked scalar fields — the single implementation
    behind both [feed] (unpacking an [Insn.t]) and [feed_trace] (decoding
    packed trace words); keeping one body guarantees the two paths stay
-   cycle-identical.  [addr]/[size] are meaningful for memory kinds,
+   cycle-identical.  [addr] is meaningful for memory kinds,
    [taken]/[target] for control kinds; others pass zeros. *)
-let feed_scalar t ~pc ~(kind : Isa.Insn.kind) ~dst ~src1 ~src2 ~addr ~size ~taken ~target =
+let feed_scalar t ~pc ~(kind : Isa.Insn.kind) ~dst ~src1 ~src2 ~addr ~taken ~target =
   t.n_insns <- t.n_insns + 1;
   let r1 = if src1 = Isa.Insn.zero_reg then 0 else t.reg_ready.(src1) in
   let r2 = if src2 = Isa.Insn.zero_reg then 0 else t.reg_ready.(src2) in
@@ -147,7 +149,7 @@ let feed_scalar t ~pc ~(kind : Isa.Insn.kind) ~dst ~src1 ~src2 ~addr ~size ~take
     if qready > issue then Slots.advance t.issue_slots qready;
     let slot = Slots.alloc t.mem_port qready in
     let extra = if kind = Amo then t.cfg.latencies.amo else 0 in
-    let done_ = t.mem.Memsys.load ~cycle:(slot + 1) ~addr ~size + extra in
+    let done_ = t.mem.Memsys.load ~cycle:(slot + 1) ~addr + extra in
     t.load_q.(q) <- done_;
     if dst <> Isa.Insn.zero_reg then t.reg_ready.(dst) <- done_;
     bump t done_
@@ -158,7 +160,7 @@ let feed_scalar t ~pc ~(kind : Isa.Insn.kind) ~dst ~src1 ~src2 ~addr ~size ~take
     let drain_start = imax (slot + 1) t.store_buf.(buf) in
     (* A full store buffer likewise stalls the pipeline. *)
     if drain_start > slot + 1 then Slots.advance t.issue_slots drain_start;
-    let done_ = t.mem.Memsys.store ~cycle:drain_start ~addr ~size in
+    let done_ = t.mem.Memsys.store ~cycle:drain_start ~addr in
     t.store_buf.(buf) <- done_;
     (* The store leaves the pipeline once buffered; completion is off the
        critical path unless the buffer backs up. *)
@@ -198,10 +200,9 @@ let feed_scalar t ~pc ~(kind : Isa.Insn.kind) ~dst ~src1 ~src2 ~addr ~size ~take
     bump t done_
 
 let feed t (i : Isa.Insn.t) =
-  let addr, size = match i.mem with Some m -> (m.addr, m.size) | None -> (0, 0) in
+  let addr = match i.mem with Some m -> m.addr | None -> 0 in
   let taken, target = match i.ctrl with Some c -> (c.taken, c.target) | None -> (false, 0) in
-  feed_scalar t ~pc:i.pc ~kind:i.kind ~dst:i.dst ~src1:i.src1 ~src2:i.src2 ~addr ~size ~taken
-    ~target
+  feed_scalar t ~pc:i.pc ~kind:i.kind ~dst:i.dst ~src1:i.src1 ~src2:i.src2 ~addr ~taken ~target
 
 let feed_trace t tr ~lo ~hi =
   if lo < 0 || hi > Trace.length tr || lo > hi then invalid_arg "Inorder.feed_trace: bad range";
@@ -215,7 +216,6 @@ let feed_trace t tr ~lo ~hi =
       ~src1:((m lsr Trace.src1_shift) land Trace.reg_mask)
       ~src2:((m lsr Trace.src2_shift) land Trace.reg_mask)
       ~addr:(Array.unsafe_get auxs j)
-      ~size:((m lsr Trace.size_shift) land Trace.size_mask)
       ~taken:(m land Trace.taken_bit <> 0)
       ~target:(Array.unsafe_get auxs j)
   done
@@ -227,15 +227,15 @@ let feed_trace t tr ~lo ~hi =
    frontier does not move: warmed fills carry no latency, and the warmup
    window before the next detailed interval re-establishes pipeline
    (queue/slot) pressure before measurement resumes. *)
-let warm_scalar t ~pc ~(kind : Isa.Insn.kind) ~addr ~size ~taken ~target =
+let warm_scalar t ~pc ~(kind : Isa.Insn.kind) ~addr ~taken ~target =
   let line = pc lsr Util.Arch.cache_line_shift in
   if line <> t.fetch_line then begin
     t.fetch_line <- line;
     t.mem.Memsys.warm_ifetch ~pc
   end;
   match kind with
-  | Load | Amo -> t.mem.Memsys.warm_load ~addr ~size
-  | Store -> t.mem.Memsys.warm_store ~addr ~size
+  | Load | Amo -> t.mem.Memsys.warm_load ~addr
+  | Store -> t.mem.Memsys.warm_store ~addr
   | Branch | Jump | Call | Ret ->
     ignore (Branch.Frontend.resolve_ctrl t.frontend ~kind ~pc ~taken ~target);
     if taken then begin
@@ -256,7 +256,6 @@ let warm_trace t tr ~lo ~hi =
     warm_scalar t ~pc:(Array.unsafe_get pcs j)
       ~kind:(Array.unsafe_get kinds (m land Trace.kind_mask))
       ~addr:(Array.unsafe_get auxs j)
-      ~size:((m lsr Trace.size_shift) land Trace.size_mask)
       ~taken:(m land Trace.taken_bit <> 0)
       ~target:(Array.unsafe_get auxs j)
   done

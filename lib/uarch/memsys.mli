@@ -10,15 +10,15 @@
     return nothing (see {!Cache.warm_access}). *)
 
 type t = {
-  load : cycle:int -> addr:int -> size:int -> int;
+  load : cycle:int -> addr:int -> int;
       (** Issue a demand load; returns data-available cycle. *)
-  store : cycle:int -> addr:int -> size:int -> int;
+  store : cycle:int -> addr:int -> int;
       (** Issue a store (post store-buffer); returns completion cycle. *)
   ifetch : cycle:int -> pc:int -> int;
       (** Fetch the instruction line containing [pc]; returns available
           cycle. *)
-  warm_load : addr:int -> size:int -> unit;  (** content-only load *)
-  warm_store : addr:int -> size:int -> unit;  (** content-only store *)
+  warm_load : addr:int -> unit;  (** content-only load *)
+  warm_store : addr:int -> unit;  (** content-only store *)
   warm_ifetch : pc:int -> unit;  (** content-only instruction fetch *)
 }
 

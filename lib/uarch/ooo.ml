@@ -177,10 +177,11 @@ let bump t c = if c > t.frontier then t.frontier <- c
    and replaces it with its own completion.  A binary min-heap serves that
    access pattern in O(log n) per instruction instead of an O(n) scan of
    up to 32 entries; the minimum — the only value the timing model reads —
-   is identical, so simulated cycles are unchanged. *)
-let heap_min q = Array.unsafe_get q 0
+   is identical, so simulated cycles are unchanged.  Annotated [int array]
+   for the reason given at {!Inorder.grab_slot}. *)
+let heap_min (q : int array) = Array.unsafe_get q 0
 
-let heap_replace_min q v =
+let heap_replace_min (q : int array) v =
   let n = Array.length q in
   Array.unsafe_set q 0 v;
   let i = ref 0 in
@@ -201,7 +202,7 @@ let heap_replace_min q v =
     end
   done
 
-let fetch t pc earliest =
+let[@inline] fetch t pc earliest =
   let line = pc lsr Util.Arch.cache_line_shift in
   if line <> t.fetch_line then begin
     t.fetch_line <- line;
@@ -212,7 +213,7 @@ let fetch t pc earliest =
 (* The timing step on unpacked scalar fields — single implementation
    behind [feed] and [feed_trace]; see {!Inorder.feed_scalar} for the
    field conventions. *)
-let feed_scalar t ~pc ~(kind : Isa.Insn.kind) ~dst ~src1 ~src2 ~addr ~size ~taken ~target =
+let feed_scalar t ~pc ~(kind : Isa.Insn.kind) ~dst ~src1 ~src2 ~addr ~taken ~target =
   t.n_insns <- t.n_insns + 1;
   let cfg = t.cfg in
   (* Fetch: bounded by fetch width, icache, and any pending redirect. *)
@@ -236,14 +237,14 @@ let feed_scalar t ~pc ~(kind : Isa.Insn.kind) ~dst ~src1 ~src2 ~addr ~size ~take
       let qready = imax ready (heap_min t.ldq) in
       let port = Slots.alloc t.mem_ports qready in
       let extra = if kind = Amo then cfg.latencies.amo else 0 in
-      let c = t.mem.Memsys.load ~cycle:(port + 1) ~addr ~size + extra in
+      let c = t.mem.Memsys.load ~cycle:(port + 1) ~addr + extra in
       heap_replace_min t.ldq c;
       c
     | Store ->
       t.n_stores <- t.n_stores + 1;
       let qready = imax ready (heap_min t.stq) in
       let port = Slots.alloc t.mem_ports qready in
-      let c = t.mem.Memsys.store ~cycle:(port + 1) ~addr ~size in
+      let c = t.mem.Memsys.store ~cycle:(port + 1) ~addr in
       heap_replace_min t.stq c;
       (* Address generation completes quickly; the write drains post-retire.
          The store occupies its STQ slot until the line is written. *)
@@ -287,10 +288,9 @@ let feed_scalar t ~pc ~(kind : Isa.Insn.kind) ~dst ~src1 ~src2 ~addr ~size ~take
   bump t r
 
 let feed t (i : Isa.Insn.t) =
-  let addr, size = match i.mem with Some m -> (m.addr, m.size) | None -> (0, 0) in
+  let addr = match i.mem with Some m -> m.addr | None -> 0 in
   let taken, target = match i.ctrl with Some c -> (c.taken, c.target) | None -> (false, 0) in
-  feed_scalar t ~pc:i.pc ~kind:i.kind ~dst:i.dst ~src1:i.src1 ~src2:i.src2 ~addr ~size ~taken
-    ~target
+  feed_scalar t ~pc:i.pc ~kind:i.kind ~dst:i.dst ~src1:i.src1 ~src2:i.src2 ~addr ~taken ~target
 
 let feed_trace t tr ~lo ~hi =
   if lo < 0 || hi > Trace.length tr || lo > hi then invalid_arg "Ooo.feed_trace: bad range";
@@ -304,7 +304,6 @@ let feed_trace t tr ~lo ~hi =
       ~src1:((m lsr Trace.src1_shift) land Trace.reg_mask)
       ~src2:((m lsr Trace.src2_shift) land Trace.reg_mask)
       ~addr:(Array.unsafe_get auxs j)
-      ~size:((m lsr Trace.size_shift) land Trace.size_mask)
       ~taken:(m land Trace.taken_bit <> 0)
       ~target:(Array.unsafe_get auxs j)
   done
@@ -315,15 +314,15 @@ let feed_trace t tr ~lo ~hi =
    frontier, and retired-instruction statistics are not touched.  The
    warmup window before the next detailed interval re-establishes queue
    pressure before measurement resumes. *)
-let warm_scalar t ~pc ~(kind : Isa.Insn.kind) ~addr ~size ~taken ~target =
+let warm_scalar t ~pc ~(kind : Isa.Insn.kind) ~addr ~taken ~target =
   let line = pc lsr Util.Arch.cache_line_shift in
   if line <> t.fetch_line then begin
     t.fetch_line <- line;
     t.mem.Memsys.warm_ifetch ~pc
   end;
   match kind with
-  | Load | Amo -> t.mem.Memsys.warm_load ~addr ~size
-  | Store -> t.mem.Memsys.warm_store ~addr ~size
+  | Load | Amo -> t.mem.Memsys.warm_load ~addr
+  | Store -> t.mem.Memsys.warm_store ~addr
   | Branch | Jump | Call | Ret ->
     ignore (Branch.Frontend.resolve_ctrl t.frontend ~kind ~pc ~taken ~target);
     if taken then begin
@@ -344,7 +343,6 @@ let warm_trace t tr ~lo ~hi =
     warm_scalar t ~pc:(Array.unsafe_get pcs j)
       ~kind:(Array.unsafe_get kinds (m land Trace.kind_mask))
       ~addr:(Array.unsafe_get auxs j)
-      ~size:((m lsr Trace.size_shift) land Trace.size_mask)
       ~taken:(m land Trace.taken_bit <> 0)
       ~target:(Array.unsafe_get auxs j)
   done

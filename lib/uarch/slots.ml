@@ -4,7 +4,7 @@ let create ~width =
   if width <= 0 then invalid_arg "Slots.create: width";
   { width; cycle = -1; used = 0 }
 
-let alloc t earliest =
+let[@inline] alloc t earliest =
   if earliest > t.cycle then begin
     t.cycle <- earliest;
     t.used <- 1;
@@ -20,7 +20,7 @@ let alloc t earliest =
     t.cycle
   end
 
-let advance t c =
+let[@inline] advance t c =
   if c > t.cycle then begin
     t.cycle <- c;
     t.used <- 0

@@ -121,25 +121,68 @@ let test_invalid_config () =
     (fun () -> ignore (Cache.config ~name:"x" ~sets:3 ~ways:1 ()))
 
 let test_reuse_after_release () =
-  (* A cache built on a released cache's arrays must start as cold as a
-     fresh one: same completion cycles and counters over a stream that
-     dirties lines, trains the prefetcher and evicts by LRU. *)
-  let cfg = Cache.config ~name:"r" ~sets:4 ~ways:2 ~mshrs:2 ~prefetch_next:2 () in
-  let next = flat_next 20 in
-  let replay c =
-    let rng = Random.State.make [| 7 |] in
-    let cycles =
-      List.init 300 (fun i ->
-          let addr = 64 * Random.State.int rng 48 in
-          Cache.access c ~next ~cycle:(10 * i) ~addr ~write:(Random.State.bool rng))
+  (* A cache built on a released cache's arrays must behave exactly like
+     one on fresh arrays, whatever geometry the arrays had before: same
+     completion cycles, counters, resident lines, and downstream calls
+     (refills, write-backs, prefetch fills) over a stream that dirties
+     lines, trains the prefetcher and evicts by LRU.  384 lines in two
+     geometries (64x6, 128x3): no catalog cache has that many, so the two
+     reference caches below start on fresh arrays. *)
+  let cfg ~sets ~ways = Cache.config ~name:"r" ~sets ~ways ~mshrs:2 ~prefetch_next:2 () in
+  let a = cfg ~sets:64 ~ways:6 and b = cfg ~sets:128 ~ways:3 in
+  let replay ~seed c =
+    let calls = ref [] in
+    let next ~cycle ~addr ~write =
+      calls := (cycle, addr, write) :: !calls;
+      cycle + 20
     in
-    (cycles, Cache.stats c)
+    let rng = Random.State.make [| seed |] in
+    (* Even steps walk a sequential stream, odd steps hit random lines
+       over twice the capacity. *)
+    let cycles =
+      List.init 3000 (fun i ->
+          let line = if i mod 2 = 0 then 1024 + (i / 2) else Random.State.int rng 768 in
+          Cache.access c ~next ~cycle:(10 * i) ~addr:(64 * line) ~write:(Random.State.bool rng))
+    in
+    let resident = List.init 2600 (fun line -> Cache.probe c ~addr:(64 * line)) in
+    (cycles, Cache.stats c, resident, List.rev !calls)
   in
-  let fresh = replay (Cache.create cfg) in
-  let used = Cache.create cfg in
-  ignore (replay used);
-  Cache.release used;
-  Alcotest.(check bool) "reused cache replays like a fresh one" true (replay (Cache.create cfg) = fresh)
+  let fresh_a = replay ~seed:7 (Cache.create a) in
+  let fresh_b = replay ~seed:7 (Cache.create b) in
+  let c = ref (Cache.create a) in
+  ignore (replay ~seed:11 !c);
+  List.iteri
+    (fun i (label, cfg, want) ->
+      Cache.release !c;
+      c := Cache.create cfg;
+      Alcotest.(check bool) label true (replay ~seed:7 !c = want);
+      (* Leave different lines behind for the next cache to take over. *)
+      ignore (replay ~seed:(12 + i) !c))
+    [
+      ("64x6 arrays reused as 128x3", b, fresh_b);
+      ("128x3 arrays reused as 64x6", a, fresh_a);
+      ("64x6 arrays reused as 64x6", a, fresh_a);
+      ("64x6 arrays reused as 128x3 again", b, fresh_b);
+    ];
+  Cache.release !c
+
+let test_flush_matches_fresh () =
+  (* After [flush], a cache with no fill in flight replays like a fresh
+     one, apart from counters and the LRU clock's offset. *)
+  let cfg = Cache.config ~name:"f" ~sets:8 ~ways:2 () in
+  let next = flat_next 10 in
+  let run c ~from =
+    let cycles =
+      List.init 64 (fun i ->
+          Cache.access c ~next ~cycle:(from + (10 * i)) ~addr:(64 * (i * 7 mod 40)) ~write:(i mod 3 = 0))
+    in
+    (List.map (fun x -> x - from) cycles, List.init 48 (fun l -> Cache.probe c ~addr:(64 * l)))
+  in
+  let want = run (Cache.create cfg) ~from:0 in
+  let c = Cache.create cfg in
+  ignore (run c ~from:0);
+  Cache.flush c;
+  Alcotest.(check bool) "flushed cache replays like a fresh one" true (run c ~from:100_000 = want)
 
 let prop_monotone_completion =
   (* Completion cycle never precedes issue cycle. *)
@@ -175,6 +218,7 @@ let suite =
     Alcotest.test_case "miss rate" `Quick test_miss_rate;
     Alcotest.test_case "invalid config" `Quick test_invalid_config;
     Alcotest.test_case "reuse after release" `Quick test_reuse_after_release;
+    Alcotest.test_case "flush then replay" `Quick test_flush_matches_fresh;
     QCheck_alcotest.to_alcotest prop_monotone_completion;
     QCheck_alcotest.to_alcotest prop_second_access_hits;
   ]

@@ -276,6 +276,70 @@ let test_max_len_segmentation () =
   let total = Array.fold_left (fun acc id -> acc + b.B.lens.(id)) 0 b.B.ids in
   Alcotest.(check int) "covers all" 10 total
 
+(* ------------------------------------------------- exact replay costs *)
+
+(* Replaying a compiled trace allocates nothing once the SoC is warm: no
+   boxed DRAM time, no miss-path tuple, no [Some] per L2 access.  The
+   first replay warms caches, predictors and the trace itself; the second
+   must leave the minor heap's allocation counter where it was.  The
+   kernels miss to DRAM (MM, MM_st) or mispredict (M_Dyn) on every
+   platform class: in-order, out-of-order, and both LLC variants. *)
+let test_replay_allocation_free () =
+  List.iter
+    (fun (platform : Platform.Config.t) ->
+      List.iter
+        (fun name ->
+          let tr = kernel_trace name ~scale:0.25 in
+          let hi = T.length tr in
+          let soc = Platform.Soc.create platform in
+          Platform.Soc.feed_trace soc tr ~lo:0 ~hi;
+          let before = Gc.minor_words () in
+          Platform.Soc.feed_trace soc tr ~lo:0 ~hi;
+          let words = Gc.minor_words () -. before in
+          Platform.Soc.release soc;
+          Alcotest.(check (float 0.))
+            (Printf.sprintf "%s on %s: words allocated" name platform.Platform.Config.name)
+            0. words)
+        [ "MM"; "MM_st"; "M_Dyn" ])
+    [ Cat.banana_pi_sim; Cat.boom_large; Cat.milkv_hw; Cat.milkv_sim ]
+
+(* milkv-sim's LLC (16384x64) takes over the line arrays milkv-hw's
+   (65536x16) released, still holding the tags of every line the same
+   kernel touched.  The run must equal a fresh process's, where the LLC
+   starts on new arrays. *)
+let test_llc_reuse_matches_fresh_process () =
+  let k = Mb.find "MM" in
+  ignore (R.run_kernel Cat.milkv_hw k);
+  let r = R.run_kernel Cat.milkv_sim k in
+  let out = Filename.temp_file "simbridge-workload" ".out" in
+  let status =
+    Sys.command
+      (Filename.quote_command "../bin/simbridge_cli.exe"
+         [ "workload"; "MM"; "--platform"; "milkv-sim"; "--report"; "" ]
+         ~stdout:out ~stderr:Filename.null)
+  in
+  let lines = In_channel.with_open_bin out In_channel.input_lines in
+  Sys.remove out;
+  Alcotest.(check int) "fresh process exits 0" 0 status;
+  let field prefix = List.find (String.starts_with ~prefix) lines in
+  let in_process =
+    [
+      Printf.sprintf "cycles        : %d" r.cycles;
+      Printf.sprintf "instructions  : %d" r.instructions;
+      Printf.sprintf "L1D miss rate : %.4f (%d/%d)"
+        (float_of_int r.l1d_misses /. float_of_int r.l1d_accesses)
+        r.l1d_misses r.l1d_accesses;
+      Printf.sprintf "L2 miss rate  : %.4f (%d/%d)"
+        (float_of_int r.l2_misses /. float_of_int r.l2_accesses)
+        r.l2_misses r.l2_accesses;
+      Printf.sprintf "DRAM requests : %d" r.dram_requests;
+    ]
+  in
+  Alcotest.(check (list string))
+    "milkv-sim after milkv-hw = fresh process"
+    (List.map field [ "cycles"; "instructions"; "L1D"; "L2"; "DRAM" ])
+    in_process
+
 let suite =
   [
     Alcotest.test_case "encode/decode round-trip (all kinds)" `Quick test_roundtrip;
@@ -291,4 +355,6 @@ let suite =
     Alcotest.test_case "digest ignores memory addresses" `Quick test_digest_ignores_addresses;
     Alcotest.test_case "digest keeps control targets" `Quick test_digest_keeps_targets;
     Alcotest.test_case "max_len splits straight-line runs" `Quick test_max_len_segmentation;
+    Alcotest.test_case "warm replay allocates nothing" `Quick test_replay_allocation_free;
+    Alcotest.test_case "LLC reuse across geometries" `Quick test_llc_reuse_matches_fresh_process;
   ]

@@ -6,7 +6,7 @@
                                            # then the Bechamel suites
      dune exec bench/main.exe -- fig1      # one experiment
      dune exec bench/main.exe -- bechamel  # only the Bechamel suites
-     dune exec bench/main.exe -- sampling  # sampled-simulation acceptance gate
+     dune exec bench/main.exe -- budget    # budgeted fast-mode acceptance gate
      dune exec bench/main.exe -- parallel  # worker-pool acceptance gate
      dune exec bench/main.exe -- perf      # replay gate: identity + host MIPS
                                            # (BENCH_perf.json, run-report.json)
@@ -26,34 +26,41 @@ let run_experiment id =
     Printf.eprintf "unknown experiment %s\n" id;
     exit 1
 
-(* ------------------------------------------------------ sampling gate *)
+(* -------------------------------------------------------- budget gate *)
 
-(* `bench/main.exe sampling` is the sampling engine's acceptance gate
-   (distinct from the informational `sampling` registry entry): it
-   regenerates fig1 full and sampled under the default policy/budget and
-   fails unless every kernel's relative speedup lands within 5% of the
-   full-run value at a >= 5x host wall-clock speedup.  fig2 runs under
-   the same policy and is reported for context. *)
-let run_sampling_gate () =
+(* `bench/main.exe budget` is the fast mode's acceptance gate (distinct
+   from the informational `budget` registry entry): it regenerates fig1
+   and fig2 at scale 8 in full and under the default budget, each side
+   from a cleared trace cache, and fails unless every cell's relative
+   speedup lands within 5% of the full-run value and each figure runs at
+   least 5x faster. *)
+let run_budget_gate () =
   let module E = Simbridge.Experiments in
   let t0 = Unix.gettimeofday () in
-  let e1 = E.sampling_eval_fig1 () in
-  print_string (E.render_sampling_eval e1);
-  let bad = List.filter (fun (r : E.sampling_row) -> r.E.sr_rel_err > 0.05) e1.E.se_rows in
-  List.iter
-    (fun (r : E.sampling_row) ->
-      Printf.printf "FAIL %s / %s: sampled rel %.4f vs full %.4f (%.2f%% > 5%%)\n" r.E.sr_series
-        r.E.sr_kernel r.E.sr_sampled r.E.sr_full
-        (100.0 *. r.E.sr_rel_err))
-    bad;
-  if e1.E.se_speedup < 5.0 then
-    Printf.printf "FAIL fig1 wall-clock speedup %.1fx < 5x\n" e1.E.se_speedup;
-  let e2 = E.sampling_eval_fig2 () in
-  print_string (E.render_sampling_eval e2);
-  Printf.printf "(sampling gate ran in %.1f s)\n%!" (Unix.gettimeofday () -. t0);
-  if bad <> [] || e1.E.se_speedup < 5.0 then exit 1;
-  Printf.printf "sampling gate: PASS (fig1 max rel err %.2f%% <= 5%%, speedup %.1fx >= 5x)\n%!"
-    (100.0 *. e1.E.se_max_rel_err) e1.E.se_speedup
+  let check (e : E.budget_eval) =
+    print_string (E.render_budget_eval e);
+    let bad = List.filter (fun (r : E.budget_row) -> r.E.br_rel_err > 0.05) e.E.be_rows in
+    List.iter
+      (fun (r : E.budget_row) ->
+        Printf.printf "FAIL %s %s / %s: budget rel %.4f vs full %.4f (%.2f%% > 5%%)\n" e.E.be_id
+          r.E.br_series r.E.br_kernel r.E.br_budget r.E.br_full
+          (100.0 *. r.E.br_rel_err))
+      bad;
+    let slow = e.E.be_speedup < 5.0 in
+    if slow then Printf.printf "FAIL %s wall-clock speedup %.1fx < 5x\n" e.E.be_id e.E.be_speedup;
+    bad = [] && not slow
+  in
+  let e1 = E.budget_eval_fig1 () in
+  let ok1 = check e1 in
+  let e2 = E.budget_eval_fig2 () in
+  let ok2 = check e2 in
+  Printf.printf "(budget gate ran in %.1f s)\n%!" (Unix.gettimeofday () -. t0);
+  if not (ok1 && ok2) then exit 1;
+  Printf.printf
+    "budget gate: PASS (max rel err fig1 %.2f%% / fig2 %.2f%% <= 5%%, speedup fig1 %.1fx / fig2 \
+     %.1fx >= 5x)\n\
+     %!"
+    (100.0 *. e1.E.be_max_rel_err) (100.0 *. e2.E.be_max_rel_err) e1.E.be_speedup e2.E.be_speedup
 
 (* ------------------------------------------------------ parallel gate *)
 
@@ -660,7 +667,7 @@ let () =
     List.iter (fun (id, _, _) -> run_experiment id) Simbridge.Experiments.all;
     run_bechamel ()
   | [ _; "bechamel" ] -> run_bechamel ()
-  | [ _; "sampling" ] -> run_sampling_gate ()
+  | [ _; "budget" ] -> run_budget_gate ()
   | [ _; "parallel" ] -> run_parallel_gate ()
   | [ _; "perf" ] -> run_perf_gate ~identity_only:false ()
   | [ _; "perf-identity" ] -> run_perf_gate ~identity_only:true ()
@@ -668,6 +675,6 @@ let () =
   | [ _; id ] -> run_experiment id
   | _ ->
     prerr_endline
-      "usage: main.exe [experiment-id | bechamel | sampling | parallel | perf | perf-identity | \
+      "usage: main.exe [experiment-id | bechamel | budget | parallel | perf | perf-identity | \
        serve]";
     exit 1

@@ -60,11 +60,11 @@ let list_experiments () =
 (* Emit the run report (and optionally the Chrome trace) for a finished
    invocation.  Notices go to stderr: stdout carries only the
    experiment's own rendering, byte-identical across job counts. *)
-let emit_ledger ?estimate ?fidelity ?(exit_status = 0) ~command ~config ~reg ~wall_s ~report_path
+let emit_ledger ?fidelity ?extra ?(exit_status = 0) ~command ~config ~reg ~wall_s ~report_path
     ~trace_path () =
   if report_path <> "" then begin
     let report =
-      Ledger.Run_report.build ~wall_s ?estimate ?fidelity ~exit_status ~command ~config
+      Ledger.Run_report.build ~wall_s ?fidelity ?extra ~exit_status ~command ~config
         ~telemetry:reg ()
     in
     Ledger.Run_report.write ~path:report_path report;
@@ -161,114 +161,91 @@ let print_result (r : Platform.Soc.result) =
     Format.printf "MPI messages  : %d (%d bytes), %d collectives@." c.Smpi.messages c.Smpi.bytes_moved
       c.Smpi.collectives
 
-(* Smoke check (--expect-cycles): compare the run's estimated cycles to a
-   checked-in full-run reference and fail loudly when they diverge — the
-   CI `sampling-smoke` step drives this. *)
-let smoke_check ~tolerance ~reference (est : Sampling.Estimate.t) =
-  let c = Sampling.Accuracy.compare ~full_cycles:reference est in
-  if Sampling.Accuracy.within_tolerance ~tol:tolerance c then
-    Format.printf "smoke check   : OK, %.2f%% from reference %d (tolerance %.0f%%)@."
-      (100.0 *. c.Sampling.Accuracy.rel_err) reference (100.0 *. tolerance)
-  else begin
-    Format.eprintf "smoke check   : FAIL, estimate %d vs reference %d is %.2f%% off (> %.0f%%)@."
-      est.Sampling.Estimate.est_cycles reference
-      (100.0 *. c.Sampling.Accuracy.rel_err)
-      (100.0 *. tolerance);
-    exit 1
-  end
-
 let run_workload verbose name platform ranks scale telemetry_dir seed jobs trace_capacity
-    report_path sample budget expect_cycles tolerance =
-  setup_logs verbose;
-  Util.Rng.set_global_seed seed;
-  setup_jobs jobs;
-  let policy =
-    match sample with
-    | None -> Sampling.Policy.Full
-    | Some spec -> (
-      match Sampling.Policy.of_string spec with
-      | Ok p -> p
-      | Error e ->
-        Format.eprintf "bad --sample spec %S: %s@." spec e;
-        exit 1)
-  in
-  let config =
-    try Platform.Catalog.find platform
-    with Not_found ->
-      Format.eprintf "unknown platform %s; try `simbridge platforms`@." platform;
-      exit 1
-  in
-  (* Telemetry sidecars: a live registry when --telemetry DIR was given
-     or a run report is wanted, the zero-cost no-op sink otherwise. *)
-  let reg =
-    match telemetry_dir with
-    | Some "" ->
-      Format.eprintf "--telemetry requires a non-empty directory@.";
-      exit 1
-    | Some _ -> Telemetry.Registry.create ~trace_capacity ()
-    | None ->
-      if report_path <> "" then Telemetry.Registry.create ~trace_capacity ()
-      else Telemetry.Registry.disabled
-  in
-  let t0 = Unix.gettimeofday () in
-  let estimate = ref None in
+    report_path budget =
   let kernel = try Some (Workloads.Microbench.find name) with Not_found -> None in
-  Telemetry.Registry.span_with reg ~root:true ("workload:" ^ name) (fun () ->
-      match kernel with
-      | Some k ->
-        let t = Simbridge.Runner.run_kernel_timed ~scale ~telemetry:reg ~policy ?budget config k in
-        estimate := Some t.Simbridge.Runner.estimate;
-        print_result t.Simbridge.Runner.result;
-        Format.printf "host wall     : setup %.4f s + measure %.4f s@." t.Simbridge.Runner.setup_wall_s
-          t.Simbridge.Runner.measure_wall_s;
-        (match policy with
-        | Sampling.Policy.Full -> ()
-        | Sampling.Policy.Sampled _ ->
-          List.iter (fun l -> Format.printf "%s@." l) (Sampling.Report.lines t.Simbridge.Runner.estimate));
-        (match expect_cycles with
-        | None -> ()
-        | Some reference -> smoke_check ~tolerance ~reference t.Simbridge.Runner.estimate)
+  (* An MPI app has no measured stream for a budget to cut: refuse the
+     flag rather than run the app in full under it. *)
+  if Option.is_some budget && Option.is_none kernel then
+    `Error
+      (true, Printf.sprintf "option '--budget' applies to microbench kernels only, not to %s" name)
+  else begin
+    setup_logs verbose;
+    Util.Rng.set_global_seed seed;
+    setup_jobs jobs;
+    let config =
+      try Platform.Catalog.find platform
+      with Not_found ->
+        Format.eprintf "unknown platform %s; try `simbridge platforms`@." platform;
+        exit 1
+    in
+    (* Telemetry sidecars: a live registry when --telemetry DIR was given
+       or a run report is wanted, the zero-cost no-op sink otherwise. *)
+    let reg =
+      match telemetry_dir with
+      | Some "" ->
+        Format.eprintf "--telemetry requires a non-empty directory@.";
+        exit 1
+      | Some _ -> Telemetry.Registry.create ~trace_capacity ()
       | None ->
-        (match (policy, expect_cycles) with
-        | Sampling.Policy.Sampled _, _ | _, Some _ ->
-          Format.eprintf "--sample/--expect-cycles apply to microbench kernels only@.";
-          exit 1
-        | Sampling.Policy.Full, None -> ());
-        let apps =
-          Workloads.Npb.all @ [ Workloads.Ume.app; Workloads.Lammps.lj; Workloads.Lammps.chain ]
-        in
-        (match List.find_opt (fun (a : Workloads.Workload.app) -> a.app_name = name) apps with
-        | Some app ->
-          let r = Simbridge.Runner.run_app ~scale ~telemetry:reg ~ranks config app in
-          print_result r
+        if report_path <> "" then Telemetry.Registry.create ~trace_capacity ()
+        else Telemetry.Registry.disabled
+    in
+    let t0 = Unix.gettimeofday () in
+    let complete = ref None in
+    Telemetry.Registry.span_with reg ~root:true ("workload:" ^ name) (fun () ->
+        match kernel with
+        | Some k ->
+          let t = Simbridge.Runner.run_kernel_timed ~scale ~telemetry:reg ?budget config k in
+          complete := Some t.Simbridge.Runner.complete;
+          print_result t.Simbridge.Runner.result;
+          Format.printf "host wall     : setup %.4f s + measure %.4f s@." t.Simbridge.Runner.setup_wall_s
+            t.Simbridge.Runner.measure_wall_s;
+          Option.iter
+            (fun n ->
+              Format.printf "budget        : first %d measured insns, stream %s@." n
+                (if t.Simbridge.Runner.complete then "complete" else "cut at the budget"))
+            budget
         | None ->
-          Format.eprintf
-            "unknown workload %s (microbench name, cg/ep/is/mg, ume, lammps-lj, lammps-chain)@." name;
-          exit 1));
-  let wall_s = Unix.gettimeofday () -. t0 in
-  (match telemetry_dir with
-  | None -> ()
-  | Some dir ->
-    (try Telemetry.Export.write reg ~dir
-     with Sys_error msg ->
-       Format.eprintf "cannot write telemetry to %s: %s@." dir msg;
-       exit 1);
-    Format.printf "telemetry     : %s/telemetry.txt, telemetry.csv, trace.json@." dir);
-  emit_ledger ?estimate:!estimate
-    ~command:(Printf.sprintf "workload %s @ %s" name platform)
-    ~config:
-      [
-        ("workload", Validate.Jsonx.Str name);
-        ("platform", Validate.Jsonx.Str platform);
-        ("ranks", num_j ranks);
-        ("scale", Validate.Jsonx.Num scale);
-        ("seed", num_j seed);
-        ("jobs", num_j jobs);
-        ( "sample",
-          match sample with None -> Validate.Jsonx.Null | Some s -> Validate.Jsonx.Str s );
-        ("trace_capacity", num_j trace_capacity);
-      ]
-    ~reg ~wall_s ~report_path ~trace_path:"" ()
+          let apps =
+            Workloads.Npb.all @ [ Workloads.Ume.app; Workloads.Lammps.lj; Workloads.Lammps.chain ]
+          in
+          (match List.find_opt (fun (a : Workloads.Workload.app) -> a.app_name = name) apps with
+          | Some app ->
+            let r = Simbridge.Runner.run_app ~scale ~telemetry:reg ~ranks config app in
+            print_result r
+          | None ->
+            Format.eprintf
+              "unknown workload %s (microbench name, cg/ep/is/mg, ume, lammps-lj, lammps-chain)@." name;
+            exit 1));
+    let wall_s = Unix.gettimeofday () -. t0 in
+    (match telemetry_dir with
+    | None -> ()
+    | Some dir ->
+      (try Telemetry.Export.write reg ~dir
+       with Sys_error msg ->
+         Format.eprintf "cannot write telemetry to %s: %s@." dir msg;
+         exit 1);
+      Format.printf "telemetry     : %s/telemetry.txt, telemetry.csv, trace.json@." dir);
+    emit_ledger
+      ?extra:
+        (Option.map (fun c -> [ ("result", Validate.Jsonx.Obj [ ("complete", Validate.Jsonx.Bool c) ]) ])
+           !complete)
+      ~command:(Printf.sprintf "workload %s @ %s" name platform)
+      ~config:
+        [
+          ("workload", Validate.Jsonx.Str name);
+          ("platform", Validate.Jsonx.Str platform);
+          ("ranks", num_j ranks);
+          ("scale", Validate.Jsonx.Num scale);
+          ("seed", num_j seed);
+          ("jobs", num_j jobs);
+          ("budget", match budget with None -> Validate.Jsonx.Null | Some n -> num_j n);
+          ("trace_capacity", num_j trace_capacity);
+        ]
+      ~reg ~wall_s ~report_path ~trace_path:"" ();
+    `Ok ()
+  end
 
 let run_compare name ranks scale =
   (* Side-by-side sim-vs-silicon comparison for both platform pairs. *)
@@ -710,18 +687,6 @@ let pos_float =
   in
   Arg.conv ~docv:"X" (parse, Format.pp_print_float)
 
-(* --tolerance: a relative error bound.  NaN or a negative bound fails
-   every comparison and an infinite one passes every one, so either
-   would decide the smoke gate without looking at the simulator. *)
-let nonneg_float =
-  let parse s =
-    match float_of_string_opt s with
-    | Some v when Float.is_finite v && v >= 0.0 -> Ok v
-    | Some _ | None ->
-      Error (`Msg (Printf.sprintf "expected a finite non-negative number, got '%s'" s))
-  in
-  Arg.conv ~docv:"X" (parse, Format.pp_print_float)
-
 let scale_arg =
   Arg.(value & opt pos_float 1.0 & info [ "scale" ] ~doc:"Workload size multiplier (default 1.0).")
 
@@ -806,47 +771,21 @@ let workload_cmd =
     Arg.(value & opt string "banana-pi-sim" & info [ "platform"; "p" ] ~doc:"Platform name.")
   in
   let ranks = Arg.(value & opt pos_int 1 & info [ "ranks"; "n" ] ~doc:"MPI ranks (apps only).") in
-  let sample =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "sample" ]
-          ~doc:
-            "Sampling policy for microbench kernels: $(b,full), $(b,default), or \
-             $(b,interval=N,detail=N,warmup=N) (any subset of keys). Prints the error-bounded \
-             estimate breakdown alongside the result."
-          ~docv:"SPEC")
-  in
   let budget =
     Arg.(
       value
       & opt (some pos_int) None
       & info [ "budget" ]
           ~doc:
-            "Stop traversing the measured stream after $(docv) instructions and extrapolate from \
-             the intervals seen so far (sampled runs only)."
+            "Microbench kernels only: simulate just the measured stream's first $(docv) \
+             instructions, exactly (the setup stream still runs in full)."
           ~docv:"INSNS")
-  in
-  let expect_cycles =
-    Arg.(
-      value
-      & opt (some pos_int) None
-      & info [ "expect-cycles" ]
-          ~doc:
-            "Smoke check: exit nonzero unless the run's (estimated) cycle count is within \
-             $(b,--tolerance) of $(docv) — used by CI against a checked-in full-run reference."
-          ~docv:"CYCLES")
-  in
-  let tolerance =
-    Arg.(
-      value & opt nonneg_float 0.10
-      & info [ "tolerance" ] ~doc:"Relative tolerance for --expect-cycles (default 0.10).")
   in
   Cmd.v (Cmd.info "workload" ~doc:"Run one workload on one platform")
     Term.(
-      const run_workload $ verbose_arg $ wname $ platform $ ranks $ scale_arg $ telemetry_arg
-      $ seed_arg $ jobs_arg $ trace_capacity_arg $ report_arg $ sample $ budget
-      $ expect_cycles $ tolerance)
+      ret
+        (const run_workload $ verbose_arg $ wname $ platform $ ranks $ scale_arg $ telemetry_arg
+       $ seed_arg $ jobs_arg $ trace_capacity_arg $ report_arg $ budget))
 
 let tune_cmd =
   let target = Arg.(required & pos 0 (some string) None & info [] ~docv:"TARGET") in

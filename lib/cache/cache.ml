@@ -174,7 +174,7 @@ let touch t slot =
   t.use_clock <- t.use_clock + 1;
   Array.unsafe_set t.last_use slot t.use_clock
 
-(* Stream table scan / advance, shared by timed and warm access paths. *)
+(* Stream table scan / advance. *)
 let stream_hit t line =
   let n = Array.length t.streams in
   let hit = ref false in
@@ -296,68 +296,6 @@ let access ?(prefetchable = true) t ~next ~cycle ~addr ~write =
         prefetch_line t (line + (k * t.cfg.line)) ~cycle:(issue + t.cfg.hit_latency) ~next
       done;
     fill_done
-  end
-
-(* Content-only access for functional warming: the same tag / LRU / dirty /
-   stream-table / prefetch state transitions as [access] — so detailed
-   simulation resumes against the cache contents a full run would have —
-   with none of the latency bookkeeping (banks, MSHRs, fill timestamps).
-   Warmed fills get [fill_done = 0]: their refill is long past by the time
-   a detailed interval can hit them. *)
-type warm_next = addr:int -> write:bool -> unit
-
-let rec warm_install t set line ~dirty ~prefetched ~(next : warm_next) =
-  let victim = victim_way t set in
-  if valid t victim then begin
-    t.s_evictions <- t.s_evictions + 1;
-    if t.dirty.(victim) && t.cfg.write_back then begin
-      t.s_writebacks <- t.s_writebacks + 1;
-      next ~addr:t.tags.(victim) ~write:true
-    end
-  end;
-  t.tags.(victim) <- line;
-  t.dirty.(victim) <- dirty;
-  t.fill_done.(victim) <- 0;
-  t.pref_tag.(victim) <- prefetched;
-  touch t victim
-
-and warm_prefetch_line t line ~(next : warm_next) =
-  let set = set_of t line in
-  if find_way t set line < 0 then begin
-    t.s_prefetches <- t.s_prefetches + 1;
-    next ~addr:line ~write:false;
-    warm_install t set line ~dirty:false ~prefetched:true ~next
-  end
-
-let warm_access ?(prefetchable = true) t ~(next : warm_next) ~addr ~write =
-  t.s_accesses <- t.s_accesses + 1;
-  let line = line_addr t addr in
-  let set = set_of t addr in
-  let slot = find_way t set line in
-  if slot >= 0 then begin
-    t.s_hits <- t.s_hits + 1;
-    touch t slot;
-    if write then t.dirty.(slot) <- true;
-    if t.pref_tag.(slot) then begin
-      t.pref_tag.(slot) <- false;
-      if t.cfg.prefetch_next > 0 then
-        warm_prefetch_line t (line + (t.cfg.prefetch_next * t.cfg.line)) ~next
-    end
-  end
-  else begin
-    t.s_misses <- t.s_misses + 1;
-    let sequential = prefetchable && stream_hit t line in
-    (if sequential then stream_advance t line
-     else if prefetchable then begin
-       t.streams.(t.stream_rr) <- line + t.cfg.line;
-       t.stream_rr <- (t.stream_rr + 1) mod Array.length t.streams
-     end);
-    next ~addr:line ~write:false;
-    warm_install t set line ~dirty:(write && t.cfg.write_back) ~prefetched:false ~next;
-    if t.cfg.prefetch_next > 0 && sequential then
-      for k = 1 to t.cfg.prefetch_next do
-        warm_prefetch_line t (line + (k * t.cfg.line)) ~next
-      done
   end
 
 let probe t ~addr =

@@ -89,18 +89,6 @@ val access :
     fetches do not (stream prefetchers train on data-side demand
     misses). *)
 
-type warm_next = addr:int -> write:bool -> unit
-(** Content-only downstream path for functional warming. *)
-
-val warm_access : ?prefetchable:bool -> t -> next:warm_next -> addr:int -> write:bool -> unit
-(** Functional-warming access: performs exactly the state transitions of
-    {!access} — tag fills and evictions, LRU order, dirty bits, stream
-    prefetcher training and prefetch fills, write-back content propagation
-    — with none of the latency bookkeeping (no bank or MSHR arithmetic, no
-    fill timestamps).  Sampled simulation drives the warming fast path
-    through this so cache contents when a detailed interval resumes match
-    what a full run would have left. *)
-
 val probe : t -> addr:int -> bool
 (** Would [addr] hit right now?  (No state change; for tests.) *)
 

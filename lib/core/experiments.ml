@@ -171,7 +171,7 @@ let chunks n l =
   in
   go [] l
 
-let microbench_figure ?(policy = Sampling.Policy.Full) ?budget ?jobs
+let microbench_figure ?budget ?jobs
     ?(telemetry = Telemetry.Registry.disabled) ~id ~title ~hw ~sims ~scale () =
   let kernels = Mb.evaluated in
   let platforms = hw :: sims in
@@ -192,7 +192,7 @@ let microbench_figure ?(policy = Sampling.Policy.Full) ?budget ?jobs
         Array.of_list
           (List.map
              (fun t -> t.Runner.result)
-             (Runner.run_kernel_grid ~scale ~policy ?budget ?jobs ~telemetry grid)))
+             (Runner.run_kernel_grid ~scale ?budget ?jobs ~telemetry grid)))
   in
   (* Platform row [p]: that platform's result for every kernel, in kernel
      order — cell (kernel ki, platform p) landed at index ki*nplat + p. *)
@@ -213,142 +213,121 @@ let microbench_figure ?(policy = Sampling.Policy.Full) ?budget ?jobs
   in
   let note = "relative speedup = t_hw / t_sim; 1.0 = exact match" in
   let note =
-    match policy with
-    | Sampling.Policy.Full -> note
-    | p -> note ^ Printf.sprintf "; sampled (%s)" (Sampling.Policy.to_string p)
+    match budget with
+    | None -> note
+    | Some n -> note ^ Printf.sprintf "; first %d measured insns per kernel" n
   in
   { id; title; note; reference = Some 1.0; series }
 
-let fig1 ?(scale = 1.0) ?policy ?budget ?jobs ?telemetry () =
-  microbench_figure ?policy ?budget ?jobs ?telemetry ~id:"fig1"
+let fig1 ?(scale = 1.0) ?budget ?jobs ?telemetry () =
+  microbench_figure ?budget ?jobs ?telemetry ~id:"fig1"
     ~title:"MicroBench: Rocket models vs Banana Pi hardware" ~hw:Cat.banana_pi_hw
     ~sims:[ Cat.banana_pi_sim; Cat.fast_banana_pi_sim ]
     ~scale ()
 
-let fig2 ?(scale = 1.0) ?policy ?budget ?jobs ?telemetry () =
-  microbench_figure ?policy ?budget ?jobs ?telemetry ~id:"fig2"
+let fig2 ?(scale = 1.0) ?budget ?jobs ?telemetry () =
+  microbench_figure ?budget ?jobs ?telemetry ~id:"fig2"
     ~title:"MicroBench: BOOM models vs MILK-V hardware" ~hw:Cat.milkv_hw
     ~sims:[ Cat.boom_small; Cat.boom_medium; Cat.boom_large; Cat.milkv_sim ]
     ~scale ()
 
-(* ------------------------------------------------- sampled-vs-full eval *)
+(* ------------------------------------------------ budgeted-vs-full eval *)
 
-type sampling_row = {
-  sr_series : string;
-  sr_kernel : string;
-  sr_full : float;  (** full-run relative speedup *)
-  sr_sampled : float;  (** sampled (budget-limited) relative speedup *)
-  sr_rel_err : float;  (** |sampled - full| / full *)
+let default_budget = 160_000
+
+type budget_row = {
+  br_series : string;
+  br_kernel : string;
+  br_full : float;
+  br_budget : float;
+  br_rel_err : float;
 }
 
-type sampling_eval = {
-  se_id : string;
-  se_policy : Sampling.Policy.t;
-  se_budget : int;
-  se_rows : sampling_row list;
-  se_wall_full_s : float;
-  se_wall_sampled_s : float;
-  se_max_rel_err : float;
-  se_speedup : float;  (** wall-clock: full / sampled *)
+type budget_eval = {
+  be_id : string;
+  be_budget : int;
+  be_rows : budget_row list;
+  be_wall_full_s : float;
+  be_wall_budget_s : float;
+  be_max_rel_err : float;
+  be_speedup : float;
 }
 
-(* The sampled-vs-full evaluation runs at a larger default scale than the
-   headline figures: sampling's wall-clock win is a long-stream property
-   (the detailed+warming work is capped by the budget while a full run
-   grows with the stream), and at scale 8 the speedup crosses the bench's
-   5x bar with every relative speedup still within 5% of the full run.
-
-   Unlike the figures, this harness stays sequential on purpose: it
-   *measures* per-cell host wall-clock (the full-vs-sampled speedup it
-   gates on), and concurrent cells sharing host cores would inflate both
-   sides unevenly and make the gate flaky. *)
-let sampling_eval ?(scale = 8.0) ?(policy = Sampling.Policy.default_sampled)
-    ?(budget = Sampling.Policy.default_budget) ~id ~hw ~sims () =
-  let kernels = Mb.evaluated in
-  let wall_full = ref 0.0 and wall_sampled = ref 0.0 in
-  let run ~full cfg k =
-    let t =
-      if full then Runner.run_kernel_timed ~scale cfg k
-      else Runner.run_kernel_timed ~scale ~policy ~budget cfg k
-    in
-    let acc = if full then wall_full else wall_sampled in
-    acc := !acc +. t.Runner.setup_wall_s +. t.Runner.measure_wall_s;
-    t.Runner.result
+(* Each side regenerates the figure from a cleared trace cache, so it
+   pays for its own compiles: without the clear, whichever side ran
+   second would replay traces the first one compiled.  A full major
+   collection before each side's clock starts keeps one side from paying
+   to collect the other's garbage (the full side drops hundreds of MB of
+   traces).  Both sides run sequentially ([jobs = 1]) on purpose: the
+   speedup is a wall-clock ratio, and concurrent cells sharing host
+   cores would inflate both sides unevenly. *)
+let budget_eval ?(budget = default_budget) ~id run =
+  let side budget =
+    Runner.trace_cache_clear ();
+    Gc.full_major ();
+    let t0 = Unix.gettimeofday () in
+    let f = run budget in
+    (f, Unix.gettimeofday () -. t0)
   in
-  let hw_full = List.map (fun (k : W.kernel) -> (k.name, run ~full:true hw k)) kernels in
-  let hw_sampled = List.map (fun (k : W.kernel) -> (k.name, run ~full:false hw k)) kernels in
+  let full, wall_full = side None in
+  let cut, wall_budget = side (Some budget) in
   let rows =
-    List.concat_map
-      (fun (sim : Platform.Config.t) ->
-        List.map
-          (fun (k : W.kernel) ->
-            let sf = run ~full:true sim k in
-            let ss = run ~full:false sim k in
-            let full_rel = Runner.relative_speedup ~sim:sf ~hw:(List.assoc k.name hw_full) in
-            let sampled_rel =
-              Runner.relative_speedup ~sim:ss ~hw:(List.assoc k.name hw_sampled)
-            in
-            {
-              sr_series = sim.Platform.Config.name;
-              sr_kernel = k.name;
-              sr_full = full_rel;
-              sr_sampled = sampled_rel;
-              sr_rel_err = Float.abs (sampled_rel -. full_rel) /. full_rel;
-            })
-          kernels)
-      sims
+    List.concat
+      (List.map2
+         (fun (sf : series) (sb : series) ->
+           List.map2
+             (fun (kernel, f) (_, b) ->
+               {
+                 br_series = sf.label;
+                 br_kernel = kernel;
+                 br_full = f;
+                 br_budget = b;
+                 br_rel_err = Float.abs (b -. f) /. f;
+               })
+             sf.points sb.points)
+         full.series cut.series)
   in
   {
-    se_id = id;
-    se_policy = policy;
-    se_budget = budget;
-    se_rows = rows;
-    se_wall_full_s = !wall_full;
-    se_wall_sampled_s = !wall_sampled;
-    se_max_rel_err = List.fold_left (fun a r -> Float.max a r.sr_rel_err) 0.0 rows;
-    se_speedup = (if !wall_sampled > 0.0 then !wall_full /. !wall_sampled else 0.0);
+    be_id = id;
+    be_budget = budget;
+    be_rows = rows;
+    be_wall_full_s = wall_full;
+    be_wall_budget_s = wall_budget;
+    be_max_rel_err = List.fold_left (fun a r -> Float.max a r.br_rel_err) 0.0 rows;
+    be_speedup = (if wall_budget > 0.0 then wall_full /. wall_budget else 0.0);
   }
 
-let sampling_eval_fig1 ?scale ?policy ?budget () =
-  sampling_eval ?scale ?policy ?budget ~id:"fig1" ~hw:Cat.banana_pi_hw
-    ~sims:[ Cat.banana_pi_sim; Cat.fast_banana_pi_sim ]
-    ()
+let budget_eval_fig1 ?(scale = 8.0) ?budget () =
+  budget_eval ?budget ~id:"fig1" (fun budget -> fig1 ~scale ?budget ~jobs:1 ())
 
-let sampling_eval_fig2 ?scale ?policy ?budget () =
-  sampling_eval ?scale ?policy ?budget ~id:"fig2" ~hw:Cat.milkv_hw
-    ~sims:[ Cat.boom_small; Cat.boom_medium; Cat.boom_large; Cat.milkv_sim ]
-    ()
+let budget_eval_fig2 ?(scale = 8.0) ?budget () =
+  budget_eval ?budget ~id:"fig2" (fun budget -> fig2 ~scale ?budget ~jobs:1 ())
 
-let render_sampling_eval e =
+let render_budget_eval e =
   let t =
-    Report.Table.create
-      ~headers:[ "Series"; "Kernel"; "Full rel"; "Sampled rel"; "Rel err %" ]
+    Report.Table.create ~headers:[ "Series"; "Kernel"; "Full rel"; "Budget rel"; "Rel err %" ]
   in
   List.iter
     (fun r ->
       Report.Table.add_row t
         [
-          r.sr_series;
-          r.sr_kernel;
-          Report.Table.cell_f r.sr_full;
-          Report.Table.cell_f r.sr_sampled;
-          Printf.sprintf "%.2f" (100.0 *. r.sr_rel_err);
+          r.br_series;
+          r.br_kernel;
+          Report.Table.cell_f r.br_full;
+          Report.Table.cell_f r.br_budget;
+          Printf.sprintf "%.2f" (100.0 *. r.br_rel_err);
         ])
-    e.se_rows;
+    e.be_rows;
   Printf.sprintf
-    "%s sampled (%s, budget %d insns) vs full: max rel err %.2f%%, wall %.2fs -> %.2fs (%.1fx)\n"
-    e.se_id
-    (Sampling.Policy.to_string e.se_policy)
-    e.se_budget
-    (100.0 *. e.se_max_rel_err)
-    e.se_wall_full_s e.se_wall_sampled_s e.se_speedup
+    "%s budget %d insns vs full: max rel err %.2f%%, wall %.2fs -> %.2fs (%.1fx)\n" e.be_id
+    e.be_budget (100.0 *. e.be_max_rel_err) e.be_wall_full_s e.be_wall_budget_s e.be_speedup
   ^ Report.Table.render t
 
-let sampling_report ?scale () =
+let budget_report ?scale () =
   String.concat "\n"
     [
-      render_sampling_eval (sampling_eval_fig1 ?scale ());
-      render_sampling_eval (sampling_eval_fig2 ?scale ());
+      render_budget_eval (budget_eval_fig1 ?scale ());
+      render_budget_eval (budget_eval_fig2 ?scale ());
     ]
 
 let npb_figure ?jobs ?(telemetry = Telemetry.Registry.disabled) ~id ~title ~hw ~sims ~ranks
@@ -752,7 +731,8 @@ let all =
     ("table5", "hardware vs simulation-model specs", fun _ -> table5 ());
     ("fig1", "MicroBench: Rocket vs Banana Pi", fun reg -> render_figure (fig1 ~telemetry:reg ()));
     ("fig2", "MicroBench: BOOM vs MILK-V", fun reg -> render_figure (fig2 ~telemetry:reg ()));
-    ("sampling", "sampled-simulation accuracy vs full (fig1/fig2)", fun _ -> sampling_report ());
+    ("budget", "budgeted prefix runs vs full: accuracy and speed (fig1/fig2)", fun _ ->
+      budget_report ());
     ( "fig3",
       "NPB on Rocket configs (1 and 4 cores)",
       fun reg -> render_figures (fig3 ~telemetry:reg ()) );

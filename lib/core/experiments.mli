@@ -43,19 +43,17 @@ val table5 : unit -> string
 
 val fig1 :
   ?scale:float ->
-  ?policy:Sampling.Policy.t ->
   ?budget:int ->
   ?jobs:int ->
   ?telemetry:Telemetry.Registry.t ->
   unit ->
   figure
 (** MicroBench on Banana Pi Sim Model and Fast model vs Banana Pi HW.
-    [policy] (default [Full]) and [budget] select the sampled fast path
-    (see {!Runner.run_kernel_timed}). *)
+    [budget] replays only each kernel's first [budget] measured
+    instructions (see {!Runner.run_kernel_timed}). *)
 
 val fig2 :
   ?scale:float ->
-  ?policy:Sampling.Policy.t ->
   ?budget:int ->
   ?jobs:int ->
   ?telemetry:Telemetry.Registry.t ->
@@ -64,46 +62,46 @@ val fig2 :
 (** MicroBench on Small/Medium/Large BOOM and MILK-V Sim Model vs MILK-V
     HW. *)
 
-(** {2 Sampled-vs-full evaluation}
+(** {2 Budgeted-vs-full evaluation}
 
-    Runs a microbench figure twice — full detail and sampled under a
-    traversal budget — and compares every kernel's relative speedup plus
-    the total host wall-clock.  This is the acceptance harness for the
-    sampling engine (bench target [sampling], CI smoke).
+    Regenerates a microbench figure twice — in full and with every
+    kernel cut to its first [budget] measured instructions — each side
+    from a cleared trace cache, and compares every relative speedup plus
+    the two sides' host wall-clock.  This is the fast mode's acceptance
+    harness ([bench/main.exe budget]).
 
-    The default scale is 8 (not the headline figures' 1): sampling's
-    wall-clock win is a long-stream property — the sampled side's work is
-    capped by the budget while the full run grows with the stream. *)
+    The default scale is 8 (not the headline figures' 1): a budget's
+    wall-clock win is a long-stream property — the budgeted side's work
+    is capped while a full run grows with the stream. *)
 
-type sampling_row = {
-  sr_series : string;  (** simulation-model platform name *)
-  sr_kernel : string;
-  sr_full : float;  (** full-run relative speedup *)
-  sr_sampled : float;  (** sampled (budget-limited) relative speedup *)
-  sr_rel_err : float;  (** |sampled - full| / full *)
+val default_budget : int
+(** 160 000 instructions: the smallest round budget at which every fig1
+    and fig2 cell at scale 8 stays within 5% of the full run. *)
+
+type budget_row = {
+  br_series : string;  (** simulation-model platform name *)
+  br_kernel : string;
+  br_full : float;  (** full-run relative speedup *)
+  br_budget : float;  (** budgeted relative speedup *)
+  br_rel_err : float;  (** |budget - full| / full *)
 }
 
-type sampling_eval = {
-  se_id : string;
-  se_policy : Sampling.Policy.t;
-  se_budget : int;
-  se_rows : sampling_row list;
-  se_wall_full_s : float;
-  se_wall_sampled_s : float;
-  se_max_rel_err : float;
-  se_speedup : float;  (** host wall-clock ratio: full / sampled *)
+type budget_eval = {
+  be_id : string;
+  be_budget : int;
+  be_rows : budget_row list;
+  be_wall_full_s : float;
+  be_wall_budget_s : float;
+  be_max_rel_err : float;
+  be_speedup : float;  (** host wall-clock ratio: full / budgeted *)
 }
 
-val sampling_eval_fig1 :
-  ?scale:float -> ?policy:Sampling.Policy.t -> ?budget:int -> unit -> sampling_eval
+val budget_eval_fig1 : ?scale:float -> ?budget:int -> unit -> budget_eval
+val budget_eval_fig2 : ?scale:float -> ?budget:int -> unit -> budget_eval
+val render_budget_eval : budget_eval -> string
 
-val sampling_eval_fig2 :
-  ?scale:float -> ?policy:Sampling.Policy.t -> ?budget:int -> unit -> sampling_eval
-
-val render_sampling_eval : sampling_eval -> string
-
-val sampling_report : ?scale:float -> unit -> string
-(** The [sampling] registry entry: both evaluations rendered. *)
+val budget_report : ?scale:float -> unit -> string
+(** The [budget] registry entry: both evaluations rendered. *)
 
 val fig3 : ?scale:float -> ?jobs:int -> ?telemetry:Telemetry.Registry.t -> unit -> figure list
 (** NPB on the Rocket-family configs vs Banana Pi HW; [single; four]. *)

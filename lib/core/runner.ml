@@ -22,7 +22,7 @@ let phase_args (r : Platform.Soc.result) =
 
 type timed = {
   result : Platform.Soc.result;
-  estimate : Sampling.Estimate.t;
+  complete : bool;
   setup_wall_s : float;
   measure_wall_s : float;
 }
@@ -36,15 +36,16 @@ type trace_cache_stats = { tc_hits : int; tc_misses : int; tc_evictions : int }
 (* Compiled traces shared across grid cells: fig1–fig7 run every kernel
    on several platform columns, and kernels are platform-independent, so
    one compilation serves the whole column set.  Keyed by (kernel, scale,
-   setup-vs-measured-stream); bounded both by entry count and by total
+   setup-vs-measured-stream, budget); bounded both by entry count and by total
    resident words, LRU-evicted; a global mutex guards the table (traces
    themselves are immutable after compile, so sharing them across worker
    domains is safe). *)
 module Trace_cache = struct
   (* Streams may draw from the salted global RNG (e.g. CCh's branch
      outcomes), so a cached trace is only valid for the seed it was
-     compiled under. *)
-  type key = { kernel : string; scale : float; setup : bool; seed : int }
+     compiled under.  A budgeted trace holds only the stream's first
+     [budget] instructions, so the budget is part of the key too. *)
+  type key = { kernel : string; scale : float; setup : bool; budget : int option; seed : int }
 
   let mutex = Mutex.create ()
   let table : (key, Trace.t * int ref) Hashtbl.t = Hashtbl.create 64
@@ -83,8 +84,8 @@ module Trace_cache = struct
 
   (* Returns the trace and whether it came from the cache, so callers
      can annotate their telemetry spans with hit/miss. *)
-  let find_or_compile ~kernel ~scale ~setup f =
-    let key = { kernel; scale; setup; seed = Util.Rng.get_global_seed () } in
+  let find_or_compile ~kernel ~scale ~setup ~budget f =
+    let key = { kernel; scale; setup; budget; seed = Util.Rng.get_global_seed () } in
     let cached =
       Mutex.protect mutex (fun () ->
           incr tick;
@@ -160,27 +161,27 @@ let publish_trace_cache_stats reg =
 
 let cache_attr hit = ("trace_cache", Telemetry.Trace.Str (if hit then "hit" else "miss"))
 
-let run_kernel_timed ?(scale = 1.0) ?(telemetry = Registry.disabled)
-    ?(policy = Sampling.Policy.Full) ?budget ?engine:(_ : engine = `Trace) config
-    (kernel : Workloads.Workload.kernel) =
+let run_kernel_timed ?(scale = 1.0) ?(telemetry = Registry.disabled) ?budget
+    ?engine:(_ : engine = `Trace) config (kernel : Workloads.Workload.kernel) =
+  (match budget with
+  | Some b when b <= 0 -> invalid_arg "Runner.run_kernel_timed: budget must be positive"
+  | _ -> ());
   Log.info (fun m ->
-      m "kernel %s on %s (scale %.2f, %s)" kernel.Workloads.Workload.name
-        config.Platform.Config.name scale (Sampling.Policy.to_string policy));
+      m "kernel %s on %s (scale %.2f%s)" kernel.Workloads.Workload.name
+        config.Platform.Config.name scale
+        (match budget with None -> "" | Some b -> Printf.sprintf ", budget %d" b));
   (* A kernel runs on core 0.  The other cores would sit idle, touching
      no shared cache, bus or DRAM state, so a one-core SoC simulates the
      same machine, without building three more cores' TLBs, predictors
      and L1s for every cell (garbage the major GC must then sweep). *)
   let soc = Platform.Soc.create (Platform.Config.with_cores config 1) in
-  let trace ~setup stream =
-    Trace_cache.find_or_compile ~kernel:kernel.Workloads.Workload.name ~scale ~setup (fun () ->
-        Trace.compile (stream ~scale))
+  let trace ~setup ~budget stream =
+    Trace_cache.find_or_compile ~kernel:kernel.Workloads.Workload.name ~scale ~setup ~budget
+      (fun () -> Trace.compile ?limit:budget (stream ~scale))
   in
   (* Setup (working-set initialization) runs on the same SoC but is not
-     timed.  A [Full] run drives it through the detailed model; a sampled
-     run warms it functionally — setup exists to install memory contents,
-     which the content-only warm path reproduces exactly at a fraction of
-     the cost, and pipeline-visible differences are re-primed by the
-     measured stream's interval-0 warmup window. *)
+     timed.  It always runs in full: a budget bounds the measured stream
+     only. *)
   let t0 = Unix.gettimeofday () in
   (* The setup span covers exactly the [setup_wall_s] region: the setup
      stream plus acquiring the measured stream's trace below. *)
@@ -191,23 +192,19 @@ let run_kernel_timed ?(scale = 1.0) ?(telemetry = Registry.disabled)
     | None -> None
     | Some setup ->
       let ph = Registry.phase_start telemetry ~ts:0 "setup" in
-      let tr, hit = trace ~setup:true setup in
+      let tr, hit = trace ~setup:true ~budget:None setup in
       setup_cache := cache_attr hit;
-      let b =
-        match policy with
-        | Sampling.Policy.Full -> Platform.Soc.run_trace soc tr
-        | Sampling.Policy.Sampled _ ->
-          Platform.Soc.warm_trace soc tr ~lo:0 ~hi:(Trace.length tr);
-          Platform.Soc.collect_result soc ~ranks:1 ~comm:None
-      in
+      let b = Platform.Soc.run_trace soc tr in
       Registry.phase_end telemetry ph ~ts:b.Platform.Soc.cycles ~args:(phase_args b) ();
       Some b
   in
   (* Acquiring the measured stream's trace (cache fetch or compile)
      counts as setup, not as measured time: it happens once per (kernel,
-     scale) and is shared by every grid cell replaying that stream, so it
-     belongs with working-set preparation rather than simulation speed. *)
-  let tr, measure_hit = trace ~setup:false kernel.Workloads.Workload.stream in
+     scale, budget) and is shared by every grid cell replaying that
+     stream, so it belongs with working-set preparation rather than
+     simulation speed.  Under a budget only the stream's first [budget]
+     instructions are ever forced or compiled. *)
+  let tr, measure_hit = trace ~setup:false ~budget kernel.Workloads.Workload.stream in
   let setup_wall_s = Unix.gettimeofday () -. t0 in
   Registry.span_end telemetry sp_setup
     ~args:
@@ -222,24 +219,22 @@ let run_kernel_timed ?(scale = 1.0) ?(telemetry = Registry.disabled)
   let ph = Registry.phase_start telemetry ~ts:ts0 "measure" in
   let sp_measure = Registry.span_start telemetry "measure" in
   let t1 = Unix.gettimeofday () in
-  (* The same trace is replayed for warming and detailed intervals. *)
-  let estimate =
-    Sampling.Engine.run ~telemetry ?budget ~policy
-      {
-        Sampling.Engine.feed_range = (fun ~lo ~hi -> Platform.Soc.feed_trace soc tr ~lo ~hi);
-        warm_range = (fun ~lo ~hi -> Platform.Soc.warm_trace soc tr ~lo ~hi);
-        now = (Platform.Soc.core_iface soc 0).Smpi.now;
-      }
-      ~len:(Trace.length tr)
-  in
+  let now = (Platform.Soc.core_iface soc 0).Smpi.now in
+  let c0 = now () in
+  Platform.Soc.feed_trace soc tr ~lo:0 ~hi:(Trace.length tr);
+  (* The measured region's cycles are its completion-frontier delta. *)
+  let cycles = now () - c0 in
   let measure_wall_s = Unix.gettimeofday () -. t1 in
+  (* A prefix that reached the budget may have cut the stream short,
+     even when it ends exactly on the stream's last instruction. *)
+  let complete = match budget with None -> true | Some n -> Trace.length tr < n in
   let r = Platform.Soc.collect_result soc ~ranks:1 ~comm:None in
   Registry.phase_end telemetry ph ~ts:r.Platform.Soc.cycles ~args:(phase_args r) ();
   Registry.span_end telemetry sp_measure
     ~args:
       [
         cache_attr measure_hit;
-        ("cycles", Telemetry.Trace.Int estimate.Sampling.Estimate.est_cycles);
+        ("cycles", Telemetry.Trace.Int cycles);
         ("instructions", Telemetry.Trace.Int r.Platform.Soc.instructions);
       ]
     ();
@@ -261,25 +256,20 @@ let run_kernel_timed ?(scale = 1.0) ?(telemetry = Registry.disabled)
         tlb_walks = r.Platform.Soc.tlb_walks - b.Platform.Soc.tlb_walks;
       }
   in
-  (* Cycles always come from the engine's estimate: for a [Full] policy
-     that is exactly the measured region's frontier delta; for a sampled
-     one it is the extrapolated count (the raw frontier also moves during
-     functional warming, so its delta would not be meaningful). *)
   let result =
     {
       diffed with
-      Platform.Soc.cycles = estimate.Sampling.Estimate.est_cycles;
-      seconds =
-        Util.Units.cycles_to_seconds ~freq_hz:freq estimate.Sampling.Estimate.est_cycles;
+      Platform.Soc.cycles;
+      seconds = Util.Units.cycles_to_seconds ~freq_hz:freq cycles;
     }
   in
   publish_counters telemetry ~before:snapshot
     ~after:(if Registry.enabled telemetry then Platform.Soc.counters soc else []);
   Platform.Soc.release soc;
-  { result; estimate; setup_wall_s; measure_wall_s }
+  { result; complete; setup_wall_s; measure_wall_s }
 
 let run_kernel ?scale ?telemetry config kernel =
-  (run_kernel_timed ?scale ?telemetry ~policy:Sampling.Policy.Full config kernel).result
+  (run_kernel_timed ?scale ?telemetry config kernel).result
 
 let run_app ?(scale = 1.0) ?(codegen = Workloads.Codegen.default) ?(telemetry = Registry.disabled)
     ~ranks config (app : Workloads.Workload.app) =
@@ -307,13 +297,12 @@ let run_app ?(scale = 1.0) ?(codegen = Workloads.Codegen.default) ?(telemetry = 
 let kernel_cell_label (config : Platform.Config.t) (kernel : Workloads.Workload.kernel) =
   config.Platform.Config.name ^ "/" ^ kernel.Workloads.Workload.name
 
-let run_kernel_grid ?scale ?policy ?budget ?jobs ?telemetry grid =
+let run_kernel_grid ?scale ?budget ?jobs ?telemetry grid =
   Parallel.Pool.run ?jobs ?telemetry
     (List.map
        (fun (config, kernel) ->
          Parallel.Pool.cell ~label:(kernel_cell_label config kernel) (fun (ctx : Parallel.Pool.ctx) ->
-             run_kernel_timed ?scale ~telemetry:ctx.Parallel.Pool.telemetry ?policy ?budget config
-               kernel))
+             run_kernel_timed ?scale ~telemetry:ctx.Parallel.Pool.telemetry ?budget config kernel))
        grid)
 
 let run_app_grid ?scale ?jobs ?telemetry grid =
@@ -332,14 +321,9 @@ let relative_speedup ~(sim : Platform.Soc.result) ~(hw : Platform.Soc.result) =
   if sim.Platform.Soc.seconds <= 0.0 then invalid_arg "relative_speedup: empty simulation run";
   hw.Platform.Soc.seconds /. sim.Platform.Soc.seconds
 
-let kernel_relative ?scale ?policy ?budget ~sim ~hw kernel =
-  (* Under a traversal budget both runs stop at the same instruction
-     position (the cutoff is position-based, not timing-based), so the
-     estimated-seconds ratio is a pure CPI-per-Hz ratio over an identical
-     stream prefix — comparable to the full-run relative speedup whenever
-     the kernel is steady-state. *)
-  let s = (run_kernel_timed ?scale ?policy ?budget sim kernel).result in
-  let h = (run_kernel_timed ?scale ?policy ?budget hw kernel).result in
+let kernel_relative ?scale ~sim ~hw kernel =
+  let s = run_kernel ?scale sim kernel in
+  let h = run_kernel ?scale hw kernel in
   relative_speedup ~sim:s ~hw:h
 
 let app_relative ?scale ?(mismatched_codegen = true) ~ranks ~sim ~hw app =

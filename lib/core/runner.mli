@@ -10,8 +10,8 @@
     faster than the hardware (the paper's convention, §5). *)
 
 type timed = {
-  result : Platform.Soc.result;  (** measured region; [cycles] from the estimate *)
-  estimate : Sampling.Estimate.t;  (** exact for [Full], error-bounded otherwise *)
+  result : Platform.Soc.result;  (** measured region (the budgeted prefix, under a budget) *)
+  complete : bool;  (** false when a budget may have cut the measured stream short *)
   setup_wall_s : float;  (** host wall-clock spent in the setup phase *)
   measure_wall_s : float;  (** host wall-clock spent in the measured phase *)
 }
@@ -53,20 +53,19 @@ val publish_trace_cache_stats : Telemetry.Registry.t -> unit
 val run_kernel_timed :
   ?scale:float ->
   ?telemetry:Telemetry.Registry.t ->
-  ?policy:Sampling.Policy.t ->
   ?budget:int ->
   ?engine:engine ->
   Platform.Config.t ->
   Workloads.Workload.kernel ->
   timed
-(** {!run_kernel} generalized with a sampling policy (default [Full]) and
-    an optional traversal budget (see {!Sampling.Engine.run}), reporting
-    per-phase host wall-clock time alongside the result.  The kernel's
-    setup stream always runs in full detail; only the measured stream is
-    sampled.  With a sampled policy the result's [cycles]/[seconds] are
-    the extrapolated estimate and memory-hierarchy counters still cover
-    the whole stream (functional warming touches caches and TLBs), but
-    core-retire counters cover only the detailed intervals. *)
+(** {!run_kernel} with per-phase host wall-clock time alongside the
+    result.  With [budget] = N only the measured stream's first N
+    instructions are compiled (under a trace-cache key that includes N)
+    and replayed exactly; the setup stream always runs in full.
+    [complete] is [Trace.length < N]: a prefix that reached N may have cut
+    the stream, even when N equals its length.  Without a budget the run
+    is the whole stream and [complete] is true.  Raises
+    [Invalid_argument] on a non-positive budget. *)
 
 val run_kernel :
   ?scale:float ->
@@ -108,7 +107,6 @@ val run_app :
 
 val run_kernel_grid :
   ?scale:float ->
-  ?policy:Sampling.Policy.t ->
   ?budget:int ->
   ?jobs:int ->
   ?telemetry:Telemetry.Registry.t ->
@@ -129,16 +127,10 @@ val relative_speedup : sim:Platform.Soc.result -> hw:Platform.Soc.result -> floa
 
 val kernel_relative :
   ?scale:float ->
-  ?policy:Sampling.Policy.t ->
-  ?budget:int ->
   sim:Platform.Config.t ->
   hw:Platform.Config.t ->
   Workloads.Workload.kernel ->
   float
-(** With a sampled [policy] (and/or [budget]) both sides run under the
-    identical schedule and stop at the identical stream position, so the
-    ratio of estimated times is directly comparable to the full-run
-    relative speedup. *)
 
 val app_relative :
   ?scale:float ->

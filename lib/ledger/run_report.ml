@@ -107,21 +107,6 @@ let aggregate_mips reg =
 
 let num_i n = J.Num (float_of_int n)
 
-let sampling_json (e : Sampling.Estimate.t) =
-  J.Obj
-    [
-      ("policy", J.Str (Sampling.Policy.to_string e.Sampling.Estimate.policy));
-      ("est_cycles", num_i e.Sampling.Estimate.est_cycles);
-      ("ci95_cycles", J.Num e.Sampling.Estimate.ci95_cycles);
-      ( "rel_err_95",
-        J.Num
-          (if e.Sampling.Estimate.est_cycles > 0 then
-             e.Sampling.Estimate.ci95_cycles /. float_of_int e.Sampling.Estimate.est_cycles
-           else 0.0) );
-      ("total_insns", num_i e.Sampling.Estimate.total_insns);
-      ("complete", J.Bool e.Sampling.Estimate.complete);
-    ]
-
 let fidelity_json ~strict (r : Validate.Fidelity.report) =
   let t = r.Validate.Fidelity.r_totals in
   J.Obj
@@ -137,7 +122,7 @@ let fidelity_json ~strict (r : Validate.Fidelity.report) =
       ("structural", num_i t.Validate.Fidelity.t_structural);
     ]
 
-let build ?run_id:(id = run_id ()) ?(wall_s = 0.0) ?estimate ?fidelity ?(exit_status = 0)
+let build ?run_id:(id = run_id ()) ?(wall_s = 0.0) ?fidelity ?(exit_status = 0)
     ?(extra = []) ?(metrics = []) ~command ~config ~telemetry () =
   (* Make the process-wide trace-cache counters part of the snapshot
      before reading it (satellite: trace.cache.* as real counters). *)
@@ -212,9 +197,6 @@ let build ?run_id:(id = run_id ()) ?(wall_s = 0.0) ?estimate ?fidelity ?(exit_st
             ("spans", num_i span_events);
           ] );
     ]
-  in
-  let base =
-    match estimate with None -> base | Some e -> base @ [ ("sampling", sampling_json e) ]
   in
   let base =
     match fidelity with

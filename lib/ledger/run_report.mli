@@ -4,8 +4,8 @@
     registry into one JSON document: run identity (id, time, git rev,
     host fingerprint), the echoed config, a per-phase wall/target-cycle
     breakdown, the counter snapshot (including the [trace.cache.*]
-    counters, published here), cache hit rates, optional sampling error
-    bounds and fidelity totals, and the exit status.  Reports are what
+    counters, published here), cache hit rates, optional fidelity
+    totals, and the exit status.  Reports are what
     {!History} appends to [results/history.jsonl] and what CI uploads
     as an artifact. *)
 
@@ -26,7 +26,6 @@ val iso8601 : float -> string
 val build :
   ?run_id:string ->
   ?wall_s:float ->
-  ?estimate:Sampling.Estimate.t ->
   ?fidelity:Validate.Fidelity.report * bool ->
   ?exit_status:int ->
   ?extra:(string * Validate.Jsonx.t) list ->

@@ -63,25 +63,9 @@ let l2_path soc ~prefetchable =
     let c = Interconnect.Bus.transfer soc.bus ~cycle ~bytes:line in
     Cache.access ?prefetchable soc.l2 ~next ~cycle:c ~addr ~write
 
-(* Content-only (functional-warming) twin of the downstream path: same
-   cache-content transitions, no bus/DRAM timing.  DRAM carries no content
-   state, so the chain bottoms out in a no-op. *)
-let warm_downstream soc : Cache.warm_next =
-  match soc.llc with
-  | None -> fun ~addr:_ ~write:_ -> ()
-  | Some llc ->
-    fun ~addr ~write -> Cache.warm_access llc ~next:(fun ~addr:_ ~write:_ -> ()) ~addr ~write
-
-let warm_l2_path soc ~prefetchable : Cache.warm_next =
-  let next = warm_downstream soc in
-  let prefetchable = Some prefetchable in
-  fun ~addr ~write -> Cache.warm_access ?prefetchable soc.l2 ~next ~addr ~write
-
 let memsys_for soc i =
   let l2d = l2_path soc ~prefetchable:true in
   let l2i = l2_path soc ~prefetchable:false in
-  let wl2d = warm_l2_path soc ~prefetchable:true in
-  let wl2i = warm_l2_path soc ~prefetchable:false in
   let l1d = soc.l1d.(i) in
   let l1i = soc.l1i.(i) in
   let dtlb = soc.dtlb.(i) in
@@ -99,18 +83,6 @@ let memsys_for soc i =
       (fun ~cycle ~pc ->
         let cycle = cycle + Tlb.translate itlb ~addr:pc in
         Cache.access l1i ~next:l2i ~cycle ~addr:pc ~write:false);
-    warm_load =
-      (fun ~addr ->
-        ignore (Tlb.translate dtlb ~addr);
-        Cache.warm_access l1d ~next:wl2d ~addr ~write:false);
-    warm_store =
-      (fun ~addr ->
-        ignore (Tlb.translate dtlb ~addr);
-        Cache.warm_access l1d ~next:wl2d ~addr ~write:true);
-    warm_ifetch =
-      (fun ~pc ->
-        ignore (Tlb.translate itlb ~addr:pc);
-        Cache.warm_access l1i ~next:wl2i ~addr:pc ~write:false);
   }
 
 let release t =
@@ -349,11 +321,6 @@ let feed_trace soc tr ~lo ~hi =
   match soc.cores.(0) with
   | In c -> Uarch.Inorder.feed_trace c tr ~lo ~hi
   | Oo c -> Uarch.Ooo.feed_trace c tr ~lo ~hi
-
-let warm_trace soc tr ~lo ~hi =
-  match soc.cores.(0) with
-  | In c -> Uarch.Inorder.warm_trace c tr ~lo ~hi
-  | Oo c -> Uarch.Ooo.warm_trace c tr ~lo ~hi
 
 let run_trace soc tr =
   feed_trace soc tr ~lo:0 ~hi:(Trace.length tr);

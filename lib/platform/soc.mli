@@ -63,12 +63,6 @@ val run_trace : t -> Trace.t -> result
 val feed_trace : t -> Trace.t -> lo:int -> hi:int -> unit
 (** Detailed-feed trace indices [lo, hi) to core 0. *)
 
-val warm_trace : t -> Trace.t -> lo:int -> hi:int -> unit
-(** Functionally warm core 0 with trace indices [lo, hi): caches, TLBs,
-    and branch predictor state advance, pipeline timing and retired
-    counts do not (see {!Uarch.Inorder.warm_trace}).  The sampled-simulation
-    engine uses this between detailed intervals. *)
-
 val memsys_of_core : t -> int -> Uarch.Memsys.t
 (** Expose a core's memory-system interface (for tests and calibration). *)
 

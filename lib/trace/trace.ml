@@ -107,15 +107,25 @@ let encode (i : Isa.Insn.t) =
   in
   (pack ~kind:i.kind ~dst:i.dst ~src1:i.src1 ~src2:i.src2 ~taken ~size, aux)
 
-let compile (stream : Isa.Insn.t Seq.t) =
-  let cap = ref 4096 in
+(* Under a limit the arrays start at the limit (up to a cap, so a huge
+   limit on a short stream does not reserve memory it never uses) and
+   never grow past it: a prefix compile allocates its arrays once instead
+   of doubling its way up, and leaves the major GC that much less to do. *)
+let compile ?limit (stream : Isa.Insn.t Seq.t) =
+  let stream, cap, max_cap =
+    match limit with
+    | None -> (stream, 4096, max_int)
+    | Some n when n < 1 -> invalid_arg "Trace.compile: limit must be positive"
+    | Some n -> (Seq.take n stream, min n (1 lsl 20), n)
+  in
+  let cap = ref cap in
   let pcs = ref (Array.make !cap 0) in
   let metas = ref (Array.make !cap 0) in
   let auxs = ref (Array.make !cap 0) in
   let kind_counts = Array.make num_kinds 0 in
   let n = ref 0 in
   let grow () =
-    let cap' = !cap * 2 in
+    let cap' = min (!cap * 2) max_cap in
     let g a = let a' = Array.make cap' 0 in Array.blit !a 0 a' 0 !n; a := a' in
     g pcs; g metas; g auxs;
     cap := cap'

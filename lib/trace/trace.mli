@@ -24,8 +24,10 @@
 
 type t
 
-val compile : Isa.Insn.t Seq.t -> t
-(** One pass over the stream.  Raises [Invalid_argument] if an
+val compile : ?limit:int -> Isa.Insn.t Seq.t -> t
+(** One pass over the stream, or over its first [limit] instructions:
+    nothing past the limit is forced.  Raises [Invalid_argument] on a
+    non-positive [limit], or if an
     instruction cannot be represented losslessly: a memory access on a
     non-memory kind, a control outcome on a non-control kind, a missing
     access/outcome on a kind that requires one, or a memory access wider

@@ -220,46 +220,6 @@ let feed_trace t tr ~lo ~hi =
       ~target:(Array.unsafe_get auxs j)
   done
 
-(* Functional warming (sampled simulation's fast path): update the state
-   that persists across intervals — icache/dcache contents via the memory
-   system's content-only [warm_*] operations, TLBs (folded into those
-   closures), and the branch predictor — without any timing work.  The
-   frontier does not move: warmed fills carry no latency, and the warmup
-   window before the next detailed interval re-establishes pipeline
-   (queue/slot) pressure before measurement resumes. *)
-let warm_scalar t ~pc ~(kind : Isa.Insn.kind) ~addr ~taken ~target =
-  let line = pc lsr Util.Arch.cache_line_shift in
-  if line <> t.fetch_line then begin
-    t.fetch_line <- line;
-    t.mem.Memsys.warm_ifetch ~pc
-  end;
-  match kind with
-  | Load | Amo -> t.mem.Memsys.warm_load ~addr
-  | Store -> t.mem.Memsys.warm_store ~addr
-  | Branch | Jump | Call | Ret ->
-    ignore (Branch.Frontend.resolve_ctrl t.frontend ~kind ~pc ~taken ~target);
-    if taken then begin
-      let tline = target lsr Util.Arch.cache_line_shift in
-      if tline <> t.fetch_line then begin
-        t.fetch_line <- tline;
-        t.mem.Memsys.warm_ifetch ~pc:target
-      end
-    end
-  | _ -> ()
-
-let warm_trace t tr ~lo ~hi =
-  if lo < 0 || hi > Trace.length tr || lo > hi then invalid_arg "Inorder.warm_trace: bad range";
-  let pcs = Trace.pcs tr and metas = Trace.metas tr and auxs = Trace.auxs tr in
-  let kinds = Trace.kind_table in
-  for j = lo to hi - 1 do
-    let m = Array.unsafe_get metas j in
-    warm_scalar t ~pc:(Array.unsafe_get pcs j)
-      ~kind:(Array.unsafe_get kinds (m land Trace.kind_mask))
-      ~addr:(Array.unsafe_get auxs j)
-      ~taken:(m land Trace.taken_bit <> 0)
-      ~target:(Array.unsafe_get auxs j)
-  done
-
 let now t = t.frontier
 
 let advance_to t cycle =

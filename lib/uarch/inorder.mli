@@ -55,16 +55,6 @@ val feed_trace : t -> Trace.t -> lo:int -> hi:int -> unit
     instructions, but decoding packed trace fields directly — no
     [Insn.t] reconstruction, no allocation in the loop. *)
 
-val warm_trace : t -> Trace.t -> lo:int -> hi:int -> unit
-(** Functional warming for sampled simulation over trace indices
-    [lo, hi), allocation-free: update long-lived microarchitectural
-    state — caches and TLBs (through the memory system's content-only
-    [warm_*] operations) and the branch predictor — without modeling
-    pipeline timing and without counting the instructions in {!stats}.
-    The completion frontier does not move; the warmup window before the
-    next detailed interval re-establishes pipeline pressure.  Cache/TLB
-    statistics do include the warming traffic. *)
-
 val now : t -> int
 (** Current completion frontier in cycles: all work issued so far is done
     by this cycle. *)

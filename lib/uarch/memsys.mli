@@ -2,12 +2,7 @@
 
     The platform layer assembles the actual hierarchy (L1s, shared L2,
     system bus, optional LLC, DRAM) and hands the core this record of
-    timestamped operations.  All cycles are in the core's clock domain.
-
-    The [warm_*] operations are the functional-warming counterparts used
-    by sampled simulation: they perform the same cache/TLB content
-    transitions as their timed twins but skip all latency modeling and
-    return nothing (see {!Cache.warm_access}). *)
+    timestamped operations.  All cycles are in the core's clock domain. *)
 
 type t = {
   load : cycle:int -> addr:int -> int;
@@ -17,11 +12,8 @@ type t = {
   ifetch : cycle:int -> pc:int -> int;
       (** Fetch the instruction line containing [pc]; returns available
           cycle. *)
-  warm_load : addr:int -> unit;  (** content-only load *)
-  warm_store : addr:int -> unit;  (** content-only store *)
-  warm_ifetch : pc:int -> unit;  (** content-only instruction fetch *)
 }
 
 val ideal : latency:int -> t
 (** A memory system with a flat [latency] for every operation — for unit
-    tests and calibration baselines.  Its warm operations are no-ops. *)
+    tests and calibration baselines. *)

@@ -64,12 +64,6 @@ val feed_trace : t -> Trace.t -> lo:int -> hi:int -> unit
     instructions, but decoding packed trace fields directly — no
     [Insn.t] reconstruction, no allocation in the loop. *)
 
-val warm_trace : t -> Trace.t -> lo:int -> hi:int -> unit
-(** Functional warming for sampled simulation over trace indices
-    [lo, hi) — same contract as {!Inorder.warm_trace}: caches, TLBs, and
-    branch predictor state advance; pipeline timing and
-    retired-instruction statistics do not. *)
-
 val now : t -> int
 val advance_to : t -> int -> unit
 

@@ -75,20 +75,3 @@ let harmonic_mean xs =
       0.0 xs
   in
   float_of_int (Array.length xs) /. acc
-
-module Online = struct
-  type t = { mutable n : int; mutable mean : float; mutable m2 : float }
-
-  let create () = { n = 0; mean = 0.0; m2 = 0.0 }
-
-  let add t x =
-    t.n <- t.n + 1;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean))
-
-  let count t = t.n
-  let mean t = if t.n = 0 then invalid_arg "Stats.Online.mean: empty" else t.mean
-  let variance t = if t.n = 0 then invalid_arg "Stats.Online.variance: empty" else t.m2 /. float_of_int t.n
-  let stddev t = sqrt (variance t)
-end

@@ -27,15 +27,3 @@ val relative_error : expected:float -> actual:float -> float
 
 val harmonic_mean : float array -> float
 (** Harmonic mean; all samples must be nonzero. *)
-
-(** Online accumulator (Welford) for streaming mean/variance. *)
-module Online : sig
-  type t
-
-  val create : unit -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  val mean : t -> float
-  val variance : t -> float
-  val stddev : t -> float
-end

@@ -1,120 +1,5 @@
-(* Tests for the token-channel substrate: the FireSim correctness property
-   (target behaviour independent of host scheduling) and the host-rate
-   model. *)
-
-let test_channel_fifo () =
-  let c = Firesim.Channel.create ~capacity:4 in
-  Firesim.Channel.enqueue c 1;
-  Firesim.Channel.enqueue c 2;
-  Alcotest.(check int) "fifo order" 1 (Firesim.Channel.dequeue c);
-  Alcotest.(check int) "fifo order 2" 2 (Firesim.Channel.dequeue c)
-
-let test_channel_capacity () =
-  let c = Firesim.Channel.create ~capacity:2 in
-  Firesim.Channel.enqueue c 1;
-  Firesim.Channel.enqueue c 2;
-  Alcotest.(check bool) "full" false (Firesim.Channel.can_enqueue c);
-  Alcotest.check_raises "overflow" (Invalid_argument "Channel.enqueue: full") (fun () ->
-      Firesim.Channel.enqueue c 3);
-  ignore (Firesim.Channel.dequeue c);
-  Alcotest.(check bool) "room again" true (Firesim.Channel.can_enqueue c)
-
-let test_channel_empty_dequeue () =
-  let c = Firesim.Channel.create ~capacity:1 in
-  Alcotest.check_raises "empty" (Invalid_argument "Channel.dequeue: empty") (fun () ->
-      ignore (Firesim.Channel.dequeue c))
-
-(* A two-model pipeline: producer computes f(cycle); consumer accumulates.
-   Run under different host policies; the consumer's trace must be
-   identical. *)
-let pipeline_trace policy =
-  let ch = Firesim.Channel.create ~capacity:3 in
-  let sink = Firesim.Channel.create ~capacity:1024 in
-  let producer =
-    Firesim.Scheduler.model ~name:"producer" ~inputs:[] ~outputs:[ ch ]
-      ~step:(fun cycle _ -> [ (cycle * 7) land 0xFF ])
-  in
-  let consumer =
-    Firesim.Scheduler.model ~name:"consumer" ~inputs:[ ch ] ~outputs:[ sink ]
-      ~step:(fun cycle tokens -> [ (List.hd tokens + cycle) land 0xFFFF ])
-  in
-  let _ = Firesim.Scheduler.run ~policy ~models:[ producer; consumer ] ~target_cycles:200 () in
-  List.init (Firesim.Channel.occupancy sink) (fun _ -> Firesim.Channel.dequeue sink)
-
-let test_schedule_independence () =
-  let rr = pipeline_trace Firesim.Scheduler.Round_robin in
-  let rev = pipeline_trace Firesim.Scheduler.Reverse in
-  let rnd = pipeline_trace (Firesim.Scheduler.Random (Util.Rng.create 99)) in
-  Alcotest.(check (list int)) "reverse = round-robin" rr rev;
-  Alcotest.(check (list int)) "random = round-robin" rr rnd
-
-let test_scheduler_counts () =
-  let ch = Firesim.Channel.create ~capacity:1 in
-  let sink = Firesim.Channel.create ~capacity:1000 in
-  let a = Firesim.Scheduler.model ~name:"a" ~inputs:[] ~outputs:[ ch ] ~step:(fun c _ -> [ c ]) in
-  let b = Firesim.Scheduler.model ~name:"b" ~inputs:[ ch ] ~outputs:[ sink ] ~step:(fun _ t -> t) in
-  let o = Firesim.Scheduler.run ~models:[ a; b ] ~target_cycles:50 () in
-  Alcotest.(check int) "fired = 2 x 50" 100 o.Firesim.Scheduler.fired;
-  Alcotest.(check int) "a done" 50 (Firesim.Scheduler.cycles_done a);
-  Alcotest.(check int) "b done" 50 (Firesim.Scheduler.cycles_done b)
-
-(* Per-model outcome stats: regardless of host policy, every model must
-   advance exactly [target_cycles] target cycles, with stalls accounting
-   for starved polls. *)
-let per_model_under policy =
-  let ch = Firesim.Channel.create ~capacity:1 in
-  let sink = Firesim.Channel.create ~capacity:1000 in
-  let a = Firesim.Scheduler.model ~name:"prod" ~inputs:[] ~outputs:[ ch ] ~step:(fun c _ -> [ c ]) in
-  let b = Firesim.Scheduler.model ~name:"cons" ~inputs:[ ch ] ~outputs:[ sink ] ~step:(fun _ t -> t) in
-  Firesim.Scheduler.run ~policy ~models:[ a; b ] ~target_cycles:40 ()
-
-let check_per_model (o : Firesim.Scheduler.outcome) =
-  Alcotest.(check int) "two models reported" 2 (List.length o.Firesim.Scheduler.per_model);
-  Alcotest.(check (list string))
-    "model order preserved" [ "prod"; "cons" ]
-    (List.map (fun m -> m.Firesim.Scheduler.model_name) o.Firesim.Scheduler.per_model);
-  List.iter
-    (fun (m : Firesim.Scheduler.model_stats) ->
-      Alcotest.(check int) (m.model_name ^ " fired 40 cycles") 40 m.Firesim.Scheduler.fired_cycles;
-      Alcotest.(check bool) (m.model_name ^ " stalls non-negative") true (m.Firesim.Scheduler.stalls >= 0))
-    o.Firesim.Scheduler.per_model;
-  Alcotest.(check int) "per-model sums to fired" o.Firesim.Scheduler.fired
-    (List.fold_left (fun acc m -> acc + m.Firesim.Scheduler.fired_cycles) 0
-       o.Firesim.Scheduler.per_model)
-
-let test_per_model_round_robin () = check_per_model (per_model_under Firesim.Scheduler.Round_robin)
-let test_per_model_reverse () = check_per_model (per_model_under Firesim.Scheduler.Reverse)
-
-let test_per_model_random () =
-  check_per_model (per_model_under (Firesim.Scheduler.Random (Util.Rng.create 7)))
-
-let test_per_model_stalls_seen () =
-  (* Under Reverse order the consumer is always polled before the
-     producer has enqueued this cycle's token, so it must record
-     stalls. *)
-  let o = per_model_under Firesim.Scheduler.Reverse in
-  let cons = List.nth o.Firesim.Scheduler.per_model 1 in
-  Alcotest.(check bool) "consumer stalled at least once" true (cons.Firesim.Scheduler.stalls > 0)
-
-let test_scheduler_deadlock () =
-  (* Two models in a token cycle with no initial tokens. *)
-  let c1 = Firesim.Channel.create ~capacity:1 in
-  let c2 = Firesim.Channel.create ~capacity:1 in
-  let a = Firesim.Scheduler.model ~name:"a" ~inputs:[ c2 ] ~outputs:[ c1 ] ~step:(fun _ t -> t) in
-  let b = Firesim.Scheduler.model ~name:"b" ~inputs:[ c1 ] ~outputs:[ c2 ] ~step:(fun _ t -> t) in
-  match Firesim.Scheduler.run ~models:[ a; b ] ~target_cycles:10 () with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "expected deadlock"
-
-let test_scheduler_primed_loop () =
-  (* The same cycle with one initial token circulates fine. *)
-  let c1 = Firesim.Channel.create ~capacity:2 in
-  let c2 = Firesim.Channel.create ~capacity:2 in
-  Firesim.Channel.enqueue c2 0;
-  let a = Firesim.Scheduler.model ~name:"a" ~inputs:[ c2 ] ~outputs:[ c1 ] ~step:(fun _ t -> t) in
-  let b = Firesim.Scheduler.model ~name:"b" ~inputs:[ c1 ] ~outputs:[ c2 ] ~step:(fun _ t -> t) in
-  let o = Firesim.Scheduler.run ~models:[ a; b ] ~target_cycles:25 () in
-  Alcotest.(check int) "both advanced" 50 o.Firesim.Scheduler.fired
+(* Tests for the FireSim host-rate model: simulated target MHz and
+   slowdown for the paper's FPGA hosts. *)
 
 let fake_result ~cycles ~dram : Platform.Soc.result =
   {
@@ -163,17 +48,6 @@ let test_host_dram_stalls_slow_simulation () =
 
 let suite =
   [
-    Alcotest.test_case "channel fifo" `Quick test_channel_fifo;
-    Alcotest.test_case "channel capacity" `Quick test_channel_capacity;
-    Alcotest.test_case "channel empty dequeue" `Quick test_channel_empty_dequeue;
-    Alcotest.test_case "schedule independence" `Quick test_schedule_independence;
-    Alcotest.test_case "scheduler counts" `Quick test_scheduler_counts;
-    Alcotest.test_case "per-model counts (round-robin)" `Quick test_per_model_round_robin;
-    Alcotest.test_case "per-model counts (reverse)" `Quick test_per_model_reverse;
-    Alcotest.test_case "per-model counts (random)" `Quick test_per_model_random;
-    Alcotest.test_case "per-model stalls observed" `Quick test_per_model_stalls_seen;
-    Alcotest.test_case "scheduler deadlock" `Quick test_scheduler_deadlock;
-    Alcotest.test_case "primed token loop" `Quick test_scheduler_primed_loop;
     Alcotest.test_case "host rates match paper" `Quick test_host_rates_match_paper;
     Alcotest.test_case "dram stalls slow host" `Quick test_host_dram_stalls_slow_simulation;
   ]

@@ -20,7 +20,6 @@ let () =
       ("report", Test_report.suite);
       ("telemetry", Test_telemetry.suite);
       ("ledger", Test_ledger.suite);
-      ("sampling", Test_sampling.suite);
       ("parallel", Test_parallel.suite);
       ("simbridge", Test_simbridge.suite);
       ("validate", Test_validate.suite);

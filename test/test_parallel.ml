@@ -171,8 +171,9 @@ let test_shared_permutation_domains () =
     results
 
 (* Pooled execution of a randomized cell list must return exactly the
-   sequential results — result records, estimates, and the merged
-   telemetry counters — for both Full and sampled policies. *)
+   sequential results — result records, completeness flags, and the
+   merged telemetry counters — both in full and under a budget that cuts
+   EI and MD short and leaves Cca and CCh whole. *)
 let prop_pool_equals_sequential =
   let open QCheck in
   let kernel_names = [ "EI"; "Cca"; "MD"; "CCh" ] in
@@ -183,19 +184,19 @@ let prop_pool_equals_sequential =
         (list_size (int_range 2 6)
            (pair (oneofl kernel_names) (int_range 0 (List.length platforms - 1)))))
   in
-  let print (sampled, cells) =
+  let print (budgeted, cells) =
     Printf.sprintf "%s [%s]"
-      (if sampled then "sampled" else "full")
+      (if budgeted then "budgeted" else "full")
       (String.concat "; " (List.map (fun (k, p) -> Printf.sprintf "%s@%d" k p) cells))
   in
-  Test.make ~name:"pooled grid = sequential grid (Full and sampled)" ~count:6 (make ~print spec_gen)
-    (fun (sampled, cells) ->
-      let policy = if sampled then Sampling.Policy.default_sampled else Sampling.Policy.Full in
+  Test.make ~name:"pooled grid = sequential grid (Full and budgeted)" ~count:6 (make ~print spec_gen)
+    (fun (budgeted, cells) ->
+      let budget = if budgeted then Some 3_000 else None in
       let grid = List.map (fun (kname, pidx) -> (List.nth platforms pidx, Mb.find kname)) cells in
       let run jobs =
         let reg = Registry.create () in
-        let timed = Simbridge.Runner.run_kernel_grid ~scale:0.05 ~policy ~jobs ~telemetry:reg grid in
-        ( List.map (fun t -> (t.Simbridge.Runner.result, t.Simbridge.Runner.estimate)) timed,
+        let timed = Simbridge.Runner.run_kernel_grid ~scale:0.05 ?budget ~jobs ~telemetry:reg grid in
+        ( List.map (fun t -> (t.Simbridge.Runner.result, t.Simbridge.Runner.complete)) timed,
           Registry.counters reg,
           List.length (Registry.phases reg) )
       in

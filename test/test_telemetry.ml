@@ -108,37 +108,6 @@ let test_chrome_trace_json () =
   String.iter (fun c -> if c = '{' then incr depth else if c = '}' then decr depth) json;
   Alcotest.(check int) "balanced braces" 0 !depth
 
-(* The FireSim correctness property extended to telemetry: target-level
-   counters must not depend on the host scheduling policy.  Host-level
-   counters under the "firesim.host." prefix are the documented exception. *)
-let scheduler_counters policy =
-  let reg = Reg.create ~trace_capacity:256 () in
-  let ch = Firesim.Channel.create ~capacity:2 in
-  let sink = Firesim.Channel.create ~capacity:1024 in
-  let producer =
-    Firesim.Scheduler.model ~name:"producer" ~inputs:[] ~outputs:[ ch ]
-      ~step:(fun cycle _ -> [ (cycle * 7) land 0xFF ])
-  in
-  let consumer =
-    Firesim.Scheduler.model ~name:"consumer" ~inputs:[ ch ] ~outputs:[ sink ]
-      ~step:(fun cycle tokens -> [ (List.hd tokens + cycle) land 0xFFFF ])
-  in
-  let _ =
-    Firesim.Scheduler.run ~policy ~telemetry:reg ~models:[ producer; consumer ]
-      ~target_cycles:100 ()
-  in
-  List.filter
-    (fun (name, _) -> not (String.length name >= 13 && String.sub name 0 13 = "firesim.host."))
-    (Reg.counters reg)
-
-let test_policy_invariant_telemetry () =
-  let rr = scheduler_counters Firesim.Scheduler.Round_robin in
-  let rev = scheduler_counters Firesim.Scheduler.Reverse in
-  let rnd = scheduler_counters (Firesim.Scheduler.Random (Util.Rng.create 99)) in
-  Alcotest.(check bool) "some target-level counters" true (rr <> []);
-  Alcotest.(check (list (pair string int))) "reverse = round-robin" rr rev;
-  Alcotest.(check (list (pair string int))) "random = round-robin" rr rnd
-
 (* Published counters must agree with the run's Soc.result aggregates —
    including for kernels with a setup stream, where both are differenced
    against the post-setup state. *)
@@ -296,7 +265,6 @@ let suite =
     Alcotest.test_case "trace ring bound" `Quick test_trace_ring_bound;
     Alcotest.test_case "export summary + csv" `Quick test_export_summary_and_csv;
     Alcotest.test_case "chrome trace json" `Quick test_chrome_trace_json;
-    Alcotest.test_case "telemetry policy-invariant" `Quick test_policy_invariant_telemetry;
     Alcotest.test_case "counters match result (no setup)" `Quick test_counters_match_result_no_setup;
     Alcotest.test_case "counters match result (setup)" `Quick test_counters_match_result_with_setup;
     Alcotest.test_case "disabled telemetry no perturbation" `Quick

@@ -2,9 +2,9 @@
    round-trips (including the Amo/Fence/untaken-branch edge cases),
    compile-time validation of malformed instructions, the central
    replay properties — the runner's compiled-trace replay produces
-   structurally identical [Soc.result]s (and, sampled, estimates) to the
-   one-instruction-at-a-time references in [Oracle] on random
-   kernel/platform draws — and basic-block detection over compiled
+   structurally identical [Soc.result]s to the one-instruction-at-a-time
+   reference in [Oracle] on random kernel/platform draws, in full and
+   under a budget — and basic-block detection over compiled
    traces (partition, load/store accounting, digest identity that
    ignores memory addresses but not control targets). *)
 
@@ -163,22 +163,94 @@ let prop_replay_oracle =
       let scale = 0.2 in
       (R.run_kernel_timed ~scale platform kernel).result = Oracle.run_kernel ~scale platform kernel)
 
-(* The segment-walking sampling driver against the per-position
-   reference, on random policies and budgets: same result, same
-   estimate (error bounds and completeness included). *)
-let prop_sampled_reference =
-  QCheck.Test.make ~name:"sampled driver = per-position reference" ~count:16
-    QCheck.(
-      pair kernel_gen
-        (quad (int_range 50 600) (int_range 1 8) (int_range 0 100) (option (int_range 1 20_000))))
-    (fun (d, (interval, detail_every, warmup_pct, budget)) ->
-      let kernel, platform = draw d in
-      let policy =
-        Sampling.Policy.Sampled { interval; detail_every; warmup = interval * warmup_pct / 100 }
-      in
-      let scale = 0.2 in
-      let t = R.run_kernel_timed ~scale ~policy ?budget platform kernel in
-      (t.result, t.estimate) = Oracle.run_kernel_sampled ~scale ?budget ~policy platform kernel)
+(* ------------------------------------------------- budgeted prefixes *)
+
+let measured_length (k : Workloads.Workload.kernel) ~scale = T.length (T.compile (k.stream ~scale))
+
+(* A budget at or past the stream's end replays the whole stream: the
+   result is bit-identical to an unbudgeted run. *)
+let test_budget_past_end_is_full () =
+  let k = Mb.find "MD" and scale = 0.2 in
+  let len = measured_length k ~scale in
+  let full = (R.run_kernel_timed ~scale Cat.boom_large k).result in
+  List.iter
+    (fun budget ->
+      let t = R.run_kernel_timed ~scale ~budget Cat.boom_large k in
+      Alcotest.(check bool) (Printf.sprintf "budget %d = full run" budget) true (t.result = full))
+    [ len; len + 1; 10 * len ]
+
+(* [complete] follows the prefix rule: a prefix that reached the budget
+   may have cut the stream, even when the budget equals its length. *)
+let test_budget_complete_flag () =
+  let k = Mb.find "EI" and scale = 0.2 in
+  let len = measured_length k ~scale in
+  let complete budget = (R.run_kernel_timed ~scale ?budget Cat.banana_pi_sim k).complete in
+  Alcotest.(check bool) "N < len" false (complete (Some (len - 1)));
+  Alcotest.(check bool) "N = len" false (complete (Some len));
+  Alcotest.(check bool) "N > len" true (complete (Some (len + 1)));
+  Alcotest.(check bool) "no budget" true (complete None)
+
+(* The budgeted result is an exact run of the stream's first N
+   instructions: the one-instruction-at-a-time reference on the
+   truncated stream agrees with it bit for bit, setup stream included. *)
+let test_budget_prefix_is_exact () =
+  let scale = 0.2 and budget = 1_500 in
+  List.iter
+    (fun (name, platform) ->
+      let k = Mb.find name in
+      let cut = { k with stream = (fun ~scale -> Seq.take budget (k.stream ~scale)) } in
+      let t = R.run_kernel_timed ~scale ~budget platform k in
+      Alcotest.(check int) (name ^ " replays N insns") budget t.result.instructions;
+      Alcotest.(check bool) (name ^ " = reference on the prefix") true
+        (t.result = Oracle.run_kernel ~scale platform cut))
+    [ ("MD", Cat.banana_pi_sim); ("MI", Cat.boom_large) ]
+
+(* The budget is part of the trace-cache key: a budgeted cell must not
+   leave its prefix behind for an unbudgeted cell of the same kernel to
+   replay, nor pick up a full trace compiled before it. *)
+let test_budget_cache_key () =
+  let k = Mb.find "MD" and scale = 0.2 in
+  R.trace_cache_clear ();
+  let cut = R.run_kernel_timed ~scale ~budget:1_000 Cat.banana_pi_sim k in
+  let full = R.run_kernel_timed ~scale Cat.banana_pi_sim k in
+  let cut_again = R.run_kernel_timed ~scale ~budget:1_000 Cat.banana_pi_sim k in
+  Alcotest.(check bool) "unbudgeted after budgeted = reference" true
+    (full.result = Oracle.run_kernel ~scale Cat.banana_pi_sim k);
+  Alcotest.(check bool) "budgeted after unbudgeted = first budgeted run" true
+    (cut_again.result = cut.result);
+  Alcotest.(check int) "budgeted run replays the prefix" 1_000 cut_again.result.instructions
+
+(* Only the prefix is ever generated: a budgeted cell forces at most N
+   instructions of the measured stream, however long the stream is. *)
+let test_budget_compiles_prefix_only () =
+  let k = Mb.find "MM" and scale = 0.2 and budget = 2_000 in
+  let forced = ref 0 in
+  let probe =
+    {
+      k with
+      name = "budget-probe";
+      stream =
+        (fun ~scale ->
+          Seq.map
+            (fun i ->
+              incr forced;
+              i)
+            (k.stream ~scale));
+    }
+  in
+  R.trace_cache_clear ();
+  ignore (R.run_kernel_timed ~scale ~budget Cat.banana_pi_sim probe);
+  Alcotest.(check bool) "stream is longer than the budget" true (measured_length k ~scale > budget);
+  Alcotest.(check int) "measured insns forced" budget !forced;
+  R.trace_cache_clear ()
+
+let test_budget_rejects_nonpositive () =
+  List.iter
+    (fun budget ->
+      Alcotest.check_raises (Printf.sprintf "budget %d" budget)
+        (Invalid_argument "Runner.run_kernel_timed: budget must be positive") (fun () ->
+          ignore (R.run_kernel_timed ~scale:0.05 ~budget Cat.banana_pi_sim (Mb.find "EI"))))
+    [ 0; -5 ]
 
 let test_trace_cache_counts () =
   R.trace_cache_clear ();
@@ -349,7 +421,12 @@ let suite =
     Alcotest.test_case "to_seq identity" `Quick test_to_seq_identity;
     Alcotest.test_case "compile rejects malformed insns" `Quick test_compile_rejects;
     QCheck_alcotest.to_alcotest prop_replay_oracle;
-    QCheck_alcotest.to_alcotest prop_sampled_reference;
+    Alcotest.test_case "budget past the end = full run" `Quick test_budget_past_end_is_full;
+    Alcotest.test_case "budget complete flag at N <, =, > len" `Quick test_budget_complete_flag;
+    Alcotest.test_case "budgeted run = reference on the prefix" `Quick test_budget_prefix_is_exact;
+    Alcotest.test_case "budget is part of the trace-cache key" `Quick test_budget_cache_key;
+    Alcotest.test_case "budget compiles only the prefix" `Quick test_budget_compiles_prefix_only;
+    Alcotest.test_case "budget rejects non-positive values" `Quick test_budget_rejects_nonpositive;
     Alcotest.test_case "trace cache hit accounting" `Quick test_trace_cache_counts;
     Alcotest.test_case "block partition and accounting" `Quick test_blocks_partition;
     Alcotest.test_case "digest ignores memory addresses" `Quick test_digest_ignores_addresses;

@@ -100,33 +100,12 @@ let test_stats_percentile_edges () =
   Alcotest.check_raises "negative p" (Invalid_argument "Stats.percentile: p out of range")
     (fun () -> ignore (Util.Stats.percentile xs (-0.1)))
 
-let test_stats_online_small_n () =
-  let o = Util.Stats.Online.create () in
-  Alcotest.(check int) "empty count" 0 (Util.Stats.Online.count o);
-  Alcotest.check_raises "empty mean" (Invalid_argument "Stats.Online.mean: empty") (fun () ->
-      ignore (Util.Stats.Online.mean o));
-  Alcotest.check_raises "empty variance" (Invalid_argument "Stats.Online.variance: empty")
-    (fun () -> ignore (Util.Stats.Online.variance o));
-  Util.Stats.Online.add o 5.0;
-  (* n = 1: mean is the sample, population stddev is zero. *)
-  checkf "n=1 mean" 5.0 (Util.Stats.Online.mean o);
-  checkf "n=1 variance" 0.0 (Util.Stats.Online.variance o);
-  checkf "n=1 stddev" 0.0 (Util.Stats.Online.stddev o)
-
 let test_stats_errors () =
   Alcotest.check_raises "empty mean" (Invalid_argument "Stats.mean: empty sample") (fun () ->
       ignore (Util.Stats.mean [||]));
   Alcotest.check_raises "nonpositive geomean"
     (Invalid_argument "Stats.geomean: nonpositive sample") (fun () ->
       ignore (Util.Stats.geomean [| 1.0; 0.0 |]))
-
-let test_stats_online () =
-  let o = Util.Stats.Online.create () in
-  let xs = [| 3.0; 1.0; 4.0; 1.0; 5.0; 9.0 |] in
-  Array.iter (Util.Stats.Online.add o) xs;
-  checkf "online mean" (Util.Stats.mean xs) (Util.Stats.Online.mean o);
-  Alcotest.(check bool) "online stddev" true
-    (Float.abs (Util.Stats.Online.stddev o -. Util.Stats.stddev xs) < 1e-9)
 
 let test_units () =
   Alcotest.(check int) "ns->cycles at 1GHz" 10 (Util.Units.ns_to_cycles ~freq_hz:1e9 10.0);
@@ -166,9 +145,7 @@ let suite =
     Alcotest.test_case "stats basics" `Quick test_stats_basics;
     Alcotest.test_case "stats percentile" `Quick test_stats_percentile;
     Alcotest.test_case "stats percentile edges" `Quick test_stats_percentile_edges;
-    Alcotest.test_case "stats online small n" `Quick test_stats_online_small_n;
     Alcotest.test_case "stats error cases" `Quick test_stats_errors;
-    Alcotest.test_case "stats online accumulator" `Quick test_stats_online;
     Alcotest.test_case "unit conversions" `Quick test_units;
     QCheck_alcotest.to_alcotest prop_percentile_within_range;
     QCheck_alcotest.to_alcotest prop_geomean_le_mean;

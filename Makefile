@@ -1,4 +1,4 @@
-.PHONY: all build test check bench budget-gate parallel-smoke perf-smoke perf-trend hotpath-lint ledger-smoke serve-smoke serve-bench validate validate-smoke update-golden clean
+.PHONY: all build test check bench budget-gate soc-reuse parallel-smoke perf-smoke perf-trend hotpath-lint ledger-smoke serve-smoke serve-bench validate validate-smoke update-golden clean
 
 # Worker domains for smoke runs (0 = auto); CI passes JOBS=2 so the
 # parallel path is exercised on every push.
@@ -27,6 +27,13 @@ bench:
 budget-gate:
 	dune build --profile release bench/main.exe
 	dune exec --profile release bench/main.exe -- budget
+
+# CI gate for SoC reuse: 3,000 cold scale-2 fig1/fig2 kernel cells
+# (without MIP) in one process; fails if the major heap grows by more
+# than 1% between cell 500 and cell 3,000.  Release profile, for speed.
+soc-reuse:
+	dune build --profile release bench/main.exe
+	dune exec --profile release bench/main.exe -- soc-reuse
 
 # CI smoke for the Domain worker pool: fig1 regenerated with 2 worker
 # domains must be byte-identical to the sequential run.

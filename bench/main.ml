@@ -11,6 +11,7 @@
      dune exec bench/main.exe -- perf      # replay gate: identity + host MIPS
                                            # (BENCH_perf.json, run-report.json)
      dune exec bench/main.exe -- perf-identity  # identity half only (CI smoke)
+     dune exec bench/main.exe -- soc-reuse # heap flat over 3,000 cold cells
 
    Experiment ids: table1-5, fig1-7, runtimes, ablate-l1, ablate-clock,
    ablate-bus, simrate. *)
@@ -559,6 +560,44 @@ let run_serve_gate () =
      %d keys computed once each, trace-cache hit rate %.0f%%)\n%!"
     (Atomic.get verified) total (List.length uniq) (100.0 *. tc_hit_rate)
 
+(* ------------------------------------------------------ soc-reuse gate *)
+
+(* `bench/main.exe soc-reuse`: 3,000 cold cells in a row, as a serve
+   daemon computes them: the fig1/fig2 grid at scale 2 without MIP (the
+   serve-hol workload's cold cells), round and round.  Each cell builds a
+   SoC from the components the previous cell released (Util.Spare), so
+   once every config has been seen no cell leaves major-heap garbage of
+   its own, and the heap must stay flat: fails if [heap_words] after
+   3,000 cells exceeds its value after 500 by more than 1%. *)
+let run_soc_reuse_gate () =
+  let module Cat = Platform.Catalog in
+  let platforms =
+    [ Cat.banana_pi_hw; Cat.banana_pi_sim; Cat.fast_banana_pi_sim; Cat.milkv_hw; Cat.boom_small;
+      Cat.boom_medium; Cat.boom_large; Cat.milkv_sim ]
+  in
+  let kernels =
+    List.filter (fun (k : Workloads.Workload.kernel) -> k.name <> "MIP") Workloads.Microbench.evaluated
+  in
+  let cells = Array.of_list (List.concat_map (fun k -> List.map (fun p -> (p, k)) platforms) kernels) in
+  let heap () = (Gc.quick_stat ()).Gc.heap_words in
+  let t0 = Unix.gettimeofday () in
+  let at500 = ref 0 in
+  for i = 1 to 3000 do
+    let p, k = cells.((i - 1) mod Array.length cells) in
+    ignore (Simbridge.Runner.run_kernel ~scale:2.0 p k);
+    if i = 500 then at500 := heap ();
+    if i mod 500 = 0 then
+      Printf.printf "soc-reuse: %4d cells  heap %.1f MB  (%.1f s)\n%!" i
+        (float_of_int (heap () * (Sys.word_size / 8)) /. 1e6)
+        (Unix.gettimeofday () -. t0)
+  done;
+  let growth = float_of_int (heap () - !at500) /. float_of_int !at500 in
+  Printf.printf "soc-reuse: heap %+.2f%% from 500 to 3000 cells (bound +1%%)\n" (100.0 *. growth);
+  if growth > 0.01 then begin
+    print_endline "soc-reuse: FAIL";
+    exit 1
+  end
+
 (* ----------------------------------------------------------- bechamel *)
 
 let staged = Bechamel.Staged.stage
@@ -672,9 +711,10 @@ let () =
   | [ _; "perf" ] -> run_perf_gate ~identity_only:false ()
   | [ _; "perf-identity" ] -> run_perf_gate ~identity_only:true ()
   | [ _; "serve" ] -> run_serve_gate ()
+  | [ _; "soc-reuse" ] -> run_soc_reuse_gate ()
   | [ _; id ] -> run_experiment id
   | _ ->
     prerr_endline
       "usage: main.exe [experiment-id | bechamel | budget | parallel | perf | perf-identity | \
-       serve]";
+       serve | soc-reuse]";
     exit 1

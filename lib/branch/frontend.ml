@@ -55,6 +55,8 @@ let create (c : config) =
     ras_mispredicts = 0;
   }
 
+let release t = Predictor.release t.dir
+
 let btb_index t pc = (pc lsr 2) land t.btb_mask
 
 let btb_lookup t ~pc ~target =

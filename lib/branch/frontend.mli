@@ -29,6 +29,9 @@ type stats = {
 
 val create : config -> t
 
+val release : t -> unit
+(** {!Predictor.release} the direction predictor; [t] is dead after. *)
+
 val resolve : t -> Isa.Insn.t -> bool
 (** [resolve t insn] trains the structures with [insn]'s actual outcome and
     returns [true] when the frontend predicted both direction and target

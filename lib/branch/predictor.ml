@@ -32,7 +32,7 @@ type state =
   | S_gshare of gshare_state
   | S_tage of tage_state
 
-type t = { state : state }
+type t = { config : config; state : state }
 
 let require_pow2 name n =
   if n <= 0 || n land (n - 1) <> 0 then invalid_arg (name ^ ": size must be a positive power of two")
@@ -55,46 +55,70 @@ let ctr_train c i taken =
 
 let fold_pc pc = (pc lsr 2) lxor (pc lsr 13)
 
+let reset t =
+  match t.state with
+  | S_static _ -> ()
+  | S_bimodal { counters; _ } -> Bytes.fill counters 0 (Bytes.length counters) '\002'
+  | S_gshare g ->
+    Bytes.fill g.g_counters 0 (Bytes.length g.g_counters) '\002';
+    g.g_history <- 0
+  | S_tage s ->
+    Bytes.fill s.base 0 (Bytes.length s.base) '\002';
+    Array.iter (fun tbl -> Array.fill tbl 0 (Array.length tbl) e_invalid) s.tables;
+    s.history <- 0
+
+(* Released predictors, keyed by config: TAGE's tables (6 x 512 words and
+   a 2 KiB base) are above the minor heap's limit, so a dropped one is
+   major garbage. *)
+let spare : (config, t) Util.Spare.t = Util.Spare.create ()
+
+let release t = Util.Spare.put spare t.config t
+
 let create config =
-  let state =
-    match config with
-    | Static_taken -> S_static true
-    | Static_not_taken -> S_static false
-    | Bimodal { entries } ->
-      require_pow2 "Predictor.Bimodal" entries;
-      S_bimodal { counters = new_counters entries; mask = entries - 1 }
-    | Gshare { entries; history_bits } ->
-      require_pow2 "Predictor.Gshare" entries;
-      if history_bits < 1 || history_bits > 30 then invalid_arg "Predictor.Gshare: history_bits";
-      S_gshare
-        {
-          g_counters = new_counters entries;
-          g_mask = entries - 1;
-          g_hist_mask = (1 lsl history_bits) - 1;
-          g_history = 0;
-        }
-    | Tage { base_entries; tables; table_entries; max_history } ->
-      require_pow2 "Predictor.Tage base" base_entries;
-      require_pow2 "Predictor.Tage tables" table_entries;
-      if tables < 1 then invalid_arg "Predictor.Tage: tables";
-      if max_history < tables then invalid_arg "Predictor.Tage: max_history";
-      (* Geometric history lengths from 2 up to max_history. *)
-      let ratio = (float_of_int max_history /. 2.0) ** (1.0 /. float_of_int (max 1 (tables - 1))) in
-      let hist_lens =
-        Array.init tables (fun i ->
-            min 62 (max (i + 2) (int_of_float (2.0 *. (ratio ** float_of_int i)))))
-      in
-      S_tage
-        {
-          base = new_counters base_entries;
-          base_mask = base_entries - 1;
-          tables = Array.init tables (fun _ -> Array.make table_entries e_invalid);
-          hist_masks = Array.map (fun len -> (1 lsl len) - 1) hist_lens;
-          entry_mask = table_entries - 1;
-          history = 0;
-        }
-  in
-  { state }
+  match Util.Spare.take spare config with
+  | Some t ->
+    reset t;
+    t
+  | None ->
+    let state =
+      match config with
+      | Static_taken -> S_static true
+      | Static_not_taken -> S_static false
+      | Bimodal { entries } ->
+        require_pow2 "Predictor.Bimodal" entries;
+        S_bimodal { counters = new_counters entries; mask = entries - 1 }
+      | Gshare { entries; history_bits } ->
+        require_pow2 "Predictor.Gshare" entries;
+        if history_bits < 1 || history_bits > 30 then invalid_arg "Predictor.Gshare: history_bits";
+        S_gshare
+          {
+            g_counters = new_counters entries;
+            g_mask = entries - 1;
+            g_hist_mask = (1 lsl history_bits) - 1;
+            g_history = 0;
+          }
+      | Tage { base_entries; tables; table_entries; max_history } ->
+        require_pow2 "Predictor.Tage base" base_entries;
+        require_pow2 "Predictor.Tage tables" table_entries;
+        if tables < 1 then invalid_arg "Predictor.Tage: tables";
+        if max_history < tables then invalid_arg "Predictor.Tage: max_history";
+        (* Geometric history lengths from 2 up to max_history. *)
+        let ratio = (float_of_int max_history /. 2.0) ** (1.0 /. float_of_int (max 1 (tables - 1))) in
+        let hist_lens =
+          Array.init tables (fun i ->
+              min 62 (max (i + 2) (int_of_float (2.0 *. (ratio ** float_of_int i)))))
+        in
+        S_tage
+          {
+            base = new_counters base_entries;
+            base_mask = base_entries - 1;
+            tables = Array.init tables (fun _ -> Array.make table_entries e_invalid);
+            hist_masks = Array.map (fun len -> (1 lsl len) - 1) hist_lens;
+            entry_mask = table_entries - 1;
+            history = 0;
+          }
+    in
+    { config; state }
 
 (* [fpc] below is [fold_pc pc], folded once per prediction rather than
    once per table probe. *)
@@ -223,11 +247,3 @@ let resolve t ~pc ~taken =
     let predicted = tage_provider_taken s fpc m in
     tage_train s fpc m ~predicted ~taken;
     predicted
-
-let name = function
-  | Static_taken -> "static-taken"
-  | Static_not_taken -> "static-not-taken"
-  | Bimodal { entries } -> Printf.sprintf "bimodal-%d" entries
-  | Gshare { entries; history_bits } -> Printf.sprintf "gshare-%d-h%d" entries history_bits
-  | Tage { tables; table_entries; max_history; _ } ->
-    Printf.sprintf "tage-%dx%d-h%d" tables table_entries max_history

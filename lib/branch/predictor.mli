@@ -15,6 +15,13 @@ type config =
   | Tage of { base_entries : int; tables : int; table_entries : int; max_history : int }
 
 val create : config -> t
+(** On the tables of a released predictor of an equal config, if any. *)
+
+val release : t -> unit
+(** Hand [t] to a later {!create} ({!Util.Spare}); [t] is dead after. *)
+
+val reset : t -> unit
+(** Back to the state {!create} returns. *)
 
 val predict : t -> pc:int -> bool
 (** Predicted direction for the branch at [pc] given current history. *)
@@ -28,5 +35,3 @@ val resolve : t -> pc:int -> taken:bool -> bool
     identical to calling the two separately; the fused form walks the
     predictor tables once and allocates nothing, which is what the replay
     hot loop wants. *)
-
-val name : config -> string

@@ -10,13 +10,11 @@ type config = {
   prefetch_next : int;
 }
 
-let is_pow2 n = n > 0 && n land (n - 1) = 0
-
 let config ?(hit_latency = 2) ?(mshrs = 4) ?(banks = 1) ?(write_back = true) ?(line = Util.Arch.cache_line_bytes)
     ?(prefetch_next = 0) ~name ~sets ~ways () =
-  if not (is_pow2 sets) then invalid_arg "Cache.config: sets must be a power of two";
-  if not (is_pow2 line) then invalid_arg "Cache.config: line must be a power of two";
-  if not (is_pow2 banks) then invalid_arg "Cache.config: banks must be a power of two";
+  if not (Util.Arch.is_pow2 sets) then invalid_arg "Cache.config: sets must be a power of two";
+  if not (Util.Arch.is_pow2 line) then invalid_arg "Cache.config: line must be a power of two";
+  if not (Util.Arch.is_pow2 banks) then invalid_arg "Cache.config: banks must be a power of two";
   if ways <= 0 then invalid_arg "Cache.config: ways";
   if mshrs <= 0 then invalid_arg "Cache.config: mshrs";
   if hit_latency <= 0 then invalid_arg "Cache.config: hit_latency";
@@ -42,15 +40,14 @@ type t = {
   cfg : config;
   line_shift : int;  (* log2 line, precomputed off the hot path *)
   (* Per-way state, sets*ways.  A way is valid iff its [last_use] stamp
-     is above [cold_clock]; the other four arrays mean something only
+     is above [cold_clock]; the other arrays mean something only
      for valid ways. *)
   tags : int array;  (* line address *)
   last_use : int array;  (* [use_clock] at the way's last touch *)
-  dirty : bool array;
   fill_done : int array;  (* cycle the line's refill completes *)
-  pref_tag : bool array;  (* line was prefetched and not yet demanded *)
+  flags : Bytes.t;  (* [dirty] and [prefetched] bits, a byte per way *)
   bank_free : int array;  (* cycle at which each bank accepts a new access *)
-  mshr_done : int array;  (* completion cycles of outstanding misses *)
+  mshr_done : Util.Ring.t;  (* completion cycles of outstanding misses *)
   mutable use_clock : int;
   mutable cold_clock : int;  (* [use_clock] when the cache was last made cold *)
   streams : int array;  (* stream table: expected next miss line per stream *)
@@ -65,52 +62,31 @@ type t = {
   mutable s_prefetches : int;
 }
 
-let log2 n =
-  let rec go acc n = if n <= 1 then acc else go (acc + 1) (n lsr 1) in
-  go 0 n
+(* Released caches, keyed by their number of lines: sizes, not
+   geometries, match, so a 16384x64 LLC takes over a 65536x16 one's
+   arrays.  Taking a spare over costs O(1), not a clear of every line:
+   the new cache's use clock starts where the old one stopped, so every
+   way the old cache touched reads as invalid. *)
+let spare : (int, t) Util.Spare.t = Util.Spare.create ()
 
-(* Released caches whose line arrays the next [create] of the same size
-   takes over.  A grid run creates and drops one SoC per cell; without
-   reuse each dropped 64 MiB LLC leaves 40 MiB of arrays for the GC, and
-   how many of those are still unswept when the next is allocated, so
-   the peak heap, depends on where the major cycle stands.  A size is
-   held at most as many times as caches of it were ever live at once.
-
-   Taking a spare over costs O(1), not a clear of every line: the new
-   cache's use clock starts where the old one stopped, so every way the
-   old cache touched reads as invalid.  Sizes, not geometries, match: a
-   16384x64 LLC takes over a 65536x16 one's arrays. *)
-let spare : t list ref = ref []
-let spare_lock = Mutex.create ()
-
-let release t = Mutex.protect spare_lock (fun () -> spare := t :: !spare)
-
-let take_spare n =
-  Mutex.protect spare_lock (fun () ->
-      match List.find_opt (fun c -> Array.length c.tags = n) !spare with
-      | Some c ->
-        spare := List.filter (fun c' -> c' != c) !spare;
-        Some c
-      | None -> None)
+let release t = Util.Spare.put spare (Array.length t.tags) t
 
 let create cfg =
   let n = cfg.sets * cfg.ways in
-  let tags, last_use, dirty, fill_done, pref_tag, clock =
-    match take_spare n with
-    | Some c -> (c.tags, c.last_use, c.dirty, c.fill_done, c.pref_tag, c.use_clock)
-    | None ->
-      (Array.make n (-1), Array.make n 0, Array.make n false, Array.make n 0, Array.make n false, 0)
+  let tags, last_use, flags, fill_done, clock =
+    match Util.Spare.take spare n with
+    | Some c -> (c.tags, c.last_use, c.flags, c.fill_done, c.use_clock)
+    | None -> (Array.make n (-1), Array.make n 0, Bytes.make n '\000', Array.make n 0, 0)
   in
   {
     cfg;
-    line_shift = log2 cfg.line;
+    line_shift = Util.Arch.log2 cfg.line;
     tags;
     last_use;
-    dirty;
+    flags;
     fill_done;
-    pref_tag;
     bank_free = Array.make cfg.banks 0;
-    mshr_done = Array.make cfg.mshrs 0;
+    mshr_done = Util.Ring.create cfg.mshrs;
     use_clock = clock;
     cold_clock = clock;
     streams = Array.make 8 min_int;
@@ -135,40 +111,36 @@ let bank_of t addr =
   let line = addr lsr t.line_shift in
   line land (t.cfg.banks - 1)
 
-let[@inline] valid t slot = Array.unsafe_get t.last_use slot > t.cold_clock
-
-(* Loops below use local refs and unsafe array accesses rather than inner
-   recursive functions — without flambda the latter allocate a closure per
-   call, and these run once per memory access in the replay hot loop.
-   Indices are in range by construction ([set] < sets, [w] < ways).
-   A way left over from before the cache was last made cold may still
-   hold [line]; [find_way] skips it and scans on. *)
-let find_way t set line =
-  let base = set * t.cfg.ways in
-  let found = ref (-1) in
-  let w = ref 0 in
+(* One pass over [set]: the way holding [line], else [lnot] the victim, the
+   first invalid way or else the least recently used one.  An invalid
+   way's stamp is below every valid way's, so once [best] is invalid no
+   later way replaces it.  A way left from before the cache was last made
+   cold may still hold [line]; it does not hit.  Local refs, not an inner
+   recursive function (a closure per call without flambda); indices are
+   in range by construction. *)
+let lookup t set line =
   let ways = t.cfg.ways in
+  let base = set * ways in
+  let found = ref (-1) in
+  let best = ref base in
+  let best_use = ref (Array.unsafe_get t.last_use base) in
+  let w = ref 0 in
   while !w < ways do
-    if Array.unsafe_get t.tags (base + !w) = line && valid t (base + !w) then begin
-      found := base + !w;
+    let i = base + !w in
+    let use = Array.unsafe_get t.last_use i in
+    if use > t.cold_clock && Array.unsafe_get t.tags i = line then begin
+      found := i;
       w := ways
     end
-    else incr w
+    else begin
+      if !best_use > t.cold_clock && use < !best_use then begin
+        best := i;
+        best_use := use
+      end;
+      incr w
+    end
   done;
-  !found
-
-(* The first invalid way, else the least recently used one.  An invalid
-   way's stamp is below every valid way's, so once [best] is invalid no
-   later way replaces it. *)
-let victim_way t set =
-  let base = set * t.cfg.ways in
-  let best = ref base in
-  for w = 1 to t.cfg.ways - 1 do
-    let i = base + w in
-    let use_b = Array.unsafe_get t.last_use !best in
-    if use_b > t.cold_clock && Array.unsafe_get t.last_use i < use_b then best := i
-  done;
-  !best
+  if !found >= 0 then !found else lnot !best
 
 let touch t slot =
   t.use_clock <- t.use_clock + 1;
@@ -193,40 +165,36 @@ let stream_advance t line =
     if Array.unsafe_get t.streams i = line then Array.unsafe_set t.streams i (line + t.cfg.line)
   done
 
-(* The MSHR a miss takes: the one that frees earliest.  An index, not a
-   (slot, issue cycle) pair, which would be allocated on every miss. *)
-let grab_mshr t =
-  let best = ref 0 in
-  for i = 1 to t.cfg.mshrs - 1 do
-    if Array.unsafe_get t.mshr_done i < Array.unsafe_get t.mshr_done !best then best := i
-  done;
-  !best
+(* Per-way bits: the line is dirty / was prefetched and not yet demanded.
+   A byte per way, not a [bool array]'s word: a 1 M-way LLC keeps 1 MB of
+   flags, not 16. *)
+let dirty = 1
+let prefetched = 2
+let[@inline] flags_of t slot = Char.code (Bytes.unsafe_get t.flags slot)
+let[@inline] set_flags t slot v = Bytes.unsafe_set t.flags slot (Char.unsafe_chr v)
 
-(* Install [line] (absent) by evicting a victim; returns the slot. *)
-let install t set line ~fill ~dirty ~prefetched ~next =
-  let victim = victim_way t set in
-  let evicting = valid t victim in
+(* Install [line] (absent) over [victim]. *)
+let install t victim line ~fill ~flags ~next =
+  let evicting = Array.unsafe_get t.last_use victim > t.cold_clock in
   if evicting then t.s_evictions <- t.s_evictions + 1;
-  if evicting && t.dirty.(victim) && t.cfg.write_back then begin
+  if evicting && flags_of t victim land dirty <> 0 && t.cfg.write_back then begin
     t.s_writebacks <- t.s_writebacks + 1;
     (* The write-back consumes downstream bandwidth but is off the demand
        access's critical path. *)
     ignore (next ~cycle:fill ~addr:(t.tags.(victim)) ~write:true)
   end;
   t.tags.(victim) <- line;
-  t.dirty.(victim) <- dirty;
+  set_flags t victim flags;
   t.fill_done.(victim) <- fill;
-  t.pref_tag.(victim) <- prefetched;
-  touch t victim;
-  victim
+  touch t victim
 
 (* Bring one line in as a prefetch (no-op if present). *)
 let prefetch_line t line ~cycle ~next =
-  let set = set_of t line in
-  if find_way t set line < 0 then begin
+  let way = lookup t (set_of t line) line in
+  if way < 0 then begin
     t.s_prefetches <- t.s_prefetches + 1;
     let fill = next ~cycle ~addr:line ~write:false in
-    ignore (install t set line ~fill ~dirty:false ~prefetched:true ~next)
+    install t (lnot way) line ~fill ~flags:prefetched ~next
   end
 
 let access ?(prefetchable = true) t ~next ~cycle ~addr ~write =
@@ -242,16 +210,15 @@ let access ?(prefetchable = true) t ~next ~cycle ~addr ~write =
   (* Pipelined bank: occupied for one cycle per access. *)
   t.bank_free.(bank) <- start + 1;
   let line = line_addr t addr in
-  let set = set_of t addr in
-  let slot = find_way t set line in
+  let slot = lookup t (set_of t addr) line in
   if slot >= 0 then begin
     t.s_hits <- t.s_hits + 1;
     touch t slot;
-    if write then t.dirty.(slot) <- true;
+    if write then set_flags t slot (flags_of t slot lor dirty);
     (* Tagged stream prefetch: consuming a prefetched line keeps the
        stream running [prefetch_next] lines ahead. *)
-    if t.pref_tag.(slot) then begin
-      t.pref_tag.(slot) <- false;
+    if flags_of t slot land prefetched <> 0 then begin
+      set_flags t slot (flags_of t slot land dirty);
       if t.cfg.prefetch_next > 0 then
         prefetch_line t
           (line + (t.cfg.prefetch_next * t.cfg.line))
@@ -275,9 +242,8 @@ let access ?(prefetchable = true) t ~next ~cycle ~addr ~write =
        t.streams.(t.stream_rr) <- line + t.cfg.line;
        t.stream_rr <- (t.stream_rr + 1) mod Array.length t.streams
      end);
-    let mshr = grab_mshr t in
     let issue =
-      let free = Array.unsafe_get t.mshr_done mshr in
+      let free = Util.Ring.min t.mshr_done in
       if free <= start then start
       else begin
         t.s_mshr_stalls <- t.s_mshr_stalls + 1;
@@ -286,8 +252,8 @@ let access ?(prefetchable = true) t ~next ~cycle ~addr ~write =
     in
     (* Refill from downstream; the tag lookup has already cost hit_latency. *)
     let fill_done = next ~cycle:(issue + t.cfg.hit_latency) ~addr:line ~write:false in
-    t.mshr_done.(mshr) <- fill_done;
-    ignore (install t set line ~fill:fill_done ~dirty:(write && t.cfg.write_back) ~prefetched:false ~next);
+    Util.Ring.replace_min t.mshr_done fill_done;
+    install t (lnot slot) line ~fill:fill_done ~flags:(if write && t.cfg.write_back then dirty else 0) ~next;
     (* Stride-detected stream prefetch: a second consecutive miss launches
        a burst covering the next [prefetch_next] lines; tagged hits keep
        the stream ahead.  Random misses never trigger it. *)
@@ -300,13 +266,13 @@ let access ?(prefetchable = true) t ~next ~cycle ~addr ~write =
 
 let probe t ~addr =
   let line = line_addr t addr in
-  find_way t (set_of t addr) line >= 0
+  lookup t (set_of t addr) line >= 0
 
 let flush t =
   t.cold_clock <- t.use_clock;
   Array.fill t.streams 0 (Array.length t.streams) min_int;
   Array.fill t.bank_free 0 (Array.length t.bank_free) 0;
-  Array.fill t.mshr_done 0 (Array.length t.mshr_done) 0
+  Util.Ring.reset t.mshr_done
 
 let stats t =
   {
@@ -329,6 +295,11 @@ let reset_stats t =
   t.s_bank_conflicts <- 0;
   t.s_mshr_stalls <- 0;
   t.s_prefetches <- 0
+
+let reset t =
+  flush t;
+  reset_stats t;
+  t.stream_rr <- 0
 
 let miss_rate t =
   if t.s_accesses = 0 then 0.0 else float_of_int t.s_misses /. float_of_int t.s_accesses

@@ -76,8 +76,11 @@ val create : config -> t
 
 val release : t -> unit
 (** [release t] hands [t]'s line arrays to a later [create] of the same
-    number of lines, on any domain.  [t] must not be used afterwards.
-    The arrays are not cleared here either; see {!create}. *)
+    number of lines, on any domain ({!Util.Spare}).  [t] must not be used
+    afterwards.  The arrays are not cleared here either; see {!create}. *)
+
+val reset : t -> unit
+(** Back to the state {!create} returns: {!flush} and zeroed stats. *)
 
 val access :
   ?prefetchable:bool -> t -> next:next_level -> cycle:int -> addr:int -> write:bool -> int
@@ -99,4 +102,3 @@ val flush : t -> unit
 val stats : t -> stats
 val reset_stats : t -> unit
 val miss_rate : t -> float
-val line_addr : t -> int -> int

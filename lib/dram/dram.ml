@@ -47,7 +47,12 @@ type channel = {
   bank_open_row : int array;  (* -1 = no open row *)
   bank_ready_ns : float array;
   bus_free_ns : float array;  (* 1 element; same boxing rationale *)
-  queue_done : float array;  (* completion times of in-flight requests *)
+  (* Completion times of in-flight requests, ascending from [queue_head]
+     and wrapping ({!Util.Ring} over floats).  A channel issues them in
+     order (each is past [bus_free_ns]), so replacing the minimum is
+     overwriting the head and moving it on. *)
+  queue_done : float array;
+  mutable queue_head : int;
   (* Per-channel telemetry: localizes row-buffer behaviour and queue
      pressure to the channel the paper's DRAM-bound kernels saturate. *)
   mutable c_requests : int;
@@ -62,6 +67,12 @@ type channel = {
 type t = {
   cfg : config;
   burst : float;  (* [burst_ns cfg], computed once *)
+  (* Address decode by shifts and masks: log2 of line_bytes, channels,
+     banks per channel and row_bytes, all powers of two ([create]). *)
+  line_shift : int;
+  chan_shift : int;
+  bank_shift : int;
+  row_shift : int;
   chans : channel array;
   mutable s_requests : int;
   mutable s_reads : int;
@@ -79,7 +90,15 @@ let burst_ns cfg =
   float_of_int cfg.line_bytes /. bytes_per_us *. 1000.0
 
 let create cfg =
-  if cfg.channels <= 0 then invalid_arg "Dram.create: channels";
+  let pow2 what n =
+    if not (Util.Arch.is_pow2 n) then invalid_arg ("Dram.create: " ^ what ^ " must be a power of two")
+  in
+  pow2 "channels" cfg.channels;
+  pow2 "ranks * banks_per_rank" (cfg.ranks * cfg.banks_per_rank);
+  pow2 "row_bytes" cfg.row_bytes;
+  pow2 "line_bytes" cfg.line_bytes;
+  if not (cfg.data_rate_mts > 0.0 && cfg.bus_bytes > 0) then
+    invalid_arg "Dram.create: data_rate_mts and bus_bytes must be positive";
   if cfg.queue_depth <= 0 then invalid_arg "Dram.create: queue_depth";
   let mk_chan _ =
     {
@@ -87,6 +106,7 @@ let create cfg =
       bank_ready_ns = Array.make (cfg.ranks * cfg.banks_per_rank) 0.0;
       bus_free_ns = Array.make 1 0.0;
       queue_done = Array.make cfg.queue_depth 0.0;
+      queue_head = 0;
       c_requests = 0;
       c_row_hits = 0;
       c_row_empty = 0;
@@ -99,6 +119,10 @@ let create cfg =
   {
     cfg;
     burst = burst_ns cfg;
+    line_shift = Util.Arch.log2 cfg.line_bytes;
+    chan_shift = Util.Arch.log2 cfg.channels;
+    bank_shift = Util.Arch.log2 (cfg.ranks * cfg.banks_per_rank);
+    row_shift = Util.Arch.log2 cfg.row_bytes;
     chans = Array.init cfg.channels mk_chan;
     s_requests = 0;
     s_reads = 0;
@@ -119,32 +143,37 @@ let[@inline] fmax (a : float) b = if b > a then b else a
    crossing a call is boxed). *)
 let[@inline] serve t ~time_ns ~addr ~write =
   let cfg = t.cfg in
-  let line = addr / cfg.line_bytes in
-  let chan = t.chans.(line mod cfg.channels) in
-  let nbanks = Array.length chan.bank_open_row in
-  let per_chan_line = line / cfg.channels in
-  let bank_i = per_chan_line mod nbanks in
-  let row = per_chan_line / nbanks * cfg.line_bytes / cfg.row_bytes in
+  let line = addr lsr t.line_shift in
+  let chan = Array.unsafe_get t.chans (line land (cfg.channels - 1)) in
+  let per_chan_line = line lsr t.chan_shift in
+  let bank_i = per_chan_line land (Array.length chan.bank_open_row - 1) in
+  (* Parenthesized: [lsl] and [lsr] associate to the right. *)
+  let row = ((per_chan_line lsr t.bank_shift) lsl t.line_shift) lsr t.row_shift in
   t.s_requests <- t.s_requests + 1;
   chan.c_requests <- chan.c_requests + 1;
   if write then t.s_writes <- t.s_writes + 1 else t.s_reads <- t.s_reads + 1;
-  (* Controller queue admission: wait for a slot when all are in flight.
-     The same pass over the queue counts the in-flight requests, i.e. the
-     queue occupancy this request observes on arrival. *)
-  let slot = ref 0 in
-  let in_flight = ref (if chan.queue_done.(0) > time_ns then 1 else 0) in
-  for i = 1 to cfg.queue_depth - 1 do
-    if chan.queue_done.(i) < chan.queue_done.(!slot) then slot := i;
-    if chan.queue_done.(i) > time_ns then incr in_flight
+  (* Controller queue admission: wait for the earliest in-flight request
+     to finish when all slots are in flight.  The occupancy this request
+     observes on arrival, the completions after it, by binary search. *)
+  let q = chan.queue_done in
+  let n = Array.length q in
+  let head = chan.queue_head in
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let p = head + mid in
+    if Array.unsafe_get q (if p >= n then p - n else p) > time_ns then hi := mid else lo := mid + 1
   done;
-  chan.c_occ_sum <- chan.c_occ_sum + !in_flight;
-  if !in_flight > chan.c_occ_max then chan.c_occ_max <- !in_flight;
+  let in_flight = n - !lo in
+  chan.c_occ_sum <- chan.c_occ_sum + in_flight;
+  if in_flight > chan.c_occ_max then chan.c_occ_max <- in_flight;
+  let earliest = Array.unsafe_get q head in
   let admitted =
-    if chan.queue_done.(!slot) <= time_ns then time_ns
+    if earliest <= time_ns then time_ns
     else begin
       t.s_queue_stalls <- t.s_queue_stalls + 1;
       chan.c_queue_stalls <- chan.c_queue_stalls + 1;
-      chan.queue_done.(!slot)
+      earliest
     end
   in
   let open_row = Array.unsafe_get chan.bank_open_row bank_i in
@@ -176,7 +205,8 @@ let[@inline] serve t ~time_ns ~addr ~write =
   Array.unsafe_set chan.bus_free_ns 0 completion;
   Array.unsafe_set t.s_data_bus_ns 0 (Array.unsafe_get t.s_data_bus_ns 0 +. burst);
   Array.unsafe_set chan.bank_ready_ns bank_i data_ready;
-  chan.queue_done.(!slot) <- completion;
+  Array.unsafe_set q head completion;
+  chan.queue_head <- (if head + 1 = n then 0 else head + 1);
   completion
 
 let request t ~time_ns ~addr ~write = serve t ~time_ns ~addr ~write

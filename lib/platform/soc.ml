@@ -89,7 +89,10 @@ let release t =
   Array.iter Cache.release t.l1i;
   Array.iter Cache.release t.l1d;
   Cache.release t.l2;
-  Option.iter Cache.release t.llc
+  Option.iter Cache.release t.llc;
+  Array.iter Tlb.release t.dtlb;
+  Array.iter Tlb.release t.itlb;
+  Array.iter (function In c -> Uarch.Inorder.release c | Oo c -> Uarch.Ooo.release c) t.cores
 
 let create (cfg : Config.t) =
   let soc_partial =
@@ -114,8 +117,6 @@ let create (cfg : Config.t) =
         | Config.Ooo c -> Oo (Uarch.Ooo.create c mem))
   in
   { soc_partial with cores }
-
-let config soc = soc.cfg
 
 let core_feed = function
   | In c -> Uarch.Inorder.feed c
@@ -325,8 +326,6 @@ let feed_trace soc tr ~lo ~hi =
 let run_trace soc tr =
   feed_trace soc tr ~lo:0 ~hi:(Trace.length tr);
   collect soc ~ranks:1 ~comm:None
-
-let memsys_of_core soc i = memsys_for soc i
 
 let core_iface soc i =
   let core = soc.cores.(i) in

@@ -40,10 +40,10 @@ type result = {
 val create : Config.t -> t
 
 val release : t -> unit
-(** Hand the SoC's caches back for reuse by a later [create]
-    (Cache.release).  The SoC must not be used afterwards. *)
-
-val config : t -> Config.t
+(** Hand the SoC's caches, TLBs and branch predictors back for reuse by a
+    later [create] ({!Util.Spare}), which resets them in place: every
+    array above the minor heap's size limit that [create] needs then
+    comes from a released SoC.  The SoC must not be used afterwards. *)
 
 val run_ranks : ?quantum:int -> ?telemetry:Telemetry.Registry.t -> t -> Smpi.program -> result
 (** Run an MPI program with as many ranks as the program has (must not
@@ -62,9 +62,6 @@ val run_trace : t -> Trace.t -> result
 
 val feed_trace : t -> Trace.t -> lo:int -> hi:int -> unit
 (** Detailed-feed trace indices [lo, hi) to core 0. *)
-
-val memsys_of_core : t -> int -> Uarch.Memsys.t
-(** Expose a core's memory-system interface (for tests and calibration). *)
 
 val core_iface : t -> int -> Smpi.rank_iface
 (** Expose core [i] as an MPI rank interface — the building block the

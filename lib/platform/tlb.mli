@@ -50,6 +50,13 @@ type stats = {
 type t
 
 val create : config -> t
+(** On the arrays of a released TLB of an equal config, if any. *)
+
+val release : t -> unit
+(** Hand [t] to a later {!create} ({!Util.Spare}); [t] is dead after. *)
+
+val reset : t -> unit
+(** Back to the state {!create} returns. *)
 
 val translate : t -> addr:int -> int
 (** Extra cycles the translation adds to an access (0 on an L1 TLB hit). *)

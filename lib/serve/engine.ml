@@ -29,6 +29,7 @@ type t = {
   mutable e_cached : int;
   mutable e_inline : int;
   mutable e_errors : int;
+  mutable e_running : int;  (* computations started and not finished *)
 }
 
 type pending = { p_req : Protocol.request; p_enqueued_s : float }
@@ -48,6 +49,7 @@ let create ?jobs ?(response_cache_capacity = 64) ?(telemetry = Reg.disabled) () 
     e_cached = 0;
     e_inline = 0;
     e_errors = 0;
+    e_running = 0;
   }
 
 (* ------------------------------------------------------- response LRU *)
@@ -124,7 +126,10 @@ let with_sink t ~name f =
   let tc0 = Runner.trace_cache_stats () in
   let w0 = Unix.gettimeofday () in
   let sp = Reg.span_start sink ~root:true name in
+  let running d = Mutex.protect t.e_mutex (fun () -> t.e_running <- t.e_running + d) in
+  running 1;
   let res = try Ok (f sink) with exn -> Error (Printexc.to_string exn) in
+  running (-1);
   Reg.span_end sink sp ();
   let w1 = Unix.gettimeofday () in
   let tc1 = Runner.trace_cache_stats () in
@@ -204,6 +209,7 @@ let stats_json t =
           ("cached", num_i t.e_cached);
           ("inline", num_i t.e_inline);
           ("errors", num_i t.e_errors);
+          ("running", num_i t.e_running);
           ( "response_cache",
             J.Obj
               [ ("size", num_i (List.length t.e_cache)); ("capacity", num_i t.e_cache_cap) ] );

@@ -73,7 +73,8 @@ val oracle : Protocol.query -> (string, string) result
 
 val stats_json : t -> Validate.Jsonx.t
 (** Service counters: uptime, requests by served-kind, errors,
-    response-cache occupancy, trace-cache counters, jobs. *)
+    computations running, response-cache occupancy, trace-cache
+    counters, jobs. *)
 
 val requests_served : t -> int
 (** Total requests answered (any op), for the shutdown summary. *)

@@ -98,52 +98,59 @@ let encode (i : Isa.Insn.t) =
   (match i.ctrl with
   | Some _ -> if not is_ctrl then invalid_arg "Trace.compile: ctrl outcome on a non-control kind"
   | None -> if is_ctrl then invalid_arg "Trace.compile: control kind without ctrl outcome");
-  let taken, size, aux =
-    match (i.mem, i.ctrl) with
-    | Some m, None -> (false, m.Isa.Insn.size, m.Isa.Insn.addr)
-    | None, Some c -> (c.Isa.Insn.taken, 0, c.Isa.Insn.target)
-    | None, None -> (false, 0, 0)
-    | Some _, Some _ -> assert false (* is_mem and is_ctrl are exclusive *)
-  in
-  (pack ~kind:i.kind ~dst:i.dst ~src1:i.src1 ~src2:i.src2 ~taken ~size, aux)
+  let taken = match i.ctrl with Some c -> c.Isa.Insn.taken | None -> false in
+  let size = match i.mem with Some m -> m.Isa.Insn.size | None -> 0 in
+  pack ~kind:i.kind ~dst:i.dst ~src1:i.src1 ~src2:i.src2 ~taken ~size
 
-(* Under a limit the arrays start at the limit (up to a cap, so a huge
-   limit on a short stream does not reserve memory it never uses) and
-   never grow past it: a prefix compile allocates its arrays once instead
-   of doubling its way up, and leaves the major GC that much less to do. *)
+(* Fixed-size chunks, copied once into exact-size arrays: no array is
+   grown and then cut down.  Under a limit the chunk is the limit
+   (capped), and kept as is if the trace fills it. *)
 let compile ?limit (stream : Isa.Insn.t Seq.t) =
-  let stream, cap, max_cap =
+  let stream, chunk =
     match limit with
-    | None -> (stream, 4096, max_int)
+    | None -> (stream, 4096)
     | Some n when n < 1 -> invalid_arg "Trace.compile: limit must be positive"
-    | Some n -> (Seq.take n stream, min n (1 lsl 20), n)
+    | Some n -> (Seq.take n stream, min n (1 lsl 20))
   in
-  let cap = ref cap in
-  let pcs = ref (Array.make !cap 0) in
-  let metas = ref (Array.make !cap 0) in
-  let auxs = ref (Array.make !cap 0) in
   let kind_counts = Array.make num_kinds 0 in
-  let n = ref 0 in
-  let grow () =
-    let cap' = min (!cap * 2) max_cap in
-    let g a = let a' = Array.make cap' 0 in Array.blit !a 0 a' 0 !n; a := a' in
-    g pcs; g metas; g auxs;
-    cap := cap'
-  in
+  let full = ref [] in  (* filled chunks, newest first *)
+  let pcs = ref (Array.make chunk 0) in
+  let metas = ref (Array.make chunk 0) in
+  let auxs = ref (Array.make chunk 0) in
+  let k = ref 0 in
   Seq.iter
     (fun (i : Isa.Insn.t) ->
-      if !n = !cap then grow ();
-      let meta, aux = encode i in
-      let j = !n in
+      if !k = chunk then begin
+        full := (!pcs, !metas, !auxs) :: !full;
+        pcs := Array.make chunk 0;
+        metas := Array.make chunk 0;
+        auxs := Array.make chunk 0;
+        k := 0
+      end;
+      let meta = encode i in
+      let j = !k in
       !pcs.(j) <- i.pc;
       !metas.(j) <- meta;
-      !auxs.(j) <- aux;
+      (* Memory and control kinds are exclusive ([encode] checks). *)
+      !auxs.(j) <-
+        (match (i.mem, i.ctrl) with Some m, _ -> m.addr | None, Some c -> c.target | None, None -> 0);
       kind_counts.(meta land kind_mask) <- kind_counts.(meta land kind_mask) + 1;
-      n := j + 1)
+      k := j + 1)
     stream;
-  let len = !n in
-  let shrink a = if Array.length !a = len then !a else Array.sub !a 0 len in
-  { len; pcs = shrink pcs; metas = shrink metas; auxs = shrink auxs; kind_counts }
+  let tail = !k in
+  let gather field last =
+    match !full with
+    | [] -> if tail = chunk then last else Array.sub last 0 tail
+    | chunks -> Array.concat (List.rev (Array.sub last 0 tail :: List.map field chunks))
+  in
+  let pcs = gather (fun (p, _, _) -> p) !pcs in
+  {
+    len = Array.length pcs;
+    pcs;
+    metas = gather (fun (_, m, _) -> m) !metas;
+    auxs = gather (fun (_, _, a) -> a) !auxs;
+    kind_counts;
+  }
 
 let count_kind p t =
   let n = ref 0 in

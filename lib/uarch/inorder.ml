@@ -60,8 +60,8 @@ type t = {
   reg_ready : int array;
   issue_slots : Slots.t;
   mem_port : Slots.t;
-  store_buf : int array;  (* completion times of buffered stores *)
-  load_q : int array;  (* completion times of outstanding loads *)
+  store_buf : Util.Ring.t;  (* completion times of buffered stores *)
+  load_q : Util.Ring.t;  (* completion times of outstanding loads *)
   mutable fetch_line : int;  (* icache line currently streaming *)
   mutable fetch_ready : int;  (* cycle the current fetch group is available *)
   mutable restart : int;  (* pipeline restart barrier after mispredicts/fences *)
@@ -84,8 +84,8 @@ let create cfg mem =
     reg_ready = Array.make Isa.Insn.num_regs 0;
     issue_slots = Slots.create ~width:cfg.issue_width;
     mem_port = Slots.create ~width:cfg.mem_ports;
-    store_buf = Array.make (imax 1 cfg.store_buffer) 0;
-    load_q = Array.make (imax 1 cfg.load_queue) 0;
+    store_buf = Util.Ring.create (imax 1 cfg.store_buffer);
+    load_q = Util.Ring.create (imax 1 cfg.load_queue);
     fetch_line = -1;
     fetch_ready = 0;
     restart = 0;
@@ -108,24 +108,6 @@ let[@inline] fetch t pc earliest =
   end;
   imax earliest t.fetch_ready
 
-(* Index of the earliest-free entry; callers read q.(i) themselves rather
-   than receiving a (slot, ready) pair — a tuple allocation per memory
-   instruction otherwise.  One scan per memory instruction: running
-   minimum in a local, no bounds checks.  The [int array] annotation
-   matters: left polymorphic, every [<] is a call to the generic compare
-   and every read checks for a float array. *)
-let grab_slot (q : int array) =
-  let best = ref 0 in
-  let bestv = ref (Array.unsafe_get q 0) in
-  for i = 1 to Array.length q - 1 do
-    let v = Array.unsafe_get q i in
-    if v < !bestv then begin
-      best := i;
-      bestv := v
-    end
-  done;
-  !best
-
 (* The timing step on unpacked scalar fields — the single implementation
    behind both [feed] (unpacking an [Insn.t]) and [feed_trace] (decoding
    packed trace words); keeping one body guarantees the two paths stay
@@ -144,24 +126,22 @@ let feed_scalar t ~pc ~(kind : Isa.Insn.kind) ~dst ~src1 ~src2 ~addr ~taken ~tar
     t.n_loads <- t.n_loads + 1;
     (* A full load queue backs the whole pipeline up: nothing younger
        issues until an outstanding load completes. *)
-    let q = grab_slot t.load_q in
-    let qready = imax issue t.load_q.(q) in
+    let qready = imax issue (Util.Ring.min t.load_q) in
     if qready > issue then Slots.advance t.issue_slots qready;
     let slot = Slots.alloc t.mem_port qready in
     let extra = if kind = Amo then t.cfg.latencies.amo else 0 in
     let done_ = t.mem.Memsys.load ~cycle:(slot + 1) ~addr + extra in
-    t.load_q.(q) <- done_;
+    Util.Ring.replace_min t.load_q done_;
     if dst <> Isa.Insn.zero_reg then t.reg_ready.(dst) <- done_;
     bump t done_
   | Store ->
     t.n_stores <- t.n_stores + 1;
     let slot = Slots.alloc t.mem_port issue in
-    let buf = grab_slot t.store_buf in
-    let drain_start = imax (slot + 1) t.store_buf.(buf) in
+    let drain_start = imax (slot + 1) (Util.Ring.min t.store_buf) in
     (* A full store buffer likewise stalls the pipeline. *)
     if drain_start > slot + 1 then Slots.advance t.issue_slots drain_start;
     let done_ = t.mem.Memsys.store ~cycle:drain_start ~addr in
-    t.store_buf.(buf) <- done_;
+    Util.Ring.replace_min t.store_buf done_;
     (* The store leaves the pipeline once buffered; completion is off the
        critical path unless the buffer backs up. *)
     bump t (slot + 1)
@@ -240,3 +220,4 @@ let stats t =
   }
 
 let config_of t = t.cfg
+let release t = Branch.Frontend.release t.frontend

@@ -124,8 +124,8 @@ type t = {
   mem_ports : Slots.t;
   fp_ports : Slots.t;
   rob : int array;  (* retire cycle of instruction (i mod rob_entries) *)
-  ldq : int array;  (* completion cycles of in-flight loads *)
-  stq : int array;
+  ldq : Util.Ring.t;  (* completion cycles of in-flight loads *)
+  stq : Util.Ring.t;
   mutable rob_ptr : int;  (* dynamic instruction index mod rob_entries *)
   mutable fetch_line : int;
   mutable fetch_ready : int;
@@ -151,8 +151,8 @@ let create cfg mem =
     mem_ports = Slots.create ~width:cfg.mem_issue;
     fp_ports = Slots.create ~width:cfg.fp_issue;
     rob = Array.make cfg.rob_entries 0;
-    ldq = Array.make cfg.ldq_entries 0;
-    stq = Array.make cfg.stq_entries 0;
+    ldq = Util.Ring.create cfg.ldq_entries;
+    stq = Util.Ring.create cfg.stq_entries;
     rob_ptr = 0;
     fetch_line = -1;
     fetch_ready = 0;
@@ -174,33 +174,7 @@ let bump t c = if c > t.frontier then t.frontier <- c
 
 (* The load/store queues track only the multiset of in-flight completion
    cycles: each memory instruction waits on the earliest-completing entry
-   and replaces it with its own completion.  A binary min-heap serves that
-   access pattern in O(log n) per instruction instead of an O(n) scan of
-   up to 32 entries; the minimum — the only value the timing model reads —
-   is identical, so simulated cycles are unchanged.  Annotated [int array]
-   for the reason given at {!Inorder.grab_slot}. *)
-let heap_min (q : int array) = Array.unsafe_get q 0
-
-let heap_replace_min (q : int array) v =
-  let n = Array.length q in
-  Array.unsafe_set q 0 v;
-  let i = ref 0 in
-  let sifting = ref true in
-  while !sifting do
-    let l = (2 * !i) + 1 in
-    if l >= n then sifting := false
-    else begin
-      let r = l + 1 in
-      let s = if r < n && Array.unsafe_get q r < Array.unsafe_get q l then r else l in
-      if Array.unsafe_get q s < Array.unsafe_get q !i then begin
-        let tmp = Array.unsafe_get q !i in
-        Array.unsafe_set q !i (Array.unsafe_get q s);
-        Array.unsafe_set q s tmp;
-        i := s
-      end
-      else sifting := false
-    end
-  done
+   and replaces it with its own completion ({!Util.Ring}). *)
 
 let[@inline] fetch t pc earliest =
   let line = pc lsr Util.Arch.cache_line_shift in
@@ -234,18 +208,18 @@ let feed_scalar t ~pc ~(kind : Isa.Insn.kind) ~dst ~src1 ~src2 ~addr ~taken ~tar
     match kind with
     | Load | Amo ->
       t.n_loads <- t.n_loads + 1;
-      let qready = imax ready (heap_min t.ldq) in
+      let qready = imax ready (Util.Ring.min t.ldq) in
       let port = Slots.alloc t.mem_ports qready in
       let extra = if kind = Amo then cfg.latencies.amo else 0 in
       let c = t.mem.Memsys.load ~cycle:(port + 1) ~addr + extra in
-      heap_replace_min t.ldq c;
+      Util.Ring.replace_min t.ldq c;
       c
     | Store ->
       t.n_stores <- t.n_stores + 1;
-      let qready = imax ready (heap_min t.stq) in
+      let qready = imax ready (Util.Ring.min t.stq) in
       let port = Slots.alloc t.mem_ports qready in
       let c = t.mem.Memsys.store ~cycle:(port + 1) ~addr in
-      heap_replace_min t.stq c;
+      Util.Ring.replace_min t.stq c;
       (* Address generation completes quickly; the write drains post-retire.
          The store occupies its STQ slot until the line is written. *)
       port + 1
@@ -329,3 +303,4 @@ let stats t =
   }
 
 let config_of t = t.cfg
+let release t = Branch.Frontend.release t.frontend

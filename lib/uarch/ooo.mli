@@ -69,3 +69,6 @@ val advance_to : t -> int -> unit
 
 val stats : t -> stats
 val config_of : t -> config
+
+val release : t -> unit
+(** {!Branch.Frontend.release} the frontend; [t] is dead after. *)

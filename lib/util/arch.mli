@@ -12,3 +12,8 @@ val cache_line_bytes : int
 val cache_line_shift : int
 (** [log2 cache_line_bytes]: shift that maps a byte address to its line
     index. *)
+
+val is_pow2 : int -> bool
+
+val log2 : int -> int
+(** Rounded down: the shift that divides by a power-of-two field. *)

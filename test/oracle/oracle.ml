@@ -2,6 +2,7 @@
    oracle.mli. *)
 
 module Soc = Platform.Soc
+module Scan = Scan
 
 (* The measured region of [r] relative to the post-setup snapshot
    [before], with [cycles] of measured time — Runner's differencing. *)

@@ -13,3 +13,9 @@ val run_kernel :
 (** Full-detail reference: the setup stream, then the measured stream,
     each driven as a lazy [Isa.Insn.t Seq.t] through core 0's
     {!Platform.Soc.core_iface} [feed], one instruction at a time. *)
+
+module Scan = Scan
+(** Reference models of the memory path's bookkeeping ({!Scan.Tlb},
+    {!Scan.Cache}, {!Scan.Dram}, {!Scan.Slots}): the linear scans that
+    the TLB, caches, DRAM queue and in-flight queues replaced, for
+    differential tests. *)

@@ -93,6 +93,25 @@ let test_streaming_bandwidth_realistic () =
   (* ns and bytes -> GB/s conveniently *)
   Alcotest.(check bool) (Printf.sprintf "0.15 < %.2f GB/s <= 16" gbs) true (gbs > 0.15 && gbs <= 16.0)
 
+(* The address decode is shifts and masks, so every geometry field it
+   divides by must be a power of two; [create] names the one that is not. *)
+let test_rejects_non_pow2 () =
+  let base = cfg () in
+  List.iter
+    (fun (what, c) ->
+      Alcotest.check_raises what
+        (Invalid_argument ("Dram.create: " ^ what ^ " must be a power of two"))
+        (fun () -> ignore (Dram.create c)))
+    [
+      ("channels", { base with channels = 3 });
+      ("ranks * banks_per_rank", { base with ranks = 3 });
+      ("ranks * banks_per_rank", { base with banks_per_rank = 6 });
+      ("row_bytes", { base with row_bytes = 6000 });
+      ("line_bytes", { base with line_bytes = 48 });
+    ];
+  (* Non-power-of-two factors whose product is one are fine. *)
+  ignore (Dram.create { base with ranks = 2; banks_per_rank = 8 })
+
 let prop_completion_after_issue =
   QCheck.Test.make ~name:"dram completion > issue time" ~count:200
     QCheck.(pair (float_range 0.0 1e6) (int_range 0 0xFFFFFF))
@@ -111,5 +130,6 @@ let suite =
     Alcotest.test_case "read/write accounting" `Quick test_write_read_counted;
     Alcotest.test_case "reset stats" `Quick test_reset_stats;
     Alcotest.test_case "streaming bandwidth" `Quick test_streaming_bandwidth_realistic;
+    Alcotest.test_case "non-power-of-two geometry rejected" `Quick test_rejects_non_pow2;
     QCheck_alcotest.to_alcotest prop_completion_after_issue;
   ]

@@ -15,6 +15,7 @@ let () =
       ("platform", Test_platform.suite);
       ("firesim", Test_firesim.suite);
       ("tlb", Test_tlb.suite);
+      ("scan", Test_scan.suite);
       ("multinode", Test_multinode.suite);
       ("workloads", Test_workloads.suite);
       ("report", Test_report.suite);

@@ -488,20 +488,32 @@ let test_queued_cell_not_late () =
   (* While connection 0's cold figure occupies the dispatcher, connection
      1 queues a cold cell and then connection 2 a slower cold figure.
      The cell is answered as soon as it is computed: a stats request
-     sent right after its answer sees the figure still computing. *)
+     sent right after its answer sees the figure still computing.  Stats
+     go over connection 3, which has nothing queued, so they are always
+     answered at once; on connection 1 a stats request could still queue
+     behind the later figure if it arrived before the dispatcher had
+     retired the cell. *)
   with_server ~jobs:1 (fun sock _srv ->
       let c0 = raw_connect sock and c1 = raw_connect sock and c2 = raw_connect sock in
-      Fun.protect ~finally:(fun () -> List.iter (fun r -> Unix.close r.fd) [ c0; c1; c2 ])
+      let c3 = raw_connect sock in
+      Fun.protect ~finally:(fun () -> List.iter (fun r -> Unix.close r.fd) [ c0; c1; c2; c3 ])
       @@ fun () ->
+      let stat field =
+        raw_send c3 (frames [ P.{ rq_id = "s"; rq_op = Stats } ]);
+        stats_of (raw_response c3) field
+      in
       let fig id figure scale = P.{ rq_id = id; rq_op = Run (Figure { fmt = `Csv; figure; scale }) } in
       raw_send c0 (frames [ fig "busy" "fig6" 0.1 ]);
-      Unix.sleepf 0.1;
+      (* The busy figure is computing before anything queues behind it. *)
+      let deadline = Unix.gettimeofday () +. 30.0 in
+      while stat "running" = 0 do
+        if Unix.gettimeofday () > deadline then Alcotest.fail "busy figure never started";
+        Unix.sleepf 0.002
+      done;
       raw_send c1 (frames [ P.{ rq_id = "cell"; rq_op = Run (cellq ~scale:0.04 ()) } ]);
       Unix.sleepf 0.05;
       raw_send c2 (frames [ fig "slow" "fig6" 0.2 ]);
       Alcotest.(check string) "cell computed" "computed" (served_of (raw_response c1));
-      raw_send c1 (frames [ P.{ rq_id = "s"; rq_op = Stats } ]);
-      let stat = stats_of (raw_response c1) in
       Alcotest.(check int) "cell answered before the later figure was computed" 2 (stat "computed");
       Alcotest.(check string) "busy figure computed" "computed" (served_of (raw_response c0));
       Alcotest.(check string) "slow figure computed" "computed" (served_of (raw_response c2)))

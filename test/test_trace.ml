@@ -375,19 +375,15 @@ let test_replay_allocation_free () =
         [ "MM"; "MM_st"; "M_Dyn" ])
     [ Cat.banana_pi_sim; Cat.boom_large; Cat.milkv_hw; Cat.milkv_sim ]
 
-(* milkv-sim's LLC (16384x64) takes over the line arrays milkv-hw's
-   (65536x16) released, still holding the tags of every line the same
-   kernel touched.  The run must equal a fresh process's, where the LLC
-   starts on new arrays. *)
-let test_llc_reuse_matches_fresh_process () =
-  let k = Mb.find "MM" in
-  ignore (R.run_kernel Cat.milkv_hw k);
-  let r = R.run_kernel Cat.milkv_sim k in
+(* The lines of a fresh [simbridge workload] process's report that the
+   in-process result [r] also prints: cycles, instructions, L1D, L2 and
+   DRAM. *)
+let check_fresh_process label (platform : Platform.Config.t) kernel (r : Platform.Soc.result) =
   let out = Filename.temp_file "simbridge-workload" ".out" in
   let status =
     Sys.command
       (Filename.quote_command "../bin/simbridge_cli.exe"
-         [ "workload"; "MM"; "--platform"; "milkv-sim"; "--report"; "" ]
+         [ "workload"; kernel; "--platform"; platform.Platform.Config.name; "--report"; "" ]
          ~stdout:out ~stderr:Filename.null)
   in
   let lines = In_channel.with_open_bin out In_channel.input_lines in
@@ -408,9 +404,73 @@ let test_llc_reuse_matches_fresh_process () =
     ]
   in
   Alcotest.(check (list string))
-    "milkv-sim after milkv-hw = fresh process"
+    label
     (List.map field [ "cycles"; "instructions"; "L1D"; "L2"; "DRAM" ])
     in_process
+
+(* milkv-sim's LLC (16384x64) takes over the line arrays milkv-hw's
+   (65536x16) released, still holding the tags of every line the same
+   kernel touched.  The run must equal a fresh process's, where the LLC
+   starts on new arrays. *)
+let test_llc_reuse_matches_fresh_process () =
+  let k = Mb.find "MM" in
+  ignore (R.run_kernel Cat.milkv_hw k);
+  check_fresh_process "milkv-sim after milkv-hw = fresh process" Cat.milkv_sim "MM"
+    (R.run_kernel Cat.milkv_sim k)
+
+(* A second SoC of a config is built from the first one's released
+   caches, TLBs and branch predictors, reset in place.  A cell on it must
+   equal a fresh process's, and building it and replaying a kernel must
+   allocate nothing on the major heap directly (promotions aside): every
+   large array comes from the released SoC.  Both core classes, both TLB
+   classes (with and without an L2 TLB) and both LLC geometries. *)
+let test_soc_reuse () =
+  List.iter
+    (fun (platform : Platform.Config.t) ->
+      let name = platform.Platform.Config.name in
+      let k = Mb.find "M_Dyn" in
+      ignore (R.run_kernel platform k);
+      check_fresh_process (name ^ ": second cell = fresh process") platform "M_Dyn"
+        (R.run_kernel platform k);
+      let tr = kernel_trace "MM" ~scale:0.25 in
+      let hi = T.length tr in
+      let soc = Platform.Soc.create platform in
+      Platform.Soc.feed_trace soc tr ~lo:0 ~hi;
+      Platform.Soc.release soc;
+      let _, promoted0, major0 = Gc.counters () in
+      let soc = Platform.Soc.create platform in
+      Platform.Soc.feed_trace soc tr ~lo:0 ~hi;
+      let _, promoted1, major1 = Gc.counters () in
+      Platform.Soc.release soc;
+      Alcotest.(check (float 0.))
+        (name ^ ": direct major words of a second create + replay")
+        0.
+        (major1 -. major0 -. (promoted1 -. promoted0)))
+    [ Cat.banana_pi_sim; Cat.boom_large; Cat.milkv_hw; Cat.milkv_sim ]
+
+(* Compiling fills fixed-size chunks and copies them once into the
+   trace's three arrays: 6 major words per instruction, 3 when a limit
+   sizes one chunk for the whole trace.  Growing by doubling and cutting
+   down to size read 10.7.  A [Gc.counters] delta, so deterministic. *)
+let test_compile_major_words () =
+  let n = 100_000 in
+  let insns =
+    List.init n (fun i ->
+        In.make ~pc:(0x1000 + (4 * (i mod 64))) ~dst:1 ~src1:2 ~mem:{ addr = 8 * i; size = 8 } Load)
+  in
+  let per_insn f =
+    (* Promote the input first: only what compiling allocates counts. *)
+    Gc.minor ();
+    let _, _, major0 = Gc.counters () in
+    let tr = f (List.to_seq insns) in
+    let _, _, major1 = Gc.counters () in
+    Alcotest.(check int) "length" n (T.length tr);
+    (major1 -. major0) /. float_of_int n
+  in
+  let full = per_insn T.compile and prefix = per_insn (T.compile ~limit:n) in
+  if full > 6.5 then Alcotest.failf "compile: %.2f major words per instruction, want <= 6.5" full;
+  if prefix > 3.1 then
+    Alcotest.failf "compile ~limit: %.2f major words per instruction, want <= 3.1" prefix
 
 let suite =
   [
@@ -434,4 +494,6 @@ let suite =
     Alcotest.test_case "max_len splits straight-line runs" `Quick test_max_len_segmentation;
     Alcotest.test_case "warm replay allocates nothing" `Quick test_replay_allocation_free;
     Alcotest.test_case "LLC reuse across geometries" `Quick test_llc_reuse_matches_fresh_process;
+    Alcotest.test_case "reused SoC = fresh process, no major garbage" `Quick test_soc_reuse;
+    Alcotest.test_case "compile major words per instruction" `Quick test_compile_major_words;
   ]

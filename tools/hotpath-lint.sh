@@ -13,6 +13,8 @@ set -eu
 
 build=_build/default
 libs="uarch cache dram platform branch interconnect"
+# Single modules of other libraries that the replay path calls into.
+mods="util/.util.objs/native/util__Ring.o"
 prims='caml_(lessthan|greaterthan|lessequal|greaterequal|compare|equal|notequal)'
 
 objs=""
@@ -21,6 +23,10 @@ for lib in $libs; do
     [ -f "$o" ] || { echo "hotpath-lint: no native objects for lib/$lib under $build" >&2; exit 2; }
     objs="$objs $o"
   done
+done
+for m in $mods; do
+  [ -f "$build/lib/$m" ] || { echo "hotpath-lint: no native object lib/$m under $build" >&2; exit 2; }
+  objs="$objs $build/lib/$m"
 done
 
 found=$(for o in $objs; do

@@ -20,10 +20,11 @@
       path uses the identical fork/merge code, so telemetry too is
       bit-identical across job counts.
 
-    Cells must not touch process-global mutable state.  The two global
-    sites in the tree are parallel-safe by construction: the {!Util.Rng}
-    global seed is read-only after startup, and its permutation memo
-    table is domain-local. *)
+    Cells must not touch process-global mutable state unless it guards
+    itself.  The {!Util.Rng} global seed is read-only after startup, and
+    its permutation memo table is domain-local; process-wide caches such
+    as the LAMMPS trajectory memo hold a mutex and return the same
+    values whichever domain fills them. *)
 
 type ctx = {
   cell_index : int;  (** the cell's position in the submitted grid *)

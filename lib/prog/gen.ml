@@ -43,6 +43,19 @@ let iterate n f =
     in
     start 0
 
+let bursts ?(latch = fun _ -> []) n f =
+  let rec start i () = if i >= n then Seq.Nil else walk i (f i) ()
+  and walk i burst () =
+    match burst with
+    | x :: tl -> Seq.Cons (x, walk i tl)
+    | [] -> close i (latch i) ()
+  and close i burst () =
+    match burst with
+    | x :: tl -> Seq.Cons (x, close i tl)
+    | [] -> start (i + 1) ()
+  in
+  start 0
+
 let unfold init step =
   let rec start state () =
     match step state with

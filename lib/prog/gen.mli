@@ -23,6 +23,12 @@ val iterate : int -> (int -> t) -> t
 (** [iterate n f] is [f 0 @ f 1 @ ... @ f (n-1)], built lazily so only one
     iteration's instructions are live at a time. *)
 
+val bursts : ?latch:(int -> Isa.Insn.t list) -> int -> (int -> Isa.Insn.t list) -> t
+(** [bursts ~latch n f] is [f 0 @ latch 0 @ f 1 @ latch 1 @ ... @ latch
+    (n-1)] ([latch] defaults to no instructions), walked lazily as one
+    [Seq] layer: no list is appended and no per-burst sequence is built.
+    The lists may share instructions and tails across bursts. *)
+
 val unfold : 's -> ('s -> (Isa.Insn.t list * 's) option) -> t
 (** General lazy producer: step the state, emitting a burst of instructions
     each time, until the stepper returns [None]. *)

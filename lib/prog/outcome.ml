@@ -25,7 +25,7 @@ let pattern bits =
   if n = 0 then invalid_arg "Outcome.pattern: empty pattern";
   fun pos -> bits.(pos mod n)
 
-let data_dependent data ~threshold =
+let data_dependent (data : int array) ~(threshold : int) =
   let n = Array.length data in
   if n = 0 then invalid_arg "Outcome.data_dependent: empty data";
   fun pos -> data.(pos mod n) > threshold

@@ -30,13 +30,17 @@ let ret ~pc ~target () = make ~ctrl:{ taken = true; target } ~pc Ret
 
 let with_loop region ~iters ~body_slots ~body =
   let overhead_slot = body_slots in
-  Gen.iterate iters (fun pos ->
-      let tail =
-        [
-          alu ~pc:(Prog.Code.pc region overhead_slot) ~dst:rctr ~src1:rctr ();
-          branch
-            ~pc:(Prog.Code.pc region (overhead_slot + 1))
-            ~taken:(pos < iters - 1) ~target:(Prog.Code.pc region 0) ~src1:rctr ();
-        ]
-      in
-      Gen.of_list (body pos @ tail))
+  let increment = alu ~pc:(Prog.Code.pc region overhead_slot) ~dst:rctr ~src1:rctr () in
+  let latch taken =
+    let pc = Prog.Code.pc region (overhead_slot + 1) in
+    [ increment; branch ~pc ~taken ~target:(Prog.Code.pc region 0) ~src1:rctr () ]
+  in
+  let back = latch true and exit = latch false in
+  Gen.bursts iters body ~latch:(fun pos -> if pos < iters - 1 then back else exit)
+
+let overhead codegen ~base build =
+  let most = int_of_float (Float.ceil (float_of_int base *. codegen.Codegen.overhead)) in
+  let lists = Array.init (most + 1) build in
+  fun ~index ->
+    let k = Codegen.ops_at codegen ~index ~base in
+    if k < Array.length lists then lists.(k) else build k

@@ -5,6 +5,12 @@
     fresh-code-region helper, and the canonical counted-loop wrapper that
     appends the loop increment + backward branch every compiled loop has.
 
+    Instructions are immutable, so an emitter builds each instruction
+    whose fields do not depend on the iteration once and emits that same
+    value every iteration; only addresses and branch outcomes are
+    allocated per iteration.  No consumer relies on the physical
+    identity of an instruction.
+
     Register conventions (shared so kernels compose predictably):
     r1 = loop counter, r3 = pointer-chase register, r4..r11 = independent
     accumulators, r12..r15 = temporaries, r20..r23 = load targets. *)
@@ -43,4 +49,12 @@ val with_loop :
   Isa.Insn.t Seq.t
 (** Counted loop: per iteration [body pos] plus increment + backward
     branch (taken except on the last iteration).  [body_slots] is the
-    first free slot in the region for the loop overhead. *)
+    first free slot in the region for the loop overhead.  The increment
+    and the two branch outcomes are single shared values. *)
+
+val overhead : Codegen.t -> base:int -> (int -> Isa.Insn.t list) -> index:int -> Isa.Insn.t list
+(** [overhead codegen ~base build ~index] is [build k], where [k] is
+    [Codegen.ops_at codegen ~index ~base]: the instructions around a
+    loop's dithered integer overhead of [k] ops.  [build] runs once per
+    possible count, when the function is partially applied, and its
+    lists are shared by every index that asks for the same count. *)

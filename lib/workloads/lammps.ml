@@ -12,10 +12,12 @@ type trajectory = {
   pair_count : int array;
 }
 
-(* Recorded per-step work, used by the emission layer. *)
+(* Recorded per-step work, used by the emission layer: the step's
+   neighbor pairs (shared by the steps between two rebuilds) and whether
+   each was within the cutoff.  The bonds never change. *)
 type step_record = {
-  pairs : (int * int * bool) array;  (* (i, j, within cutoff) *)
-  bonds_r : (int * int) array;
+  pairs : (int * int) array;
+  within : bool array;
   rebuilt : bool;
 }
 
@@ -174,7 +176,8 @@ let build_neighbors sim =
   end;
   Array.of_list !pairs
 
-(* One force evaluation; returns (potential energy, per-pair accept flags). *)
+(* One force evaluation; returns (potential energy, per-pair within-cutoff
+   flags). *)
 let compute_forces sim neighbors =
   let rc = cutoff sim.style in
   let rc2 = rc *. rc in
@@ -200,9 +203,9 @@ let compute_forces sim neighbors =
           sim.fy.(j) <- sim.fy.(j) -. (ff *. dy);
           sim.fz.(j) <- sim.fz.(j) -. (ff *. dz);
           pe := !pe +. (4.0 *. inv6 *. (inv6 -. 1.0));
-          (i, j, true)
+          true
         end
-        else (i, j, false))
+        else false)
       neighbors
   in
   (* FENE bonds for the chain benchmark. *)
@@ -261,7 +264,7 @@ let run_md ?(seed = 0x7A) ~style ~atoms ~steps () =
       sim.vy.(i) <- sim.vy.(i) +. (0.5 *. dt *. sim.fy.(i));
       sim.vz.(i) <- sim.vz.(i) +. (0.5 *. dt *. sim.fz.(i))
     done;
-    records := { pairs = flags; bonds_r = sim.bonds; rebuilt } :: !records;
+    records := { pairs = !neighbors; within = flags; rebuilt } :: !records;
     pes := pe :: !pes;
     kes := kinetic sim :: !kes
   done;
@@ -275,13 +278,56 @@ let run_md ?(seed = 0x7A) ~style ~atoms ~steps () =
       kinetic_energy = Array.of_list (List.rev !kes);
       pair_count =
         Array.map
-          (fun r -> Array.fold_left (fun acc (_, _, ok) -> if ok then acc + 1 else acc) 0 r.pairs)
+          (fun r -> Array.fold_left (fun acc ok -> if ok then acc + 1 else acc) 0 r.within)
           records;
     }
   in
-  (traj, records)
+  (traj, sim.bonds, records)
 
-let simulate ?seed ~style ~atoms ~steps () = fst (run_md ?seed ~style ~atoms ~steps ())
+let simulate ?seed ~style ~atoms ~steps () =
+  let traj, _, _ = run_md ?seed ~style ~atoms ~steps () in
+  traj
+
+(* The recorded steps depend only on (style, atoms, steps), so every
+   program built at one scale (any rank count, any codegen, any
+   platform) replays one MD run.  The table keeps the [memo_keep] most
+   recently used sizes per style; the lock lets pool domains share it,
+   and a domain that misses runs the MD under it, so no size is ever run
+   twice at once. *)
+type memo_entry = {
+  m_style : style;
+  m_atoms : int;
+  m_steps : int;
+  m_bonds : (int * int) array;
+  m_records : step_record array;
+}
+
+let memo_keep = 2
+let memo : memo_entry list ref = ref []
+let memo_lock = Mutex.create ()
+let md_run_count = ref 0
+
+let recorded_steps ~style ~atoms ~steps =
+  Mutex.protect memo_lock (fun () ->
+      let hit e = e.m_style = style && e.m_atoms = atoms && e.m_steps = steps in
+      let entry =
+        match List.find_opt hit !memo with
+        | Some e -> e
+        | None ->
+          incr md_run_count;
+          let _, bonds, records = run_md ~style ~atoms ~steps () in
+          { m_style = style; m_atoms = atoms; m_steps = steps; m_bonds = bonds; m_records = records }
+      in
+      let same, others =
+        List.partition (fun e -> e.m_style = style) (List.filter (fun e -> not (hit e)) !memo)
+      in
+      memo := (entry :: List.filteri (fun k _ -> k < memo_keep - 1) same) @ others;
+      (entry.m_bonds, entry.m_records))
+
+let md_runs () = Mutex.protect memo_lock (fun () -> !md_run_count)
+
+let memoized () =
+  Mutex.protect memo_lock (fun () -> List.map (fun e -> (e.m_style, e.m_atoms, e.m_steps)) !memo)
 
 (* ---------------------------------------------------------------- emission *)
 
@@ -298,7 +344,7 @@ let atom_stride = 128
 let program ?(codegen = Codegen.default) ~style ~ranks ~scale () : Smpi.program =
   let atoms = max 64 (int_of_float (float_of_int 1200 *. scale)) in
   let steps = 4 in
-  let _, records = run_md ~style ~atoms ~steps () in
+  let bonds, records = recorded_steps ~style ~atoms ~steps in
 
   let mk_rank rank =
     let base = Workload.data_base ~rank in
@@ -309,98 +355,123 @@ let program ?(codegen = Codegen.default) ~style ~ranks ~scale () : Smpi.program 
     let pc = Prog.Code.pc region in
     let lo, sz = split atoms ranks rank in
     let owns i = i >= lo && i < lo + sz in
-    (* Pair-force stream for one step: each examined pair owned by this
-       rank emits the gather + cutoff test; accepted pairs add the force
-       math and the newton-scatter to atom j. *)
+    (* Indices, in order, of the pairs (or bonds) whose first atom this
+       rank owns. *)
+    let owned_by (pairs : (int * int) array) =
+      let owned = Array.make (Array.fold_left (fun n (i, _) -> if owns i then n + 1 else n) 0 pairs) 0 in
+      let n = ref 0 in
+      Array.iteri
+        (fun k (i, _) ->
+          if owns i then begin
+            owned.(!n) <- k;
+            incr n
+          end)
+        pairs;
+      owned
+    in
     (* The boards' compiler vectorizes the pair loop (RVV indexed loads
        pack the gathers, lanes pack the math): one emitted group covers
        [vw] pairs.  The FireSim-image binary is scalar (vw = 1). *)
     let vw = max 1 (int_of_float codegen.Codegen.vector_width) in
+    let fadd = E.fp ~kind:Isa.Insn.Fp_add and fmul = E.fp ~kind:Isa.Insn.Fp_mul in
+    let cutoff_test =
+      [
+        fadd ~pc:(pc 4) ~dst:24 ~src1:21 ();
+        fmul ~pc:(pc 5) ~dst:24 ~src1:24 ~src2:24 ();
+        fadd ~pc:(pc 6) ~dst:25 ~src1:24 ~src2:25 ();
+      ]
+    in
+    let cutoff_branch ok = E.branch ~pc:(pc 7) ~taken:(not ok) ~target:(pc 24) ~src1:25 () in
+    let within = cutoff_branch true and beyond = cutoff_branch false in
+    (* The pure pair math vectorizes (the boards' compiler packs lanes);
+       the gather/scatter part does not. *)
+    let pair_math =
+      E.fp ~pc:(pc 8) ~kind:Isa.Insn.Fp_div ~dst:26 ~src1:25 ()
+      :: List.init (Codegen.vector_ops codegen 4) (fun m ->
+             E.fp ~pc:(pc (9 + m))
+               ~kind:(if m land 1 = 0 then Isa.Insn.Fp_mul else Isa.Insn.Fp_add)
+               ~dst:(26 + (m land 1)) ~src1:(26 + (m land 1)) ())
+    in
+    let force_add = fadd ~pc:(pc 14) ~dst:28 ~src1:28 ~src2:27 () in
+    let overhead =
+      E.overhead codegen ~base:2 (fun k ->
+          List.init k (fun m -> E.alu ~pc:(pc (16 + m)) ~dst:E.rctr ~src1:E.rctr ()))
+    in
+    (* Pair-force stream for one step: each examined pair owned by this
+       rank emits the gather + cutoff test; accepted pairs add the force
+       math and the newton-scatter to atom j. *)
     let force_stream (rec_ : step_record) =
-      let owned = Array.of_seq (Seq.filter (fun (i, _, _) -> owns i) (Array.to_seq rec_.pairs)) in
-      Gen.iterate ((Array.length owned + vw - 1) / vw) (fun g ->
+      let owned = owned_by rec_.pairs in
+      Gen.bursts ((Array.length owned + vw - 1) / vw) (fun g ->
           let k = g * vw in
-          let _i, j, ok = owned.(k) in
-          let gather =
-            [
-              E.load ~pc:(pc 0) ~dst:E.rtmp ~addr:(nlist_base + (k * 4)) ();
-              E.load ~pc:(pc 1) ~dst:21 ~addr:(pos_base + (j * atom_stride)) ~src1:E.rtmp ();
-              E.load ~pc:(pc 2) ~dst:22 ~addr:(pos_base + (j * atom_stride) + 8) ~src1:E.rtmp ();
-              E.load ~pc:(pc 3) ~dst:23 ~addr:(pos_base + (j * atom_stride) + 16) ~src1:E.rtmp ();
-              E.fp ~pc:(pc 4) ~kind:Isa.Insn.Fp_add ~dst:24 ~src1:21 ();
-              E.fp ~pc:(pc 5) ~kind:Isa.Insn.Fp_mul ~dst:24 ~src1:24 ~src2:24 ();
-              E.fp ~pc:(pc 6) ~kind:Isa.Insn.Fp_add ~dst:25 ~src1:24 ~src2:25 ();
-              E.branch ~pc:(pc 7) ~taken:(not ok) ~target:(pc 24) ~src1:25 ();
-            ]
-          in
-          let accepted =
-            if not ok then []
+          let _, j = rec_.pairs.(owned.(k)) and ok = rec_.within.(owned.(k)) in
+          let pos_j = pos_base + (j * atom_stride) and force_j = force_base + (j * atom_stride) in
+          let tail = overhead ~index:k in
+          let tail =
+            if not ok then tail
             else
-              (* The pure pair math vectorizes (the boards' compiler packs
-                 lanes); the gather/scatter part does not. *)
-              (E.fp ~pc:(pc 8) ~kind:Isa.Insn.Fp_div ~dst:26 ~src1:25 ()
-              :: List.init
-                   (Codegen.vector_ops codegen 4)
-                   (fun m ->
-                     E.fp ~pc:(pc (9 + m))
-                       ~kind:(if m land 1 = 0 then Isa.Insn.Fp_mul else Isa.Insn.Fp_add)
-                       ~dst:(26 + (m land 1)) ~src1:(26 + (m land 1)) ()))
-              @ [
-                  E.load ~pc:(pc 13) ~dst:28 ~addr:(force_base + (j * atom_stride)) ();
-                  E.fp ~pc:(pc 14) ~kind:Isa.Insn.Fp_add ~dst:28 ~src1:28 ~src2:27 ();
-                  E.store ~pc:(pc 15) ~addr:(force_base + (j * atom_stride)) ~src1:28 ();
-                ]
+              pair_math
+              @ E.load ~pc:(pc 13) ~dst:28 ~addr:force_j ()
+                :: force_add
+                :: E.store ~pc:(pc 15) ~addr:force_j ~src1:28 ()
+                :: tail
           in
-          let overhead =
-            List.init
-              (Codegen.ops_at codegen ~index:k ~base:2)
-              (fun m -> E.alu ~pc:(pc (16 + m)) ~dst:E.rctr ~src1:E.rctr ())
-          in
-          Gen.of_list (gather @ accepted @ overhead))
+          E.load ~pc:(pc 0) ~dst:E.rtmp ~addr:(nlist_base + (k * 4)) ()
+          :: E.load ~pc:(pc 1) ~dst:21 ~addr:pos_j ~src1:E.rtmp ()
+          :: E.load ~pc:(pc 2) ~dst:22 ~addr:(pos_j + 8) ~src1:E.rtmp ()
+          :: E.load ~pc:(pc 3) ~dst:23 ~addr:(pos_j + 16) ~src1:E.rtmp ()
+          :: (cutoff_test @ ((if ok then within else beyond) :: tail)))
     in
     (* FENE bond stream (chain only): includes the logarithm (Fp_long). *)
-    let bond_stream (rec_ : step_record) =
-      let owned = Array.of_seq (Seq.filter (fun (i, _) -> owns i) (Array.to_seq rec_.bonds_r)) in
-      Gen.iterate ((Array.length owned + vw - 1) / vw) (fun g ->
-          let _, j = owned.(g * vw) in
-          Gen.of_list
-            [
-              E.load ~pc:(pc 32) ~dst:21 ~addr:(pos_base + (j * atom_stride)) ();
-              E.fp ~pc:(pc 33) ~kind:Isa.Insn.Fp_add ~dst:22 ~src1:21 ();
-              E.fp ~pc:(pc 34) ~kind:Isa.Insn.Fp_mul ~dst:22 ~src1:22 ~src2:22 ();
-              E.fp ~pc:(pc 35) ~kind:Isa.Insn.Fp_div ~dst:23 ~src1:22 ();
-              E.fp ~pc:(pc 36) ~kind:Isa.Insn.Fp_long ~dst:24 ~src1:23 ();
-              E.fp ~pc:(pc 37) ~kind:Isa.Insn.Fp_add ~dst:(E.racc 1) ~src1:(E.racc 1) ~src2:24 ();
-              E.store ~pc:(pc 38) ~addr:(force_base + (j * atom_stride)) ~src1:24 ();
-            ])
+    let bond_math =
+      [
+        fadd ~pc:(pc 33) ~dst:22 ~src1:21 ();
+        fmul ~pc:(pc 34) ~dst:22 ~src1:22 ~src2:22 ();
+        E.fp ~pc:(pc 35) ~kind:Isa.Insn.Fp_div ~dst:23 ~src1:22 ();
+        E.fp ~pc:(pc 36) ~kind:Isa.Insn.Fp_long ~dst:24 ~src1:23 ();
+        fadd ~pc:(pc 37) ~dst:(E.racc 1) ~src1:(E.racc 1) ~src2:24 ();
+      ]
+    in
+    let owned_bonds = owned_by bonds in
+    let bond_stream =
+      Gen.bursts ((Array.length owned_bonds + vw - 1) / vw) (fun g ->
+          let _, j = bonds.(owned_bonds.(g * vw)) in
+          E.load ~pc:(pc 32) ~dst:21 ~addr:(pos_base + (j * atom_stride)) ()
+          :: (bond_math @ [ E.store ~pc:(pc 38) ~addr:(force_base + (j * atom_stride)) ~src1:24 () ]))
     in
     (* Integration stream: streaming load/fma/store over owned atoms. *)
+    let scale_force = fmul ~pc:(pc 42) ~dst:23 ~src1:22 () in
+    let advance = fadd ~pc:(pc 43) ~dst:21 ~src1:21 ~src2:23 () in
+    let advance_v = fadd ~pc:(pc 46) ~dst:24 ~src1:24 ~src2:23 () in
     let integrate_stream =
       E.with_loop region ~iters:((sz + vw - 1) / vw) ~body_slots:56 ~body:(fun gi ->
           let i = lo + (gi * vw) in
+          let at = pos_base + (i * atom_stride) in
           [
-            E.load ~pc:(pc 40) ~dst:21 ~addr:(pos_base + (i * atom_stride)) ();
+            E.load ~pc:(pc 40) ~dst:21 ~addr:at ();
             E.load ~pc:(pc 41) ~dst:22 ~addr:(force_base + (i * atom_stride)) ();
-            E.fp ~pc:(pc 42) ~kind:Isa.Insn.Fp_mul ~dst:23 ~src1:22 ();
-            E.fp ~pc:(pc 43) ~kind:Isa.Insn.Fp_add ~dst:21 ~src1:21 ~src2:23 ();
-            E.store ~pc:(pc 44) ~addr:(pos_base + (i * atom_stride)) ~src1:21 ();
-            E.load ~pc:(pc 45) ~dst:24 ~addr:(pos_base + (i * atom_stride) + 8) ();
-            E.fp ~pc:(pc 46) ~kind:Isa.Insn.Fp_add ~dst:24 ~src1:24 ~src2:23 ();
-            E.store ~pc:(pc 47) ~addr:(pos_base + (i * atom_stride) + 8) ~src1:24 ();
+            scale_force;
+            advance;
+            E.store ~pc:(pc 44) ~addr:at ~src1:21 ();
+            E.load ~pc:(pc 45) ~dst:24 ~addr:(at + 8) ();
+            advance_v;
+            E.store ~pc:(pc 47) ~addr:(at + 8) ~src1:24 ();
           ])
     in
     (* Neighbor rebuild: cell binning sweep over owned atoms. *)
+    let binning =
+      [
+        fmul ~pc:(pc 49) ~dst:22 ~src1:21 ();
+        E.fp ~pc:(pc 50) ~kind:Isa.Insn.Fp_cvt ~dst:E.rtmp ~src1:22 ();
+        E.alu ~pc:(pc 51) ~dst:E.rtmp2 ~src1:E.rtmp ();
+        E.alu ~pc:(pc 52) ~dst:E.rtmp2 ~src1:E.rtmp2 ();
+      ]
+    in
     let rebuild_stream =
       E.with_loop region ~iters:sz ~body_slots:60 ~body:(fun ai ->
           let i = lo + ai in
-          [
-            E.load ~pc:(pc 48) ~dst:21 ~addr:(pos_base + (i * atom_stride)) ();
-            E.fp ~pc:(pc 49) ~kind:Isa.Insn.Fp_mul ~dst:22 ~src1:21 ();
-            E.fp ~pc:(pc 50) ~kind:Isa.Insn.Fp_cvt ~dst:E.rtmp ~src1:22 ();
-            E.alu ~pc:(pc 51) ~dst:E.rtmp2 ~src1:E.rtmp ();
-            E.alu ~pc:(pc 52) ~dst:E.rtmp2 ~src1:E.rtmp2 ();
-            E.store ~pc:(pc 53) ~addr:(nlist_base + (atoms * 4) + (i * 4)) ~src1:E.rtmp2 ();
-          ])
+          E.load ~pc:(pc 48) ~dst:21 ~addr:(pos_base + (i * atom_stride)) ()
+          :: (binning @ [ E.store ~pc:(pc 53) ~addr:(nlist_base + (atoms * 4) + (i * 4)) ~src1:E.rtmp2 () ]))
     in
     let halo =
       if ranks = 1 then []
@@ -421,7 +492,7 @@ let program ?(codegen = Codegen.default) ~style ~ranks ~scale () : Smpi.program 
       halo
       @ (if rec_.rebuilt then [ Smpi.Compute rebuild_stream ] else [])
       @ [ Smpi.Compute (force_stream rec_) ]
-      @ (match style with Chain -> [ Smpi.Compute (bond_stream rec_) ] | Lj -> [])
+      @ (match style with Chain -> [ Smpi.Compute bond_stream ] | Lj -> [])
       @ [ Smpi.Compute integrate_stream; Smpi.Comm (Smpi.Allreduce { bytes = 24 }) ]
     in
     List.concat_map step_segments (Array.to_list records)

@@ -31,6 +31,16 @@ val simulate : ?seed:int -> style:style -> atoms:int -> steps:int -> unit -> tra
     conservation and by the examples. *)
 
 val program : ?codegen:Codegen.t -> style:style -> ranks:int -> scale:float -> unit -> Smpi.program
+(** The trajectory a program replays is memoized on (style, atoms,
+    steps), keeping the two most recently used sizes per style, so
+    programs built at one scale run the MD once between them.  Safe to
+    call from several domains at once. *)
+
+val md_runs : unit -> int
+(** MD runs the program builder has made so far in this process. *)
+
+val memoized : unit -> (style * int * int) list
+(** The memoized (style, atoms, steps) keys, most recently used first. *)
 
 val lj : Workload.app
 val chain : Workload.app

@@ -70,55 +70,63 @@ let cg_program ?(codegen = Codegen.default) ~ranks ~scale () : Smpi.program =
     let region = E.fresh_region ~slots:32 in
     let pc = Prog.Code.pc region in
 
+    let nz_math =
+      [
+        E.fp ~pc:(pc 3) ~kind:Isa.Insn.Fp_mul ~dst:23 ~src1:21 ~src2:22 ();
+        E.fp ~pc:(pc 4) ~kind:Isa.Insn.Fp_add ~dst:24 ~src1:24 ~src2:23 ();
+      ]
+    in
+    let row_end taken =
+      let branch = E.branch ~pc:(pc 15) ~taken ~target:(pc 0) ~src1:E.rctr () in
+      E.overhead codegen ~base:1 (fun k ->
+          List.init k (fun j -> E.alu ~pc:(pc (6 + (j mod 8))) ~dst:E.rctr ~src1:E.rctr ()) @ [ branch ])
+    in
+    let next_row = row_end true and last_row = row_end false in
     let spmv_stream =
-      Gen.iterate sz (fun row_i ->
+      Gen.bursts sz (fun row_i ->
           let row = lo + row_i in
-          let per_nz k =
-            let col = cols.(row).(k) in
-            [
-              E.load ~pc:(pc 0) ~dst:E.rtmp ~addr:(col_base + (((row * nnz_row) + k) * 4)) ();
-              E.load ~pc:(pc 1) ~dst:21 ~addr:(p_base + (col * 8)) ~src1:E.rtmp ();
-              E.load ~pc:(pc 2) ~dst:22 ~addr:(val_base + (((row * nnz_row) + k) * 8)) ();
-              E.fp ~pc:(pc 3) ~kind:Isa.Insn.Fp_mul ~dst:23 ~src1:21 ~src2:22 ();
-              E.fp ~pc:(pc 4) ~kind:Isa.Insn.Fp_add ~dst:24 ~src1:24 ~src2:23 ();
-            ]
+          let rec per_nz k acc =
+            if k < 0 then acc
+            else
+              let at = (row * nnz_row) + k in
+              per_nz (k - 1)
+                (E.load ~pc:(pc 0) ~dst:E.rtmp ~addr:(col_base + (at * 4)) ()
+                :: E.load ~pc:(pc 1) ~dst:21 ~addr:(p_base + (cols.(row).(k) * 8)) ~src1:E.rtmp ()
+                :: E.load ~pc:(pc 2) ~dst:22 ~addr:(val_base + (at * 8)) ()
+                :: (nz_math @ acc))
           in
-          let body = List.concat (List.init nnz_row per_nz) in
-          let loop_ops =
-            List.init
-              (Codegen.ops_at codegen ~index:row_i ~base:1)
-              (fun j -> E.alu ~pc:(pc (6 + (j mod 8))) ~dst:E.rctr ~src1:E.rctr ())
-          in
-          Gen.of_list
-            (body
-            @ [ E.store ~pc:(pc 5) ~addr:(q_base + (row * 8)) ~src1:24 () ]
-            @ loop_ops
-            @ [
-                E.branch ~pc:(pc 15) ~taken:(row_i < sz - 1) ~target:(pc 0) ~src1:E.rctr ();
-              ]))
+          per_nz (nnz_row - 1)
+            (E.store ~pc:(pc 5) ~addr:(q_base + (row * 8)) ~src1:24 ()
+            :: (if row_i < sz - 1 then next_row else last_row) ~index:row_i))
     in
     (* dot product over local rows: two streaming loads + fma. *)
+    let dot_math =
+      [
+        E.fp ~pc:(pc 18) ~kind:Isa.Insn.Fp_mul ~dst:23 ~src1:21 ~src2:22 ();
+        E.fp ~pc:(pc 19) ~kind:Isa.Insn.Fp_add ~dst:24 ~src1:24 ~src2:23 ();
+      ]
+    in
     let dot_stream a_base b_base =
       E.with_loop region ~iters:sz ~body_slots:20 ~body:(fun i ->
-          [
-            E.load ~pc:(pc 16) ~dst:21 ~addr:(a_base + ((lo + i) * 8)) ();
-            E.load ~pc:(pc 17) ~dst:22 ~addr:(b_base + ((lo + i) * 8)) ();
-            E.fp ~pc:(pc 18) ~kind:Isa.Insn.Fp_mul ~dst:23 ~src1:21 ~src2:22 ();
-            E.fp ~pc:(pc 19) ~kind:Isa.Insn.Fp_add ~dst:24 ~src1:24 ~src2:23 ();
-          ])
+          E.load ~pc:(pc 16) ~dst:21 ~addr:(a_base + ((lo + i) * 8)) ()
+          :: E.load ~pc:(pc 17) ~dst:22 ~addr:(b_base + ((lo + i) * 8)) ()
+          :: dot_math)
     in
     (* axpy-style vector updates: x += alpha p; r -= alpha q; p = r + beta p. *)
+    let scale_p = E.fp ~pc:(pc 21) ~kind:Isa.Insn.Fp_mul ~dst:22 ~src1:21 () in
+    let add_x = E.fp ~pc:(pc 23) ~kind:Isa.Insn.Fp_add ~dst:23 ~src1:23 ~src2:22 () in
+    let add_r = E.fp ~pc:(pc 26) ~kind:Isa.Insn.Fp_add ~dst:25 ~src1:25 ~src2:22 () in
     let update_stream =
       E.with_loop region ~iters:sz ~body_slots:28 ~body:(fun i ->
           let row = lo + i in
           [
             E.load ~pc:(pc 20) ~dst:21 ~addr:(p_base + (row * 8)) ();
-            E.fp ~pc:(pc 21) ~kind:Isa.Insn.Fp_mul ~dst:22 ~src1:21 ();
+            scale_p;
             E.load ~pc:(pc 22) ~dst:23 ~addr:(x_base + (row * 8)) ();
-            E.fp ~pc:(pc 23) ~kind:Isa.Insn.Fp_add ~dst:23 ~src1:23 ~src2:22 ();
+            add_x;
             E.store ~pc:(pc 24) ~addr:(x_base + (row * 8)) ~src1:23 ();
             E.load ~pc:(pc 25) ~dst:25 ~addr:(r_base + (row * 8)) ();
-            E.fp ~pc:(pc 26) ~kind:Isa.Insn.Fp_add ~dst:25 ~src1:25 ~src2:22 ();
+            add_r;
             E.store ~pc:(pc 27) ~addr:(r_base + (row * 8)) ~src1:25 ();
           ])
     in
@@ -165,48 +173,52 @@ let ep_program ?(codegen = Codegen.default) ~ranks ~scale () : Smpi.program =
     let region = E.fresh_region ~slots:48 in
     let pc = Prog.Code.pc region in
     let seed = 0xE9 + rank in
+    (* sqrt(-2 ln t / t): two interleaved polynomial chains plus a
+       divide, then the histogram update. *)
+    let gaussian =
+      List.concat
+        (List.init 2 (fun k ->
+             [
+               E.fp ~pc:(pc (16 + (2 * k))) ~kind:Isa.Insn.Fp_mul ~dst:24 ~src1:24 ();
+               E.fp ~pc:(pc (17 + (2 * k))) ~kind:Isa.Insn.Fp_add ~dst:25 ~src1:25 ();
+             ]))
+      @ [
+          E.fp ~pc:(pc 22) ~kind:Isa.Insn.Fp_div ~dst:26 ~src1:24 ~src2:23 ();
+          E.fp ~pc:(pc 23) ~kind:Isa.Insn.Fp_mul ~dst:27 ~src1:22 ~src2:26 ();
+          E.alu ~pc:(pc 24) ~dst:E.rtmp ~src1:27 ();
+        ]
+    in
+    (* vranlc-style PRNG: integer-dominated, wide ILP — this is where a
+       dual-issue / wider silicon core pulls ahead of the model.  Then the
+       acceptance test, whose branch follows the real arithmetic, and on
+       acceptance the Gaussian's arithmetic. *)
+    let draw accept =
+      let test =
+        E.fp ~pc:(pc 12) ~kind:Isa.Insn.Fp_mul ~dst:21 ~src1:21 ()
+        :: E.fp ~pc:(pc 13) ~kind:Isa.Insn.Fp_mul ~dst:22 ~src1:22 ()
+        :: E.fp ~pc:(pc 14) ~kind:Isa.Insn.Fp_add ~dst:23 ~src1:21 ~src2:22 ()
+        :: E.branch ~pc:(pc 15) ~taken:(not accept) ~target:(pc 36) ~src1:23 ()
+        :: (if accept then gaussian else [])
+      in
+      E.overhead codegen ~base:18 (fun k ->
+          List.init k (fun j -> E.alu ~pc:(pc (j mod 12)) ~dst:(E.racc j) ~src1:(E.racc j) ()) @ test)
+    in
+    let accepted_draw = draw true and rejected_draw = draw false in
+    let count = E.alu ~pc:(pc 26) ~dst:E.rtmp2 ~src1:E.rtmp2 () in
     let stream =
       E.with_loop region ~iters:sz ~body_slots:40 ~body:(fun i ->
           let x = (2.0 *. u seed (2 * i)) -. 1.0 in
           let y = (2.0 *. u (seed + 7) ((2 * i) + 1)) -. 1.0 in
           let t = (x *. x) +. (y *. y) in
-          let accept = t <= 1.0 && t > 0.0 in
-          (* vranlc-style PRNG: integer-dominated, wide ILP — this is where
-             a dual-issue / wider silicon core pulls ahead of the model. *)
-          let prng =
-            List.init
-              (Codegen.ops_at codegen ~index:i ~base:18)
-              (fun j -> E.alu ~pc:(pc (j mod 12)) ~dst:(E.racc j) ~src1:(E.racc j) ())
-          in
-          let arith =
-            [
-              E.fp ~pc:(pc 12) ~kind:Isa.Insn.Fp_mul ~dst:21 ~src1:21 ();
-              E.fp ~pc:(pc 13) ~kind:Isa.Insn.Fp_mul ~dst:22 ~src1:22 ();
-              E.fp ~pc:(pc 14) ~kind:Isa.Insn.Fp_add ~dst:23 ~src1:21 ~src2:22 ();
-              E.branch ~pc:(pc 15) ~taken:(not accept) ~target:(pc 36) ~src1:23 ();
-            ]
-          in
-          let accepted =
-            if accept then
-              (* sqrt(-2 ln t / t): two interleaved polynomial chains plus
-                 a divide, then the histogram update. *)
-              List.concat
-                (List.init 2 (fun k ->
-                     [
-                       E.fp ~pc:(pc (16 + (2 * k))) ~kind:Isa.Insn.Fp_mul ~dst:24 ~src1:24 ();
-                       E.fp ~pc:(pc (17 + (2 * k))) ~kind:Isa.Insn.Fp_add ~dst:25 ~src1:25 ();
-                     ]))
-              @ [
-                  E.fp ~pc:(pc 22) ~kind:Isa.Insn.Fp_div ~dst:26 ~src1:24 ~src2:23 ();
-                  E.fp ~pc:(pc 23) ~kind:Isa.Insn.Fp_mul ~dst:27 ~src1:22 ~src2:26 ();
-                  E.alu ~pc:(pc 24) ~dst:E.rtmp ~src1:27 ();
-                  E.load ~pc:(pc 25) ~dst:E.rtmp2 ~addr:(base + (abs (int_of_float (x *. 8.0)) mod 10 * 8)) ();
-                  E.alu ~pc:(pc 26) ~dst:E.rtmp2 ~src1:E.rtmp2 ();
-                  E.store ~pc:(pc 27) ~addr:(base + (abs (int_of_float (y *. 8.0)) mod 10 * 8)) ~src1:E.rtmp2 ();
-                ]
-            else []
-          in
-          prng @ arith @ accepted)
+          if not (t <= 1.0 && t > 0.0) then rejected_draw ~index:i
+          else
+            let bin v = base + (abs (int_of_float (v *. 8.0)) mod 10 * 8) in
+            accepted_draw ~index:i
+            @ [
+                E.load ~pc:(pc 25) ~dst:E.rtmp2 ~addr:(bin x) ();
+                count;
+                E.store ~pc:(pc 27) ~addr:(bin y) ~src1:E.rtmp2 ();
+              ])
     in
     [ Smpi.Compute stream; Smpi.Comm (Smpi.Allreduce { bytes = 80 }) ]
   in
@@ -236,36 +248,41 @@ let is_program ?(codegen = Codegen.default) ~ranks ~scale () : Smpi.program =
     let region = E.fresh_region ~slots:32 in
     let pc = Prog.Code.pc region in
     let seed = 0x15 + rank in
+    let bump = E.alu ~pc:(pc 5) ~dst:E.rtmp2 ~src1:E.rtmp2 () in
+    let hash =
+      E.overhead codegen ~base:2 (fun k ->
+          List.init k (fun j -> E.alu ~pc:(pc (1 + j)) ~dst:E.rtmp ~src1:E.rval ()))
+    in
     (* Phase 1: histogram — stream keys, random-access bucket counters. *)
     let histogram =
       E.with_loop region ~iters:sz ~body_slots:12 ~body:(fun i ->
-          let k = key seed i in
-          [ E.load ~pc:(pc 0) ~dst:E.rval ~addr:(keys_base + (i * 4)) () ]
-          @ List.init
-              (Codegen.ops_at codegen ~index:i ~base:2)
-              (fun j -> E.alu ~pc:(pc (1 + j)) ~dst:E.rtmp ~src1:E.rval ())
-          @ [
-              E.load ~pc:(pc 4) ~dst:E.rtmp2 ~addr:(bucket_base + (k * 4)) ~src1:E.rtmp ();
-              E.alu ~pc:(pc 5) ~dst:E.rtmp2 ~src1:E.rtmp2 ();
-              E.store ~pc:(pc 6) ~addr:(bucket_base + (k * 4)) ~src1:E.rtmp2 ();
-            ])
+          let counter = bucket_base + (key seed i * 4) in
+          E.load ~pc:(pc 0) ~dst:E.rval ~addr:(keys_base + (i * 4)) ()
+          :: (hash ~index:i
+             @ [
+                 E.load ~pc:(pc 4) ~dst:E.rtmp2 ~addr:counter ~src1:E.rtmp ();
+                 bump;
+                 E.store ~pc:(pc 6) ~addr:counter ~src1:E.rtmp2 ();
+               ]))
     in
     (* Phase 3: ranking — prefix sums over buckets then scatter of keys. *)
+    let sum = E.alu ~pc:(pc 17) ~dst:(E.racc 0) ~src1:E.rval ~src2:(E.racc 0) () in
     let prefix =
       E.with_loop region ~iters:buckets ~body_slots:20 ~body:(fun b ->
           [
             E.load ~pc:(pc 16) ~dst:E.rval ~addr:(bucket_base + (b * 4)) ();
-            E.alu ~pc:(pc 17) ~dst:(E.racc 0) ~src1:E.rval ~src2:(E.racc 0) ();
+            sum;
             E.store ~pc:(pc 18) ~addr:(bucket_base + (b * 4)) ~src1:(E.racc 0) ();
           ])
     in
+    let rank_of = E.alu ~pc:(pc 26) ~dst:E.rtmp ~src1:E.rtmp () in
     let scatter =
       E.with_loop region ~iters:sz ~body_slots:28 ~body:(fun i ->
           let k = key seed i in
           [
             E.load ~pc:(pc 24) ~dst:E.rval ~addr:(keys_base + (i * 4)) ();
             E.load ~pc:(pc 25) ~dst:E.rtmp ~addr:(bucket_base + (k * 4)) ();
-            E.alu ~pc:(pc 26) ~dst:E.rtmp ~src1:E.rtmp ();
+            rank_of;
             E.store ~pc:(pc 27) ~addr:(out_base + (((k * 16) + (i mod 16)) * 4)) ~src1:E.rval ();
           ])
     in
@@ -297,41 +314,47 @@ let mg_program ?(codegen = Codegen.default) ~ranks ~scale () : Smpi.program =
     let region = E.fresh_region ~slots:48 in
     let pc = Prog.Code.pc region in
     let grid_base l = base + (l * 8 * nx * ny * nz) in
+    (* The 7-point stencil's arithmetic and loop overhead, and the row
+       latch in both branch outcomes, are the same at every point. *)
+    let stencil =
+      List.init 6 (fun j ->
+          E.fp ~pc:(pc (8 + j)) ~kind:Isa.Insn.Fp_add ~dst:E.rval ~src1:E.rval ~src2:(E.racc (j + 1)) ())
+      @ [ E.fp ~pc:(pc 14) ~kind:Isa.Insn.Fp_mul ~dst:E.rval ~src1:E.rval () ]
+    in
+    let arith =
+      E.overhead codegen ~base:2 (fun k ->
+          stencil @ List.init k (fun j -> E.alu ~pc:(pc (15 + j)) ~dst:E.rtmp ~src1:E.rtmp ()))
+    in
+    let step = E.alu ~pc:(pc 21) ~dst:E.rctr ~src1:E.rctr () in
+    let latch taken = [ step; E.branch ~pc:(pc 22) ~taken ~target:(pc 0) ~src1:E.rctr () ] in
+    let next_x = latch true and row_end = latch false in
+    let clamp hi v = if v < 0 then 0 else if v > hi then hi else v in
+    let neighbors = [| (0, 0, 0); (-1, 0, 0); (1, 0, 0); (0, -1, 0); (0, 1, 0); (0, 0, -1); (0, 0, 1) |] in
     let sweep ~level ~out_offset =
       let n = max 8 (nx lsr level) in
       let lo_z, sz_z = split nz ranks rank in
       let gb = grid_base level in
       let idx x y z = ((((z * ny) + y) * n) + x) * 8 in
-      Gen.iterate sz_z (fun zi ->
-          let z = lo_z + zi in
-          Gen.iterate (ny - 2) (fun ym ->
-              let y = ym + 1 in
-              Gen.iterate (n - 2) (fun xm ->
-                  let x = xm + 1 in
-                  let neighbor_loads =
-                    List.mapi
-                      (fun j (dx, dy, dz) ->
-                        let zz = max 0 (min (nz - 1) (z + dz)) in
-                        let yy = max 0 (min (ny - 1) (y + dy)) in
-                        E.load ~pc:(pc j) ~dst:(E.racc j) ~addr:(gb + idx (x + dx) yy zz) ())
-                      [ (0, 0, 0); (-1, 0, 0); (1, 0, 0); (0, -1, 0); (0, 1, 0); (0, 0, -1); (0, 0, 1) ]
-                  in
-                  let arith =
-                    List.init 6 (fun j ->
-                        E.fp ~pc:(pc (8 + j)) ~kind:Isa.Insn.Fp_add ~dst:E.rval ~src1:E.rval
-                          ~src2:(E.racc (j + 1)) ())
-                    @ [ E.fp ~pc:(pc 14) ~kind:Isa.Insn.Fp_mul ~dst:E.rval ~src1:E.rval () ]
-                    @ List.init
-                        (Codegen.ops_at codegen ~index:xm ~base:2)
-                        (fun j -> E.alu ~pc:(pc (15 + j)) ~dst:E.rtmp ~src1:E.rtmp ())
-                  in
-                  Gen.of_list
-                    (neighbor_loads @ arith
-                    @ [
-                        E.store ~pc:(pc 20) ~addr:(gb + out_offset + idx x y z) ~src1:E.rval ();
-                        E.alu ~pc:(pc 21) ~dst:E.rctr ~src1:E.rctr ();
-                        E.branch ~pc:(pc 22) ~taken:(xm < n - 3) ~target:(pc 0) ~src1:E.rctr ();
-                      ]))))
+      (* One burst per interior point p, z-major then y then x, with the
+         point's output store leading its latch. *)
+      let row p = p / (n - 2) in
+      let y_of p = (row p mod (ny - 2)) + 1 and z_of p = lo_z + (row p / (ny - 2)) in
+      Gen.bursts
+        (sz_z * (ny - 2) * (n - 2))
+        (fun p ->
+          let xm = p mod (n - 2) and y = y_of p and z = z_of p in
+          let rec loads j acc =
+            if j < 0 then acc
+            else
+              let dx, dy, dz = neighbors.(j) in
+              let addr = gb + idx (xm + 1 + dx) (clamp (ny - 1) (y + dy)) (clamp (nz - 1) (z + dz)) in
+              loads (j - 1) (E.load ~pc:(pc j) ~dst:(E.racc j) ~addr () :: acc)
+          in
+          loads (Array.length neighbors - 1) (arith ~index:xm))
+        ~latch:(fun p ->
+          let xm = p mod (n - 2) in
+          E.store ~pc:(pc 20) ~addr:(gb + out_offset + idx (xm + 1) (y_of p) (z_of p)) ~src1:E.rval ()
+          :: (if xm < n - 3 then next_x else row_end))
     in
     let halo ~level =
       (* Ring halo: send both boundary planes eagerly, then receive both. *)

@@ -96,82 +96,92 @@ let program ?(codegen = Codegen.default) ~ranks ~scale () : Smpi.program =
     let zlo, zsz = split mesh.zones ranks rank in
     let clo, csz = (zlo * 8, zsz * 8) in
     let flo, fsz = split mesh.faces ranks rank in
+    let ops slot k = List.init k (fun j -> E.alu ~pc:(pc (slot + j)) ~dst:E.rctr ~src1:E.rctr ()) in
     (* Kernel 1: original — zone-centred gather through corners. *)
+    let point_index = E.alu ~pc:(pc 1) ~dst:E.rtmp2 ~src1:E.rtmp () in
+    let corner_sum =
+      [
+        E.fp ~pc:(pc 5) ~kind:Isa.Insn.Fp_add ~dst:24 ~src1:24 ~src2:21 ();
+        E.fp ~pc:(pc 6) ~kind:Isa.Insn.Fp_add ~dst:25 ~src1:25 ~src2:22 ();
+        E.fp ~pc:(pc 7) ~kind:Isa.Insn.Fp_add ~dst:26 ~src1:26 ~src2:23 ();
+      ]
+    in
+    let corner_overhead = E.overhead codegen ~base:2 (fun k -> corner_sum @ ops 8 k) in
+    let zone_end taken = E.branch ~pc:(pc 13) ~taken ~target:(pc 0) ~src1:E.rctr () in
+    let next_zone = zone_end true and last_zone = zone_end false in
     let original =
-      Gen.iterate zsz (fun zi ->
+      Gen.bursts zsz (fun zi ->
           let z = zlo + zi in
-          let per_corner c =
-            let corner = (z * 8) + c in
-            let point = mesh.corner_to_point.(corner) in
-            [
-              (* load the corner->point map entry, then the point data it
-                 names: the characteristic double indirection *)
-              E.load ~pc:(pc 0) ~dst:E.rtmp ~addr:(c2p_base + (corner * 4)) ();
-              E.alu ~pc:(pc 1) ~dst:E.rtmp2 ~src1:E.rtmp ();
-              E.load ~pc:(pc 2) ~dst:21 ~addr:(coords_base + (point * 24)) ~src1:E.rtmp2 ();
-              E.load ~pc:(pc 3) ~dst:22 ~addr:(coords_base + (point * 24) + 8) ~src1:E.rtmp2 ();
-              E.load ~pc:(pc 4) ~dst:23 ~addr:(coords_base + (point * 24) + 16) ~src1:E.rtmp2 ();
-              E.fp ~pc:(pc 5) ~kind:Isa.Insn.Fp_add ~dst:24 ~src1:24 ~src2:21 ();
-              E.fp ~pc:(pc 6) ~kind:Isa.Insn.Fp_add ~dst:25 ~src1:25 ~src2:22 ();
-              E.fp ~pc:(pc 7) ~kind:Isa.Insn.Fp_add ~dst:26 ~src1:26 ~src2:23 ();
-            ]
-            @ List.init
-                (Codegen.ops_at codegen ~index:((zi * 8) + c) ~base:2)
-                (fun j -> E.alu ~pc:(pc (8 + j)) ~dst:E.rctr ~src1:E.rctr ())
+          (* The corners of one zone, last first, each consed onto the
+             rest of the zone's burst. *)
+          let rec corners g acc =
+            if g < 0 then acc
+            else
+              let c = g * vw in
+              let corner = (z * 8) + c in
+              let point = coords_base + (mesh.corner_to_point.(corner) * 24) in
+              corners (g - 1)
+                (* load the corner->point map entry, then the point data
+                   it names: the characteristic double indirection *)
+                (E.load ~pc:(pc 0) ~dst:E.rtmp ~addr:(c2p_base + (corner * 4)) ()
+                :: point_index
+                :: E.load ~pc:(pc 2) ~dst:21 ~addr:point ~src1:E.rtmp2 ()
+                :: E.load ~pc:(pc 3) ~dst:22 ~addr:(point + 8) ~src1:E.rtmp2 ()
+                :: E.load ~pc:(pc 4) ~dst:23 ~addr:(point + 16) ~src1:E.rtmp2 ()
+                :: (corner_overhead ~index:((zi * 8) + c) @ acc))
           in
-          Gen.of_list
-            (List.concat (List.init (8 / vw) (fun g -> per_corner (g * vw)))
-            @ [
-                E.store ~pc:(pc 12) ~addr:(zone_acc_base + (z * 8)) ~src1:24 ();
-                E.branch ~pc:(pc 13) ~taken:(zi < zsz - 1) ~target:(pc 0) ~src1:E.rctr ();
-              ]))
+          corners ((8 / vw) - 1)
+            [
+              E.store ~pc:(pc 12) ~addr:(zone_acc_base + (z * 8)) ~src1:24 ();
+              (if zi < zsz - 1 then next_zone else last_zone);
+            ])
     in
     (* Kernel 2: inverted — corner-centred scatter (load-modify-store on
        the owning zone's accumulator). *)
+    let bind = E.alu ~pc:(pc 18) ~dst:E.rtmp2 ~src1:E.rtmp () in
+    let accumulate = E.fp ~pc:(pc 20) ~kind:Isa.Insn.Fp_add ~dst:22 ~src1:22 ~src2:21 () in
+    let scatter_overhead = E.overhead codegen ~base:2 (ops 22) in
     let inverted =
       E.with_loop region ~iters:csz ~body_slots:28 ~body:(fun ci ->
           let corner = clo + ci in
           let zone = corner / 8 in
+          let zone_acc = zone_acc_base + (zone * 8) in
           let point = mesh.corner_to_point.(corner) in
-          [
-            E.load ~pc:(pc 16) ~dst:E.rtmp ~addr:(c2p_base + (corner * 4)) ();
-            E.load ~pc:(pc 17) ~dst:21 ~addr:(coords_base + (point * 24)) ~src1:E.rtmp ();
-            E.alu ~pc:(pc 18) ~dst:E.rtmp2 ~src1:E.rtmp ();
-            E.load ~pc:(pc 19) ~dst:22 ~addr:(zone_acc_base + (zone * 8)) ();
-            E.fp ~pc:(pc 20) ~kind:Isa.Insn.Fp_add ~dst:22 ~src1:22 ~src2:21 ();
-            E.store ~pc:(pc 21) ~addr:(zone_acc_base + (zone * 8)) ~src1:22 ();
-          ]
-          @ List.init
-              (Codegen.ops_at codegen ~index:ci ~base:2)
-              (fun j -> E.alu ~pc:(pc (22 + j)) ~dst:E.rctr ~src1:E.rctr ()))
+          E.load ~pc:(pc 16) ~dst:E.rtmp ~addr:(c2p_base + (corner * 4)) ()
+          :: E.load ~pc:(pc 17) ~dst:21 ~addr:(coords_base + (point * 24)) ~src1:E.rtmp ()
+          :: bind
+          :: E.load ~pc:(pc 19) ~dst:22 ~addr:zone_acc ()
+          :: accumulate
+          :: E.store ~pc:(pc 21) ~addr:zone_acc ~src1:22 ()
+          :: scatter_overhead ~index:ci)
     in
     (* Kernel 3: face area — 4-point gathers and cross products. *)
+    let cross =
+      List.init
+        (Codegen.vector_ops { codegen with Codegen.vector_width = float_of_int vw } 9)
+        (fun j ->
+          E.fp
+            ~pc:(pc (40 + j))
+            ~kind:(if j mod 3 = 2 then Isa.Insn.Fp_add else Isa.Insn.Fp_mul)
+            ~dst:E.rval ~src1:(E.racc j) ~src2:E.rval ())
+    in
     let face_area =
       E.with_loop region ~iters:fsz ~body_slots:56 ~body:(fun fi ->
           let face = flo + fi in
-          let gathers =
-            List.concat
-              (List.init 4 (fun k ->
-                   let point = mesh.face_to_point.((face * 4) + k) in
-                   [
-                     E.load ~pc:(pc (32 + (2 * k))) ~dst:E.rtmp ~addr:(f2p_base + ((face * 4) + k) * 4) ();
-                     E.load
-                       ~pc:(pc (33 + (2 * k)))
-                       ~dst:(E.racc k)
-                       ~addr:(coords_base + (point * 24))
-                       ~src1:E.rtmp ();
-                   ]))
+          let rec gathers k acc =
+            if k < 0 then acc
+            else
+              let point = mesh.face_to_point.((face * 4) + k) in
+              gathers (k - 1)
+                (E.load ~pc:(pc (32 + (2 * k))) ~dst:E.rtmp ~addr:(f2p_base + (((face * 4) + k) * 4)) ()
+                :: E.load
+                     ~pc:(pc (33 + (2 * k)))
+                     ~dst:(E.racc k)
+                     ~addr:(coords_base + (point * 24))
+                     ~src1:E.rtmp ()
+                :: acc)
           in
-          let cross =
-            List.init
-              (Codegen.vector_ops { codegen with Codegen.vector_width = float_of_int vw } 9)
-              (fun j ->
-                E.fp
-                  ~pc:(pc (40 + j))
-                  ~kind:(if j mod 3 = 2 then Isa.Insn.Fp_add else Isa.Insn.Fp_mul)
-                  ~dst:E.rval ~src1:(E.racc j) ~src2:E.rval ())
-          in
-          gathers @ cross @ [ E.store ~pc:(pc 50) ~addr:(area_base + (face * 8)) ~src1:E.rval () ])
+          gathers 3 (cross @ [ E.store ~pc:(pc 50) ~addr:(area_base + (face * 8)) ~src1:E.rval () ]))
     in
     let halo =
       if ranks = 1 then []

@@ -18,6 +18,7 @@ let () =
       ("scan", Test_scan.suite);
       ("multinode", Test_multinode.suite);
       ("workloads", Test_workloads.suite);
+      ("app-streams", Test_app_streams.suite);
       ("report", Test_report.suite);
       ("telemetry", Test_telemetry.suite);
       ("ledger", Test_ledger.suite);

@@ -63,8 +63,8 @@ perf-trend:
 
 # CI lint for the exact replay path and the app path: no function in the
 # release objects of lib/{uarch,cache,dram,platform,branch,interconnect,
-# smpi,trace,prog,workloads} may call OCaml's polymorphic comparison (a C
-# call per use); names each one that does.
+# smpi,trace,prog,workloads,isa} may call OCaml's polymorphic comparison
+# (a C call per use); names each one that does.
 hotpath-lint:
 	dune build --profile release bench/main.exe bin/simbridge_cli.exe
 	sh tools/hotpath-lint.sh

@@ -118,9 +118,9 @@ let create (cfg : Config.t) =
   in
   { soc_partial with cores }
 
-let core_feed = function
-  | In c -> Uarch.Inorder.feed c
-  | Oo c -> Uarch.Ooo.feed c
+let core_feed_until = function
+  | In c -> Uarch.Inorder.feed_until c
+  | Oo c -> Uarch.Ooo.feed_until c
 
 let core_now = function
   | In c -> Uarch.Inorder.now c
@@ -298,21 +298,26 @@ let counters soc =
   @ tlb_counters "tlb.itlb" soc.itlb
   @ bus_counters @ dram_counters
 
+let feed_insn soc i insn =
+  match soc.cores.(i) with
+  | In c -> Uarch.Inorder.feed c insn
+  | Oo c -> Uarch.Ooo.feed c insn
+
+let core_iface soc i =
+  let core = soc.cores.(i) in
+  {
+    Smpi.feed_until = core_feed_until core;
+    now = (fun () -> core_now core);
+    advance_to = core_advance core;
+  }
+
 let run_ranks ?quantum ?telemetry soc program =
   let ranks = Array.length program in
   if ranks > soc.cfg.Config.cores then
     invalid_arg
       (Printf.sprintf "Soc.run_ranks: %d ranks on %d cores (%s)" ranks soc.cfg.Config.cores
          soc.cfg.Config.name);
-  let ifaces =
-    Array.init ranks (fun r ->
-        let core = soc.cores.(r) in
-        {
-          Smpi.feed = core_feed core;
-          now = (fun () -> core_now core);
-          advance_to = core_advance core;
-        })
-  in
+  let ifaces = Array.init ranks (core_iface soc) in
   let comm = Smpi.Engine.run ?quantum ?telemetry (fabric soc) ifaces program in
   collect soc ~ranks ~comm:(Some comm)
 
@@ -326,14 +331,6 @@ let feed_trace soc tr ~lo ~hi =
 let run_trace soc tr =
   feed_trace soc tr ~lo:0 ~hi:(Trace.length tr);
   collect soc ~ranks:1 ~comm:None
-
-let core_iface soc i =
-  let core = soc.cores.(i) in
-  {
-    Smpi.feed = core_feed core;
-    now = (fun () -> core_now core);
-    advance_to = core_advance core;
-  }
 
 let local_transfer soc ~cycle ~bytes = Interconnect.Bus.transfer soc.bus ~cycle ~bytes
 let mpi_latency_cycles soc = (fabric soc).Smpi.latency_cycles

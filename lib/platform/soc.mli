@@ -64,8 +64,16 @@ val feed_trace : t -> Trace.t -> lo:int -> hi:int -> unit
 (** Detailed-feed trace indices [lo, hi) to core 0. *)
 
 val core_iface : t -> int -> Smpi.rank_iface
-(** Expose core [i] as an MPI rank interface — the building block the
-    multi-node engine ({!Firesim.Multinode}) composes across SoCs. *)
+(** Expose core [i] as an MPI rank interface — the building block of
+    [run_ranks] and of the multi-node engine ({!Firesim.Multinode}),
+    which composes it across SoCs.  Its [feed_until] is the core
+    model's own burst loop ({!Uarch.Inorder.feed_until},
+    {!Uarch.Ooo.feed_until}). *)
+
+val feed_insn : t -> int -> Isa.Insn.t -> unit
+(** Retire one instruction on core [i] ({!Uarch.Inorder.feed},
+    {!Uarch.Ooo.feed}): the one-at-a-time reference that [core_iface]'s
+    burst feed is tested against.  No simulation path calls it. *)
 
 val local_transfer : t -> cycle:int -> bytes:int -> int
 (** A transfer through this SoC's shared bus (intra-node MPI traffic). *)

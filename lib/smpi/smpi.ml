@@ -33,7 +33,7 @@ type fabric = {
 }
 
 type rank_iface = {
-  feed : Isa.Insn.t -> unit;
+  feed_until : Isa.Insn.t Seq.t -> horizon:int -> Isa.Insn.t Seq.t option;
   now : unit -> int;
   advance_to : int -> unit;
 }
@@ -143,6 +143,10 @@ module Engine = struct
     let h_recv_wait = Telemetry.Registry.histogram telemetry "smpi.recv_wait_cycles" in
     let h_coll_wait = Telemetry.Registry.histogram telemetry "smpi.coll_wait_cycles" in
     let tr = Telemetry.Registry.trace telemetry in
+    (* Event names and args are built only for a ring that keeps them: the
+       disabled sink's ring, like that of a registry made with
+       [~trace_capacity:0], has capacity 0 and would drop them unread. *)
+    let tracing = Telemetry.Trace.capacity tr > 0 in
     let trace_op ~name ~rank ~ts ~dur ~bytes =
       Telemetry.Trace.record tr
         {
@@ -188,7 +192,8 @@ module Engine = struct
       incr s_messages;
       s_bytes := !s_bytes + bytes;
       Telemetry.Registry.observe h_msg_bytes (float_of_int bytes);
-      trace_op ~name:(Printf.sprintf "send->%d" dst) ~rank ~ts:t0 ~dur:(done_ - t0) ~bytes
+      if tracing then
+        trace_op ~name:(Printf.sprintf "send->%d" dst) ~rank ~ts:t0 ~dur:(done_ - t0) ~bytes
     in
     (* Try to execute one segment of rank [r]; returns true on progress. *)
     let step r =
@@ -198,25 +203,17 @@ module Engine = struct
       | [] -> false
       | Compute stream :: rest ->
         (* Execute up to the shared cycle horizon, then yield so every
-           rank's timestamps stay within one quantum of each other. *)
-        let fed = ref false in
-        let rec go s =
-          if iface.now () >= !horizon then Some s
-          else
-            match s () with
-            | Seq.Nil -> None
-            | Seq.Cons (insn, tl) ->
-              iface.feed insn;
-              fed := true;
-              go tl
-        in
-        (match go stream with
-        | None ->
-          st.segments <- rest;
+           rank's timestamps stay within one quantum of each other.  A
+           rank already at the horizon waits for it to move; one below
+           it feeds at least one instruction. *)
+        let horizon = !horizon in
+        if iface.now () >= horizon then false
+        else begin
+          (match iface.feed_until stream ~horizon with
+          | None -> st.segments <- rest
+          | Some tail -> st.segments <- Compute tail :: rest);
           true
-        | Some tail ->
-          st.segments <- Compute tail :: rest;
-          !fed)
+        end
       | Comm (Send { dst; bytes; tag }) :: rest ->
         do_send iface ~rank:r ~dst ~bytes ~tag;
         st.segments <- rest;
@@ -232,7 +229,8 @@ module Engine = struct
           let done_ = fabric.transfer ~src:r ~dst:r ~cycle:start ~bytes:(max bytes msg.m_bytes) in
           s_blocked_max := max !s_blocked_max (done_ - t0);
           Telemetry.Registry.observe h_recv_wait (float_of_int (done_ - t0));
-          trace_op ~name:(Printf.sprintf "recv<-%d" src) ~rank:r ~ts:t0 ~dur:(done_ - t0) ~bytes;
+          if tracing then
+            trace_op ~name:(Printf.sprintf "recv<-%d" src) ~rank:r ~ts:t0 ~dur:(done_ - t0) ~bytes;
           iface.advance_to done_;
           st.segments <- rest;
           true)
@@ -275,10 +273,11 @@ module Engine = struct
           let t0 = iface.now () in
           s_blocked_max := max !s_blocked_max (slot.finish - t0);
           Telemetry.Registry.observe h_coll_wait (float_of_int (max 0 (slot.finish - t0)));
-          trace_op
-            ~name:(Format.asprintf "%a" pp_op coll)
-            ~rank:r ~ts:t0 ~dur:(slot.finish - t0)
-            ~bytes:(collective_bytes nranks coll);
+          if tracing then
+            trace_op
+              ~name:(Format.asprintf "%a" pp_op coll)
+              ~rank:r ~ts:t0 ~dur:(slot.finish - t0)
+              ~bytes:(collective_bytes nranks coll);
           iface.advance_to slot.finish;
           st.coll_index <- st.coll_index + 1;
           st.coll_posted <- false;

@@ -50,7 +50,19 @@ type fabric = {
 (** Per-rank execution interface, supplied by the platform from its core
     timing models. *)
 type rank_iface = {
-  feed : Isa.Insn.t -> unit;  (** retire one instruction on this rank's core *)
+  feed_until : Isa.Insn.t Seq.t -> horizon:int -> Isa.Insn.t Seq.t option;
+      (** Retire a compute burst on this rank's core, one instruction at
+          a time in order, until the stream ends ([None]) or the core's
+          clock ([now]) reaches [horizon] ([Some tail]).  The yield rule:
+          the clock is tested against [horizon] before each element is
+          forced, so a burst that ends exactly as the clock reaches the
+          horizon yields its (empty, unforced) tail rather than [None],
+          and a horizon already reached feeds nothing and hands the
+          stream back as is.  No element past the last one fed is
+          forced, so each instruction is generated in the quantum that
+          feeds it.  The engine calls it once per rank per lockstep
+          quantum, only while the rank's clock is below the horizon;
+          [~horizon:max_int] feeds a whole stream. *)
   now : unit -> int;
   advance_to : int -> unit;
 }

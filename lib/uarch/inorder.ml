@@ -179,10 +179,23 @@ let feed_scalar t ~pc ~(kind : Isa.Insn.kind) ~dst ~src1 ~src2 ~addr ~taken ~tar
     if dst <> Isa.Insn.zero_reg then t.reg_ready.(dst) <- done_;
     bump t done_
 
-let feed t (i : Isa.Insn.t) =
+let[@inline] feed t (i : Isa.Insn.t) =
   let addr = match i.mem with Some m -> m.addr | None -> 0 in
-  let taken, target = match i.ctrl with Some c -> (c.taken, c.target) | None -> (false, 0) in
+  let taken = match i.ctrl with Some c -> c.taken | None -> false in
+  let target = match i.ctrl with Some c -> c.target | None -> 0 in
   feed_scalar t ~pc:i.pc ~kind:i.kind ~dst:i.dst ~src1:i.src1 ~src2:i.src2 ~addr ~taken ~target
+
+(* A rank's compute burst up to the lockstep horizon: the horizon is
+   tested before each element is forced, so the tail handed back is
+   unforced and an already-passed horizon feeds nothing. *)
+let rec feed_until t (s : Isa.Insn.t Seq.t) ~horizon =
+  if t.frontier >= horizon then Some s
+  else
+    match s () with
+    | Seq.Nil -> None
+    | Seq.Cons (i, tl) ->
+      feed t i;
+      feed_until t tl ~horizon
 
 let feed_trace t tr ~lo ~hi =
   if lo < 0 || hi > Trace.length tr || lo > hi then invalid_arg "Inorder.feed_trace: bad range";

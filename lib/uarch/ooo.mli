@@ -59,6 +59,14 @@ val create : config -> Memsys.t -> t
 val feed : t -> Isa.Insn.t -> unit
 (** Retire one instruction, advancing the model's clock. *)
 
+val feed_until : t -> Isa.Insn.t Seq.t -> horizon:int -> Isa.Insn.t Seq.t option
+(** Retire a stream's instructions in order until it ends ([None]) or
+    the clock ({!now}) reaches [horizon] ([Some tail]).  The horizon is
+    tested before each element is forced, so [tail] is unforced, and a
+    horizon already reached feeds nothing and returns the stream itself.
+    Cycle-identical to checking {!now} and calling {!feed} per
+    instruction. *)
+
 val feed_trace : t -> Trace.t -> lo:int -> hi:int -> unit
 (** Retire trace indices [lo, hi): cycle-identical to {!feed}ing the same
     instructions, but decoding packed trace fields directly — no

@@ -288,24 +288,41 @@ let simulate ?seed ~style ~atoms ~steps () =
   let traj, _, _ = run_md ?seed ~style ~atoms ~steps () in
   traj
 
+(* A rank's selection: the indices, in order, of the pairs (or bonds)
+   of one list whose first atom lies in the rank's atom range [lo, lo +
+   sz), and each one's second atom.  The partners are copied out because
+   the emitter reads them per pair, and the list's tuples sit scattered
+   over the major heap. *)
+type selection = {
+  s_list : (int * int) array;  (* keyed by identity: one per neighbor list *)
+  s_lo : int;
+  s_sz : int;
+  s_owned : int array;
+  s_partner : int array;
+}
+
 (* The recorded steps depend only on (style, atoms, steps), so every
    program built at one scale (any rank count, any codegen, any
    platform) replays one MD run.  The table keeps the [memo_keep] most
    recently used sizes per style; the lock lets pool domains share it,
    and a domain that misses runs the MD under it, so no size is ever run
-   twice at once. *)
+   twice at once.  The steps between two rebuilds share one neighbor
+   list, so each rank's selections are kept with the trajectory too:
+   built once per (list, rank range), freed when the entry is evicted. *)
 type memo_entry = {
   m_style : style;
   m_atoms : int;
   m_steps : int;
   m_bonds : (int * int) array;
   m_records : step_record array;
+  mutable m_selections : selection list;
 }
 
 let memo_keep = 2
 let memo : memo_entry list ref = ref []
 let memo_lock = Mutex.create ()
 let md_run_count = ref 0
+let selection_build_count = ref 0
 
 let recorded_steps ~style ~atoms ~steps =
   Mutex.protect memo_lock (fun () ->
@@ -316,15 +333,48 @@ let recorded_steps ~style ~atoms ~steps =
         | None ->
           incr md_run_count;
           let _, bonds, records = run_md ~style ~atoms ~steps () in
-          { m_style = style; m_atoms = atoms; m_steps = steps; m_bonds = bonds; m_records = records }
+          {
+            m_style = style;
+            m_atoms = atoms;
+            m_steps = steps;
+            m_bonds = bonds;
+            m_records = records;
+            m_selections = [];
+          }
       in
       let same, others =
         List.partition (fun e -> e.m_style = style) (List.filter (fun e -> not (hit e)) !memo)
       in
       memo := (entry :: List.filteri (fun k _ -> k < memo_keep - 1) same) @ others;
-      (entry.m_bonds, entry.m_records))
+      entry)
+
+(* The selection of [list] for atoms [lo, lo + sz), from [entry]'s
+   selections or built and added there. *)
+let selection entry (list : (int * int) array) ~lo ~sz =
+  Mutex.protect memo_lock (fun () ->
+      let hit s = s.s_list == list && s.s_lo = lo && s.s_sz = sz in
+      match List.find_opt hit entry.m_selections with
+      | Some s -> s
+      | None ->
+        incr selection_build_count;
+        let owns (i : int) = i >= lo && i < lo + sz in
+        let count = Array.fold_left (fun n (i, _) -> if owns i then n + 1 else n) 0 list in
+        let owned = Array.make count 0 and partner = Array.make count 0 in
+        let n = ref 0 in
+        Array.iteri
+          (fun k (i, j) ->
+            if owns i then begin
+              owned.(!n) <- k;
+              partner.(!n) <- j;
+              incr n
+            end)
+          list;
+        let s = { s_list = list; s_lo = lo; s_sz = sz; s_owned = owned; s_partner = partner } in
+        entry.m_selections <- s :: entry.m_selections;
+        s)
 
 let md_runs () = Mutex.protect memo_lock (fun () -> !md_run_count)
+let selection_builds () = Mutex.protect memo_lock (fun () -> !selection_build_count)
 
 let memoized () =
   Mutex.protect memo_lock (fun () -> List.map (fun e -> (e.m_style, e.m_atoms, e.m_steps)) !memo)
@@ -344,7 +394,8 @@ let atom_stride = 128
 let program ?(codegen = Codegen.default) ~style ~ranks ~scale () : Smpi.program =
   let atoms = max 64 (int_of_float (float_of_int 1200 *. scale)) in
   let steps = 4 in
-  let bonds, records = recorded_steps ~style ~atoms ~steps in
+  let entry = recorded_steps ~style ~atoms ~steps in
+  let bonds = entry.m_bonds and records = entry.m_records in
 
   let mk_rank rank =
     let base = Workload.data_base ~rank in
@@ -354,21 +405,7 @@ let program ?(codegen = Codegen.default) ~style ~ranks ~scale () : Smpi.program 
     let region = E.fresh_region ~slots:64 in
     let pc = Prog.Code.pc region in
     let lo, sz = split atoms ranks rank in
-    let owns i = i >= lo && i < lo + sz in
-    (* Indices, in order, of the pairs (or bonds) whose first atom this
-       rank owns. *)
-    let owned_by (pairs : (int * int) array) =
-      let owned = Array.make (Array.fold_left (fun n (i, _) -> if owns i then n + 1 else n) 0 pairs) 0 in
-      let n = ref 0 in
-      Array.iteri
-        (fun k (i, _) ->
-          if owns i then begin
-            owned.(!n) <- k;
-            incr n
-          end)
-        pairs;
-      owned
-    in
+    let select list = selection entry list ~lo ~sz in
     (* The boards' compiler vectorizes the pair loop (RVV indexed loads
        pack the gathers, lanes pack the math): one emitted group covers
        [vw] pairs.  The FireSim-image binary is scalar (vw = 1). *)
@@ -400,26 +437,29 @@ let program ?(codegen = Codegen.default) ~style ~ranks ~scale () : Smpi.program 
     (* Pair-force stream for one step: each examined pair owned by this
        rank emits the gather + cutoff test; accepted pairs add the force
        math and the newton-scatter to atom j. *)
+    (* The pair loop is the hot emitter: its pcs are computed once. *)
+    let pc_nl = pc 0 and pc_x = pc 1 and pc_y = pc 2 and pc_z = pc 3 in
+    let pc_load_f = pc 13 and pc_store_f = pc 15 in
     let force_stream (rec_ : step_record) =
-      let owned = owned_by rec_.pairs in
+      let { s_owned = owned; s_partner = partner; _ } = select rec_.pairs in
       Gen.bursts ((Array.length owned + vw - 1) / vw) (fun g ->
           let k = g * vw in
-          let _, j = rec_.pairs.(owned.(k)) and ok = rec_.within.(owned.(k)) in
+          let j = partner.(k) and ok = rec_.within.(owned.(k)) in
           let pos_j = pos_base + (j * atom_stride) and force_j = force_base + (j * atom_stride) in
           let tail = overhead ~index:k in
           let tail =
             if not ok then tail
             else
               pair_math
-              @ E.load ~pc:(pc 13) ~dst:28 ~addr:force_j ()
+              @ E.load ~pc:pc_load_f ~dst:28 ~addr:force_j ()
                 :: force_add
-                :: E.store ~pc:(pc 15) ~addr:force_j ~src1:28 ()
+                :: E.store ~pc:pc_store_f ~addr:force_j ~src1:28 ()
                 :: tail
           in
-          E.load ~pc:(pc 0) ~dst:E.rtmp ~addr:(nlist_base + (k * 4)) ()
-          :: E.load ~pc:(pc 1) ~dst:21 ~addr:pos_j ~src1:E.rtmp ()
-          :: E.load ~pc:(pc 2) ~dst:22 ~addr:(pos_j + 8) ~src1:E.rtmp ()
-          :: E.load ~pc:(pc 3) ~dst:23 ~addr:(pos_j + 16) ~src1:E.rtmp ()
+          E.load ~pc:pc_nl ~dst:E.rtmp ~addr:(nlist_base + (k * 4)) ()
+          :: E.load ~pc:pc_x ~dst:21 ~addr:pos_j ~src1:E.rtmp ()
+          :: E.load ~pc:pc_y ~dst:22 ~addr:(pos_j + 8) ~src1:E.rtmp ()
+          :: E.load ~pc:pc_z ~dst:23 ~addr:(pos_j + 16) ~src1:E.rtmp ()
           :: (cutoff_test @ ((if ok then within else beyond) :: tail)))
     in
     (* FENE bond stream (chain only): includes the logarithm (Fp_long). *)
@@ -432,10 +472,10 @@ let program ?(codegen = Codegen.default) ~style ~ranks ~scale () : Smpi.program 
         fadd ~pc:(pc 37) ~dst:(E.racc 1) ~src1:(E.racc 1) ~src2:24 ();
       ]
     in
-    let owned_bonds = owned_by bonds in
+    let bond_partner = (select bonds).s_partner in
     let bond_stream =
-      Gen.bursts ((Array.length owned_bonds + vw - 1) / vw) (fun g ->
-          let _, j = bonds.(owned_bonds.(g * vw)) in
+      Gen.bursts ((Array.length bond_partner + vw - 1) / vw) (fun g ->
+          let j = bond_partner.(g * vw) in
           E.load ~pc:(pc 32) ~dst:21 ~addr:(pos_base + (j * atom_stride)) ()
           :: (bond_math @ [ E.store ~pc:(pc 38) ~addr:(force_base + (j * atom_stride)) ~src1:24 () ]))
     in

@@ -33,11 +33,18 @@ val simulate : ?seed:int -> style:style -> atoms:int -> steps:int -> unit -> tra
 val program : ?codegen:Codegen.t -> style:style -> ranks:int -> scale:float -> unit -> Smpi.program
 (** The trajectory a program replays is memoized on (style, atoms,
     steps), keeping the two most recently used sizes per style, so
-    programs built at one scale run the MD once between them.  Safe to
-    call from several domains at once. *)
+    programs built at one scale run the MD once between them; each
+    rank's pair and bond selections are memoized with it.  Safe to call
+    from several domains at once. *)
 
 val md_runs : unit -> int
 (** MD runs the program builder has made so far in this process. *)
+
+val selection_builds : unit -> int
+(** Rank selections (the indices of the pairs, or bonds, whose first
+    atom a rank owns) the program builder has built so far in this
+    process.  Each is kept with its memoized trajectory, one per
+    distinct neighbor list (or the bond list) and rank atom range. *)
 
 val memoized : unit -> (style * int * int) list
 (** The memoized (style, atoms, steps) keys, most recently used first. *)

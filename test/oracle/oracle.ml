@@ -30,18 +30,24 @@ let measured config ~before ~cycles (r : Soc.result) =
 
 let collect soc = Soc.collect_result soc ~ranks:1 ~comm:None
 
+(* No clock reaches [max_int], so the whole stream is fed. *)
+let feed_all (core : Smpi.rank_iface) s =
+  match core.feed_until s ~horizon:max_int with
+  | None -> ()
+  | Some _ -> invalid_arg "Oracle.feed_all: stream stopped short"
+
 let run_kernel ?(scale = 1.0) config (kernel : Workloads.Workload.kernel) =
   let soc = Soc.create config in
   let core = Soc.core_iface soc 0 in
   let before =
     Option.map
       (fun setup ->
-        Seq.iter core.Smpi.feed (setup ~scale);
+        feed_all core (setup ~scale);
         collect soc)
       kernel.setup
   in
   let c0 = core.Smpi.now () in
-  Seq.iter core.Smpi.feed (kernel.stream ~scale);
+  feed_all core (kernel.stream ~scale);
   let r = measured config ~before ~cycles:(core.Smpi.now () - c0) (collect soc) in
   Soc.release soc;
   r

@@ -12,7 +12,8 @@ val run_kernel :
   ?scale:float -> Platform.Config.t -> Workloads.Workload.kernel -> Platform.Soc.result
 (** Full-detail reference: the setup stream, then the measured stream,
     each driven as a lazy [Isa.Insn.t Seq.t] through core 0's
-    {!Platform.Soc.core_iface} [feed], one instruction at a time. *)
+    {!Platform.Soc.core_iface} [feed_until ~horizon:max_int], one lazy
+    instruction at a time. *)
 
 module Scan = Scan
 (** Reference models of the memory path's bookkeeping ({!Scan.Tlb},

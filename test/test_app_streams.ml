@@ -3,7 +3,8 @@
    compiled to the packed trace form, and its communication ops are
    folded into one digest per (app, codegen, ranks).  Emission may be
    restructured freely; any change to what a program executes moves a
-   digest.  Also tests the LAMMPS trajectory memo. *)
+   digest.  Also tests the LAMMPS trajectory memo and the rank selections
+   it keeps. *)
 
 module W = Workloads.Workload
 module Cg = Workloads.Codegen
@@ -136,14 +137,37 @@ let test_memo_reuses_md () =
   ignore (digest (Lammps.program ~codegen:Cg.gcc_9_4 ~style:Lammps.Lj ~ranks:4 ~scale:0.06 ()));
   Alcotest.(check int) "other ranks and codegen run no MD" runs (Lammps.md_runs ())
 
+(* Selections of a two-rank LJ program: two distinct neighbor lists (the
+   initial one and the step-3 rebuild) and the (empty) bond list, per
+   rank. *)
+let lj_selections_x2 = (2 + 1) * 2
+
+let test_memo_reuses_selections () =
+  let scale = 0.09 in
+  let built = Lammps.selection_builds () in
+  ignore (lj_digest ~scale);
+  Alcotest.(check int) "one selection per list and rank range" (built + lj_selections_x2)
+    (Lammps.selection_builds ());
+  let built = Lammps.selection_builds () in
+  ignore (lj_digest ~scale);
+  ignore (digest (Lammps.program ~codegen:Cg.gcc_9_4 ~style:Lammps.Lj ~ranks:2 ~scale ()));
+  Alcotest.(check int) "second program builds no selection" built (Lammps.selection_builds ());
+  ignore (digest (Lammps.program ~style:Lammps.Chain ~ranks:2 ~scale ()));
+  let built = Lammps.selection_builds () in
+  ignore (digest (Lammps.program ~style:Lammps.Chain ~ranks:2 ~scale ()));
+  Alcotest.(check int) "nor for the chain's bonds" built (Lammps.selection_builds ())
+
 let test_memo_across_domains () =
   let scale = 0.07 in
   let runs = Lammps.md_runs () in
+  let built = Lammps.selection_builds () in
   let pooled =
     Parallel.Pool.run ~jobs:2
       (List.init 4 (fun _ -> Parallel.Pool.cell (fun _ -> lj_digest ~scale)))
   in
   Alcotest.(check int) "one MD run for both domains" (runs + 1) (Lammps.md_runs ());
+  Alcotest.(check int) "selections built once for both domains" (built + lj_selections_x2)
+    (Lammps.selection_builds ());
   let sequential = lj_digest ~scale in
   List.iteri (fun i d -> Alcotest.(check string) (Printf.sprintf "domain build %d" i) sequential d) pooled
 
@@ -169,6 +193,7 @@ let suite =
   List.map (fun (app : W.app) -> Alcotest.test_case ("pinned: " ^ app.app_name) `Quick (test_pinned app)) apps
   @ [
       Alcotest.test_case "memo: second program reuses the MD" `Quick test_memo_reuses_md;
+      Alcotest.test_case "memo: second program builds no selection" `Quick test_memo_reuses_selections;
       Alcotest.test_case "memo: shared across pool domains" `Quick test_memo_across_domains;
       Alcotest.test_case "memo: bounded as the scale varies" `Quick test_memo_bounded;
     ]

@@ -9,8 +9,17 @@ let alu ~pc = I.make ~dst:5 ~src1:5 ~pc I.Int_alu
    costs one cycle. *)
 let counter_iface () =
   let t = ref 0 in
+  let rec feed_until s ~horizon =
+    if !t >= horizon then Some s
+    else
+      match s () with
+      | Seq.Nil -> None
+      | Seq.Cons (_, tl) ->
+        incr t;
+        feed_until tl ~horizon
+  in
   ( {
-      Smpi.feed = (fun _ -> incr t);
+      Smpi.feed_until;
       now = (fun () -> !t);
       advance_to = (fun c -> if c > !t then t := c);
     },
@@ -169,6 +178,144 @@ let prop_more_bytes_not_faster =
       let lo = min b1 b2 and hi = max b1 b2 in
       time lo <= time hi)
 
+(* --------------------------------------------- feed_until vs the old loop *)
+
+module Soc = Platform.Soc
+
+(* The loop the cores' [feed_until] replaced: check the clock, then feed
+   one instruction through [Inorder.feed]/[Ooo.feed]. *)
+let rec feed_one_at_a_time soc (core : Smpi.rank_iface) s ~horizon =
+  if core.now () >= horizon then Some s
+  else
+    match s () with
+    | Seq.Nil -> None
+    | Seq.Cons (i, tl) ->
+      Soc.feed_insn soc 0 i;
+      feed_one_at_a_time soc core tl ~horizon
+
+(* Feed [insns] under [horizons] (then to the end) on a fresh SoC; at
+   every yield record (clock, instructions left in the tail, elements
+   forced so far), and at the end the collected result. *)
+let drive config feed insns horizons =
+  let soc = Soc.create config in
+  let core = Soc.core_iface soc 0 in
+  let feed = feed soc core in
+  let a = Array.of_list insns in
+  let forced = ref 0 in
+  let rec from k () =
+    incr forced;
+    if k = Array.length a then Seq.Nil else Seq.Cons (a.(k), from (k + 1))
+  in
+  let left s =
+    let saved = !forced in
+    let n = Seq.length s in
+    forced := saved;
+    n
+  in
+  let rec go s yields = function
+    | [] ->
+      (match feed s ~horizon:max_int with
+      | None -> ()
+      | Some _ -> Alcotest.fail "stream stopped short of the end");
+      List.rev yields
+    | h :: hs -> (
+      match feed s ~horizon:h with
+      | None -> List.rev yields
+      | Some tl -> go tl ((core.now (), left tl, !forced) :: yields) hs)
+  in
+  let yields = go (from 0) [] horizons in
+  let r = Soc.collect_result soc ~ranks:1 ~comm:None in
+  Soc.release soc;
+  (yields, r)
+
+let feed_until_soc _ (core : Smpi.rank_iface) = core.feed_until
+
+let feed_platforms = [ Platform.Catalog.banana_pi_sim; Platform.Catalog.boom_large ]
+
+(* The burst loop and the old loop agree at every yield and at the end,
+   and the tail at a yield is unforced: [Some why] if not. *)
+let feed_mismatch insns horizons =
+  let show ys = String.concat " " (List.map (fun (t, l, f) -> Printf.sprintf "(%d,%d,%d)" t l f) ys) in
+  let n = List.length insns in
+  List.find_map
+    (fun (config : Platform.Config.t) ->
+      let got, r = drive config feed_until_soc insns horizons in
+      let want, r' = drive config feed_one_at_a_time insns horizons in
+      if List.exists (fun (_, left, forced) -> forced <> n - left) got then
+        Some (Printf.sprintf "%s: a yield's tail was forced: %s" config.name (show got))
+      else if got <> want then
+        Some
+          (Printf.sprintf "%s: yields (now, left, forced) %s, want %s" config.name (show got)
+             (show want))
+      else if r <> r' then
+        Some (Printf.sprintf "%s: results differ (cycles %d, want %d)" config.name r.cycles r'.cycles)
+      else None)
+    feed_platforms
+
+let insn_gen =
+  QCheck.Gen.(
+    let reg = int_range 0 31 in
+    let pc = map (fun k -> 0x10000 + (k * 4)) (int_range 0 2047) in
+    let addr = map (fun k -> 0x400000 + (k * 8)) (int_range 0 65535) in
+    frequency
+      [
+        (4, map3 (fun pc dst (src1, src2) -> I.make ~dst ~src1 ~src2 ~pc I.Int_alu) pc reg (pair reg reg));
+        ( 2,
+          map3
+            (fun pc dst (addr, src1) -> I.make ~dst ~src1 ~mem:{ I.addr; size = 8 } ~pc I.Load)
+            pc reg (pair addr reg) );
+        ( 2,
+          map3
+            (fun pc addr (src1, src2) -> I.make ~src1 ~src2 ~mem:{ I.addr; size = 8 } ~pc I.Store)
+            pc addr (pair reg reg) );
+        ( 2,
+          map3
+            (fun pc src1 (taken, target) -> I.make ~src1 ~ctrl:{ I.taken; target } ~pc I.Branch)
+            pc reg (pair bool pc) );
+      ])
+
+(* Horizons walk forward with occasional steps back, so some are already
+   passed when they come up. *)
+let horizons_gen =
+  QCheck.Gen.(
+    map
+      (fun (h0, steps) ->
+        List.rev (snd (List.fold_left (fun (h, acc) d -> (h + d, (h + d) :: acc)) (h0, [ h0 ]) steps)))
+      (pair (int_range (-5) 600) (list_size (int_range 0 12) (int_range (-400) 2500))))
+
+let prop_feed_until_matches_old_loop =
+  QCheck.Test.make ~name:"feed_until = clock check + feed per insn (in-order, OoO)" ~count:60
+    (QCheck.make
+       ~print:(fun (insns, hs) ->
+         Printf.sprintf "%d insns, horizons [%s]" (List.length insns)
+           (String.concat ";" (List.map string_of_int hs)))
+       QCheck.Gen.(pair (list_size (int_range 0 300) insn_gen) horizons_gen))
+    (fun (insns, horizons) ->
+      match feed_mismatch insns horizons with None -> true | Some why -> QCheck.Test.fail_report why)
+
+(* The edge cases by construction: an empty stream, a horizon already
+   passed, and a dependent chain whose last instruction brings the clock
+   exactly to the horizon (the yield then hands back an empty tail). *)
+let test_feed_until_edges () =
+  let check name insns horizons =
+    Alcotest.(check (option string)) name None (feed_mismatch insns horizons)
+  in
+  check "empty stream" [] [ 0; 10 ];
+  check "empty stream, horizon passed" [] [ -1 ];
+  let chain = List.init 50 (fun i -> alu ~pc:(i * 4)) in
+  check "horizon passed on entry" chain [ 0; -3; 20; 5; 200 ];
+  List.iter
+    (fun (config : Platform.Config.t) ->
+      let _, r = drive config feed_one_at_a_time chain [] in
+      let ends = r.Soc.cycles in
+      check (config.name ^ ": stream ends at the horizon") chain [ ends; ends + 1 ];
+      match fst (drive config feed_until_soc chain [ ends ]) with
+      | [ (now, left, _) ] ->
+        Alcotest.(check int) "yields at the horizon" ends now;
+        Alcotest.(check int) "with an empty tail" 0 left
+      | _ -> Alcotest.fail "expected one yield at the end")
+    feed_platforms
+
 let suite =
   [
     Alcotest.test_case "single rank compute" `Quick test_single_rank_compute;
@@ -185,4 +332,6 @@ let suite =
     Alcotest.test_case "alltoall scales" `Quick test_alltoall_scales_with_ranks;
     Alcotest.test_case "bcast/reduce/allgather" `Quick test_bcast_reduce_allgather_complete;
     QCheck_alcotest.to_alcotest prop_more_bytes_not_faster;
+    Alcotest.test_case "feed_until edges vs one at a time" `Quick test_feed_until_edges;
+    QCheck_alcotest.to_alcotest prop_feed_until_matches_old_loop;
   ]

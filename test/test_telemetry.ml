@@ -169,6 +169,66 @@ let test_app_telemetry_histograms () =
     Alcotest.(check int) "collective waits observed" (2 * comm.Smpi.collectives) s.Reg.count);
   Alcotest.(check bool) "smpi trace events recorded" true (Trace.length (Reg.trace reg) > 0)
 
+(* The smpi engine builds its trace events only for a live ring; a live
+   ring still records every communication op, named as before. *)
+let test_smpi_event_names () =
+  let alu n =
+    Smpi.Compute (Seq.init n (fun i -> Isa.Insn.make ~dst:5 ~src1:5 ~pc:(i * 4) Isa.Insn.Int_alu))
+  in
+  let program =
+    [|
+      [
+        alu 20;
+        Smpi.Comm (Smpi.Send { dst = 1; bytes = 256; tag = 0 });
+        Smpi.Comm (Smpi.Sendrecv { peer = 1; send_bytes = 64; recv_bytes = 32; tag = 1 });
+        Smpi.Comm (Smpi.Bcast { root = 0; bytes = 128 });
+        Smpi.Comm (Smpi.Allreduce { bytes = 64 });
+        Smpi.Comm Smpi.Barrier;
+      ];
+      [
+        Smpi.Comm (Smpi.Recv { src = 0; bytes = 256; tag = 0 });
+        alu 10;
+        Smpi.Comm (Smpi.Sendrecv { peer = 0; send_bytes = 32; recv_bytes = 64; tag = 1 });
+        Smpi.Comm (Smpi.Bcast { root = 0; bytes = 128 });
+        Smpi.Comm (Smpi.Allreduce { bytes = 64 });
+        Smpi.Comm Smpi.Barrier;
+      ];
+    |]
+  in
+  let run telemetry =
+    let soc = Platform.Soc.create Platform.Catalog.banana_pi_sim in
+    let r = Platform.Soc.run_ranks ~telemetry soc program in
+    Platform.Soc.release soc;
+    r
+  in
+  let reg = Reg.create () in
+  let r = run reg in
+  let events =
+    List.map
+      (fun (e : Trace.event) ->
+        let bytes = match List.assoc_opt "bytes" e.args with Some (Trace.Int b) -> b | _ -> 0 in
+        Printf.sprintf "%d %s %s %dB" e.tid e.cat e.name bytes)
+      (Trace.to_list (Reg.trace reg))
+  in
+  Alcotest.(check (list string)) "events (lane, category, name, bytes)"
+    [
+      "0 smpi send->1 256B";
+      "1 smpi recv<-0 256B";
+      "0 smpi send->1 64B";
+      "1 smpi send->0 32B";
+      "0 smpi recv<-1 32B";
+      "1 smpi recv<-0 64B";
+      "1 smpi bcast(root=0,128B) 128B";
+      "0 smpi bcast(root=0,128B) 128B";
+      "0 smpi allreduce(64B) 128B";
+      "1 smpi allreduce(64B) 128B";
+      "1 smpi barrier 0B";
+      "0 smpi barrier 0B";
+    ]
+    events;
+  Alcotest.(check bool) "same result without telemetry" true (run Reg.disabled = r);
+  Alcotest.(check int) "disabled sink records nothing" 0 (Trace.length (Reg.trace Reg.disabled))
+
 let test_runner_phases () =
   let reg = Reg.create () in
   let r =
@@ -270,6 +330,7 @@ let suite =
     Alcotest.test_case "disabled telemetry no perturbation" `Quick
       test_disabled_telemetry_does_not_perturb;
     Alcotest.test_case "app histograms + smpi counters" `Quick test_app_telemetry_histograms;
+    Alcotest.test_case "smpi event names on a live sink" `Quick test_smpi_event_names;
     Alcotest.test_case "runner phases" `Quick test_runner_phases;
     Alcotest.test_case "export writes sidecars" `Quick test_export_write_files;
     Alcotest.test_case "export creates nested dirs" `Quick test_export_write_nested_dirs;

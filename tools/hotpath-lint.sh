@@ -1,6 +1,8 @@
 #!/bin/sh
 # Fail if any function of the exact replay path, or of the app path that
-# builds and runs MPI rank programs, calls OCaml's polymorphic comparison.  Such a call costs a C call per use, and leaves array reads
+# builds and runs MPI rank programs (lib/isa's [Insn.make] runs once per
+# app instruction), calls OCaml's polymorphic comparison.  Such a call
+# costs a C call per use, and leaves array reads
 # checking for float arrays; it appears wherever a comparison is left at
 # type 'a (an unannotated array or a bare [compare]).
 #
@@ -12,7 +14,7 @@
 set -eu
 
 build=_build/default
-libs="uarch cache dram platform branch interconnect smpi trace prog workloads"
+libs="uarch cache dram platform branch interconnect smpi trace prog workloads isa"
 # Single modules of other libraries that the replay path calls into.
 mods="util/.util.objs/native/util__Ring.o"
 prims='caml_(lessthan|greaterthan|lessequal|greaterequal|compare|equal|notequal)'

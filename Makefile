@@ -70,8 +70,9 @@ hotpath-lint:
 	sh tools/hotpath-lint.sh
 
 # CI smoke for the run ledger: a pooled fig1 run must emit a run report
-# and a span-bearing Perfetto trace, two recorded runs must pass the
-# regression gate, and an injected 20% MIPS drop must fail it.
+# and a span-bearing Perfetto trace (both must load as JSON), two
+# recorded runs must pass the regression gate, and an injected 20% MIPS
+# drop must fail it.
 ledger-smoke: build
 	@rm -f _build/ledger-smoke-history.jsonl
 	@dune exec bin/simbridge_cli.exe -- run fig1 --jobs 2 \
@@ -80,6 +81,8 @@ ledger-smoke: build
 		&& echo "ledger-smoke: trace carries spans"
 	@grep -q '"parent":' _build/ledger-trace.json \
 		&& echo "ledger-smoke: spans carry parent ids"
+	@python3 -c 'import json; t = json.load(open("_build/ledger-trace.json")); r = json.load(open("_build/ledger-report-1.json")); assert t["traceEvents"] and r["schema"] == "simbridge-run-report/1"' \
+		&& echo "ledger-smoke: trace and run report load as JSON"
 	@dune exec bin/simbridge_cli.exe -- run fig1 --jobs $(JOBS) \
 		--report _build/ledger-report-2.json --trace "" > /dev/null
 	@dune exec bin/simbridge_cli.exe -- history record \

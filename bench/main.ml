@@ -16,6 +16,8 @@
    Experiment ids: table1-5, fig1-7, runtimes, ablate-l1, ablate-clock,
    ablate-bus, simrate. *)
 
+module J = Util.Jsonx
+
 let run_experiment id =
   match List.find_opt (fun (i, _, _) -> i = id) Simbridge.Experiments.all with
   | Some (_, descr, render) ->
@@ -220,14 +222,8 @@ let aggregate_mips cells =
   if wall > 0.0 then float_of_int insns /. (wall *. 1e6) else 0.0
 
 let write_flat_json path pairs =
-  let oc = open_out path in
-  output_string oc "{\n";
-  let last = List.length pairs - 1 in
-  List.iteri
-    (fun i (k, v) -> Printf.fprintf oc "  \"%s\": %.4f%s\n" k v (if i = last then "" else ","))
-    pairs;
-  output_string oc "}\n";
-  close_out oc
+  Util.Outfile.write path
+    (J.to_string (J.Obj (List.map (fun (k, v) -> (k, J.Num v)) pairs)) ^ "\n")
 
 (* The platform columns of Experiments.fig1 / fig2, hardware first. *)
 let identity_figures =
@@ -297,7 +293,6 @@ let run_perf_gate ~identity_only () =
         ]);
     (* The gate also files a ledger run report so CI can `history record`
        bench trajectories alongside figure runs. *)
-    let module J = Validate.Jsonx in
     let report =
       Ledger.Run_report.build
         ~wall_s:(Unix.gettimeofday () -. t0)
@@ -414,7 +409,6 @@ let serve_client ~addr ~oracle ~ci ~latencies ~verified ~mismatches () =
     Printf.printf "FAIL serve: client %d died: %s\n%!" ci (Printexc.to_string exn)
 
 let stat_float stats path =
-  let module J = Validate.Jsonx in
   let rec walk j = function
     | [] -> J.to_float j
     | key :: rest -> ( match J.member key j with Some v -> walk v rest | None -> None)
@@ -515,7 +509,6 @@ let run_serve_gate () =
   let ok = Atomic.get mismatches = 0 && Atomic.get verified = total in
   let computed_ok = computed = float_of_int (List.length uniq) in
   let tc_ok = tc.Simbridge.Runner.tc_hits > 0 in
-  let module J = Validate.Jsonx in
   let report =
     Ledger.Run_report.build
       ~wall_s:(Unix.gettimeofday () -. t0)

@@ -26,11 +26,9 @@
 
 open Cmdliner
 
-let num_j n = Validate.Jsonx.Num (float_of_int n)
+module J = Util.Jsonx
 
-let write_text path contents =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc contents)
+let num_j n = J.Num (float_of_int n)
 
 let setup_logs verbose =
   Logs.set_reporter (Logs.format_reporter ());
@@ -57,88 +55,123 @@ let list_experiments () =
     (fun (id, descr, _) -> Format.printf "%-12s %s@." id descr)
     Simbridge.Experiments.all
 
-(* Emit the run report (and optionally the Chrome trace) for a finished
-   invocation.  Notices go to stderr: stdout carries only the
-   experiment's own rendering, byte-identical across job counts. *)
-let emit_ledger ?fidelity ?extra ?(exit_status = 0) ~command ~config ~reg ~wall_s ~report_path
-    ~trace_path () =
-  if report_path <> "" then begin
-    let report =
-      Ledger.Run_report.build ~wall_s ?fidelity ?extra ~exit_status ~command ~config
-        ~telemetry:reg ()
-    in
-    Ledger.Run_report.write ~path:report_path report;
-    Format.eprintf "run report    : %s (%s)@." report_path (Ledger.Run_report.summary_line report)
+(* Write one artefact, or say why it cannot be written and exit 1. *)
+let write_or_exit ~what path write =
+  try write ()
+  with Sys_error msg ->
+    Format.eprintf "cannot write %s to %s: %s@." what path msg;
+    exit 1
+
+(* What a finished command puts in its run report beyond the registry. *)
+type outcome = { extra : (string * J.t) list; fidelity : J.t option; exit_status : int }
+
+let finished = { extra = []; fidelity = None; exit_status = 0 }
+
+(* One observed invocation, shared by run, csv, workload, validate and
+   serve.  The registry is live only when some output is asked for.
+   [body] runs under the root span [span] (with the TTY progress line
+   when [progress]) and returns what follows the span; that gets the
+   wall time and returns the run report's [outcome].  Then the
+   telemetry directory, run report, Chrome trace and history line are
+   written, each only when its path is given.  Notices about the last
+   three go to stderr: stdout carries only the command's own output,
+   byte-identical across job counts.  Exits with a non-zero
+   [exit_status]. *)
+let observed ?(progress = false) ?telemetry_dir ?(trace_path = "") ?(history_path = "")
+    ~trace_capacity ~report_path ~command ~config ~span body =
+  if telemetry_dir = Some "" then begin
+    Format.eprintf "--telemetry requires a non-empty directory@.";
+    exit 1
   end;
+  let reg =
+    if report_path <> "" || trace_path <> "" || history_path <> "" || Option.is_some telemetry_dir
+    then Telemetry.Registry.create ~trace_capacity ()
+    else Telemetry.Registry.disabled
+  in
+  if progress then Ledger.Progress.install_if_tty ();
+  let t0 = Unix.gettimeofday () in
+  let after = Telemetry.Registry.span_with reg ~root:true span (fun () -> body reg) in
+  if progress then Ledger.Progress.uninstall ();
+  let wall_s = Unix.gettimeofday () -. t0 in
+  let o = after wall_s in
+  Option.iter
+    (fun dir ->
+      write_or_exit ~what:"telemetry" dir (fun () -> Telemetry.Export.write reg ~dir);
+      Format.printf "telemetry     : %s/telemetry.txt, telemetry.csv, trace.json@." dir)
+    telemetry_dir;
+  let report =
+    if report_path = "" && history_path = "" then None
+    else
+      Some
+        (Ledger.Run_report.build ~wall_s ?fidelity:o.fidelity ~extra:o.extra
+           ~exit_status:o.exit_status ~command ~config ~telemetry:reg ())
+  in
+  (match report with
+  | Some report when report_path <> "" ->
+    write_or_exit ~what:"run report" report_path (fun () ->
+        Ledger.Run_report.write ~path:report_path report);
+    Format.eprintf "run report    : %s (%s)@." report_path (Ledger.Run_report.summary_line report)
+  | _ -> ());
   if trace_path <> "" then begin
-    write_text trace_path (Telemetry.Export.chrome_trace reg);
+    write_or_exit ~what:"trace" trace_path (fun () ->
+        Util.Outfile.write trace_path (Telemetry.Export.chrome_trace reg));
     Format.eprintf "run trace     : %s (load in ui.perfetto.dev)@." trace_path
-  end
+  end;
+  (match report with
+  | Some report when history_path <> "" ->
+    write_or_exit ~what:"history" history_path (fun () ->
+        Ledger.History.append ~path:history_path report);
+    Format.eprintf "history       : recorded in %s@." history_path
+  | _ -> ());
+  if o.exit_status <> 0 then exit o.exit_status
 
 let run_experiment verbose seed jobs trace_capacity report_path trace_path id =
   setup_logs verbose;
   Util.Rng.set_global_seed seed;
   setup_jobs jobs;
-  let observing = report_path <> "" || trace_path <> "" in
-  let reg =
-    if observing then Telemetry.Registry.create ~trace_capacity () else Telemetry.Registry.disabled
-  in
-  Ledger.Progress.install_if_tty ();
-  let t0 = Unix.gettimeofday () in
-  Telemetry.Registry.span_with reg ~root:true ("run:" ^ id) (fun () ->
-      if id = "all" then
-        List.iter
-          (fun (id, _, render) ->
-            Format.printf "=== %s ===@.%s@." id (render reg))
-          Simbridge.Experiments.all
-      else
-        match List.find_opt (fun (i, _, _) -> i = id) Simbridge.Experiments.all with
-        | Some (_, _, render) -> print_string (render reg)
-        | None ->
-          Format.eprintf "unknown experiment %s; try `simbridge experiments`@." id;
-          exit 1);
-  Ledger.Progress.uninstall ();
-  let wall_s = Unix.gettimeofday () -. t0 in
-  emit_ledger ~command:("run " ^ id)
+  observed ~progress:true ~trace_path ~trace_capacity ~report_path ~command:("run " ^ id)
     ~config:
       [
-        ("experiment", Validate.Jsonx.Str id);
+        ("experiment", J.Str id);
         ("seed", num_j seed);
         ("jobs", num_j jobs);
         ("trace_capacity", num_j trace_capacity);
       ]
-    ~reg ~wall_s ~report_path ~trace_path ()
+    ~span:("run:" ^ id)
+    (fun reg ->
+      (if id = "all" then
+         List.iter
+           (fun (id, _, render) -> Format.printf "=== %s ===@.%s@." id (render reg))
+           Simbridge.Experiments.all
+       else
+         match List.find_opt (fun (i, _, _) -> i = id) Simbridge.Experiments.all with
+         | Some (_, _, render) -> print_string (render reg)
+         | None ->
+           Format.eprintf "unknown experiment %s; try `simbridge experiments`@." id;
+           exit 1);
+      fun _ -> finished)
 
 let csv_figure jobs trace_capacity report_path id scale =
   setup_jobs jobs;
-  let reg =
-    if report_path <> "" then Telemetry.Registry.create ~trace_capacity ()
-    else Telemetry.Registry.disabled
-  in
-  Ledger.Progress.install_if_tty ();
-  let t0 = Unix.gettimeofday () in
-  let fig =
-    Telemetry.Registry.span_with reg ~root:true ("csv:" ^ id) (fun () ->
-        Simbridge.Experiments.figure_by_id ~scale ~telemetry:reg id)
-  in
-  Ledger.Progress.uninstall ();
-  let wall_s = Unix.gettimeofday () -. t0 in
-  match fig with
-  | Some f ->
-    print_string (Simbridge.Experiments.figure_csv f);
-    emit_ledger ~command:("csv " ^ id)
-      ~config:
-        [
-          ("figure", Validate.Jsonx.Str id);
-          ("scale", Validate.Jsonx.Num scale);
-          ("jobs", num_j jobs);
-          ("trace_capacity", num_j trace_capacity);
-        ]
-      ~reg ~wall_s ~report_path ~trace_path:"" ()
-  | None ->
+  if not (List.mem id Simbridge.Experiments.figure_ids) then begin
     Format.eprintf "unknown figure %s (%s)@." id
       (String.concat ", " Simbridge.Experiments.figure_ids);
     exit 1
+  end;
+  observed ~progress:true ~trace_capacity ~report_path ~command:("csv " ^ id)
+    ~config:
+      [
+        ("figure", J.Str id);
+        ("scale", J.Num scale);
+        ("jobs", num_j jobs);
+        ("trace_capacity", num_j trace_capacity);
+      ]
+    ~span:("csv:" ^ id)
+    (fun reg ->
+      let fig = Option.get (Simbridge.Experiments.figure_by_id ~scale ~telemetry:reg id) in
+      fun _ ->
+        print_string (Simbridge.Experiments.figure_csv fig);
+        finished)
 
 let print_result (r : Platform.Soc.result) =
   Format.printf "platform      : %s@." r.platform;
@@ -179,25 +212,24 @@ let run_workload verbose name platform ranks scale telemetry_dir seed jobs trace
         Format.eprintf "unknown platform %s; try `simbridge platforms`@." platform;
         exit 1
     in
-    (* Telemetry sidecars: a live registry when --telemetry DIR was given
-       or a run report is wanted, the zero-cost no-op sink otherwise. *)
-    let reg =
-      match telemetry_dir with
-      | Some "" ->
-        Format.eprintf "--telemetry requires a non-empty directory@.";
-        exit 1
-      | Some _ -> Telemetry.Registry.create ~trace_capacity ()
-      | None ->
-        if report_path <> "" then Telemetry.Registry.create ~trace_capacity ()
-        else Telemetry.Registry.disabled
-    in
-    let t0 = Unix.gettimeofday () in
-    let complete = ref None in
-    Telemetry.Registry.span_with reg ~root:true ("workload:" ^ name) (fun () ->
+    observed ?telemetry_dir ~trace_capacity ~report_path
+      ~command:(Printf.sprintf "workload %s @ %s" name platform)
+      ~config:
+        [
+          ("workload", J.Str name);
+          ("platform", J.Str platform);
+          ("ranks", num_j ranks);
+          ("scale", J.Num scale);
+          ("seed", num_j seed);
+          ("jobs", num_j jobs);
+          ("budget", match budget with None -> J.Null | Some n -> num_j n);
+          ("trace_capacity", num_j trace_capacity);
+        ]
+      ~span:("workload:" ^ name)
+      (fun reg ->
         match kernel with
         | Some k ->
           let t = Simbridge.Runner.run_kernel_timed ~scale ~telemetry:reg ?budget config k in
-          complete := Some t.Simbridge.Runner.complete;
           print_result t.Simbridge.Runner.result;
           Format.printf "host wall     : setup %.4f s + measure %.4f s@." t.Simbridge.Runner.setup_wall_s
             t.Simbridge.Runner.measure_wall_s;
@@ -205,7 +237,9 @@ let run_workload verbose name platform ranks scale telemetry_dir seed jobs trace
             (fun n ->
               Format.printf "budget        : first %d measured insns, stream %s@." n
                 (if t.Simbridge.Runner.complete then "complete" else "cut at the budget"))
-            budget
+            budget;
+          fun _ ->
+            { finished with extra = [ ("result", J.Obj [ ("complete", J.Bool t.Simbridge.Runner.complete) ]) ] }
         | None ->
           let apps =
             Workloads.Npb.all @ [ Workloads.Ume.app; Workloads.Lammps.lj; Workloads.Lammps.chain ]
@@ -217,33 +251,8 @@ let run_workload verbose name platform ranks scale telemetry_dir seed jobs trace
           | None ->
             Format.eprintf
               "unknown workload %s (microbench name, cg/ep/is/mg, ume, lammps-lj, lammps-chain)@." name;
-            exit 1));
-    let wall_s = Unix.gettimeofday () -. t0 in
-    (match telemetry_dir with
-    | None -> ()
-    | Some dir ->
-      (try Telemetry.Export.write reg ~dir
-       with Sys_error msg ->
-         Format.eprintf "cannot write telemetry to %s: %s@." dir msg;
-         exit 1);
-      Format.printf "telemetry     : %s/telemetry.txt, telemetry.csv, trace.json@." dir);
-    emit_ledger
-      ?extra:
-        (Option.map (fun c -> [ ("result", Validate.Jsonx.Obj [ ("complete", Validate.Jsonx.Bool c) ]) ])
-           !complete)
-      ~command:(Printf.sprintf "workload %s @ %s" name platform)
-      ~config:
-        [
-          ("workload", Validate.Jsonx.Str name);
-          ("platform", Validate.Jsonx.Str platform);
-          ("ranks", num_j ranks);
-          ("scale", Validate.Jsonx.Num scale);
-          ("seed", num_j seed);
-          ("jobs", num_j jobs);
-          ("budget", match budget with None -> Validate.Jsonx.Null | Some n -> num_j n);
-          ("trace_capacity", num_j trace_capacity);
-        ]
-      ~reg ~wall_s ~report_path ~trace_path:"" ();
+            exit 1);
+          fun _ -> finished);
     `Ok ()
   end
 
@@ -310,12 +319,10 @@ let run_grid target scale =
 let dump_raw jobs dir scale =
   setup_jobs jobs;
   (* The paper publishes its raw runtime data; this writes ours. *)
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let write name (fig : Simbridge.Experiments.figure) =
     let path = Filename.concat dir (name ^ ".csv") in
-    let oc = open_out path in
-    output_string oc (Simbridge.Experiments.figure_csv fig);
-    close_out oc;
+    write_or_exit ~what:"raw data" path (fun () ->
+        Util.Outfile.write path (Simbridge.Experiments.figure_csv fig));
     Format.printf "wrote %s@." path
   in
   write "fig1" (Simbridge.Experiments.fig1 ~scale ());
@@ -355,61 +362,40 @@ let run_validate verbose seed jobs trace_capacity figures update_golden strict r
       Format.eprintf "cannot load expectations %s: %s@." expectations_path msg;
       exit 1
   in
-  let reg =
-    match telemetry_dir with
-    | Some "" ->
-      Format.eprintf "--telemetry requires a non-empty directory@.";
-      exit 1
-    | Some _ -> Telemetry.Registry.create ~trace_capacity ()
-    | None ->
-      if run_report_path <> "" then Telemetry.Registry.create ~trace_capacity ()
-      else Telemetry.Registry.disabled
-  in
-  Ledger.Progress.install_if_tty ();
-  let t0 = Unix.gettimeofday () in
-  let report =
-    Telemetry.Registry.span_with reg ~root:true "validate" (fun () ->
-        Validate.Fidelity.run ~telemetry:reg ~update_golden ~results_dir ~expectations ids)
-  in
-  Ledger.Progress.uninstall ();
-  let wall_s = Unix.gettimeofday () -. t0 in
-  if update_golden then
-    List.iter
-      (fun (fr : Validate.Fidelity.figure_report) ->
-        Format.printf "updated %s@." fr.Validate.Fidelity.fr_golden)
-      report.Validate.Fidelity.r_figures;
-  print_string (Validate.Fidelity.render ~strict report);
-  (match report_path with
-  | "" -> ()
-  | path ->
-    let oc = open_out path in
-    output_string oc (Validate.Jsonx.to_string (Validate.Fidelity.to_json ~strict report));
-    output_string oc "\n";
-    close_out oc;
-    Format.printf "report        : %s@." path);
-  (match telemetry_dir with
-  | None -> ()
-  | Some dir ->
-    (try Telemetry.Export.write reg ~dir
-     with Sys_error msg ->
-       Format.eprintf "cannot write telemetry to %s: %s@." dir msg;
-       exit 1);
-    Format.printf "telemetry     : %s/telemetry.txt, telemetry.csv, trace.json@." dir);
-  let ok = Validate.Fidelity.ok ~strict report in
-  emit_ledger ~fidelity:(report, strict)
-    ~exit_status:(if ok then 0 else 1)
+  observed ~progress:true ?telemetry_dir ~trace_capacity ~report_path:run_report_path
     ~command:("validate " ^ figures)
     ~config:
       [
-        ("figures", Validate.Jsonx.Str figures);
-        ("strict", Validate.Jsonx.Bool strict);
-        ("update_golden", Validate.Jsonx.Bool update_golden);
+        ("figures", J.Str figures);
+        ("strict", J.Bool strict);
+        ("update_golden", J.Bool update_golden);
         ("seed", num_j seed);
         ("jobs", num_j jobs);
         ("trace_capacity", num_j trace_capacity);
       ]
-    ~reg ~wall_s ~report_path:run_report_path ~trace_path:"" ();
-  if not ok then exit 1
+    ~span:"validate"
+    (fun reg ->
+      let report =
+        Validate.Fidelity.run ~telemetry:reg ~update_golden ~results_dir ~expectations ids
+      in
+      fun _ ->
+        if update_golden then
+          List.iter
+            (fun (fr : Validate.Fidelity.figure_report) ->
+              Format.printf "updated %s@." fr.Validate.Fidelity.fr_golden)
+            report.Validate.Fidelity.r_figures;
+        print_string (Validate.Fidelity.render ~strict report);
+        if report_path <> "" then begin
+          write_or_exit ~what:"fidelity report" report_path (fun () ->
+              Util.Outfile.write report_path
+                (J.to_string (Validate.Fidelity.to_json ~strict report) ^ "\n"));
+          Format.printf "report        : %s@." report_path
+        end;
+        {
+          finished with
+          fidelity = Some (Validate.Fidelity.summary_json ~strict report);
+          exit_status = (if Validate.Fidelity.ok ~strict report then 0 else 1);
+        })
 
 let run_tune target scale =
   let candidates, hw =
@@ -445,7 +431,7 @@ let load_history path =
     exit 2
 
 let history_record path report_file =
-  match Validate.Jsonx.parse_file report_file with
+  match J.parse_file report_file with
   | Error msg ->
     Format.eprintf "cannot parse %s: %s@." report_file msg;
     exit 2
@@ -455,7 +441,7 @@ let history_record path report_file =
       Format.eprintf "%s: %s@." report_file msg;
       exit 2
     | Ok e ->
-      Ledger.History.append ~path json;
+      write_or_exit ~what:"history" path (fun () -> Ledger.History.append ~path json);
       Format.printf "recorded %s (%s) -> %s@." e.Ledger.History.h_run_id
         e.Ledger.History.h_command path)
 
@@ -543,63 +529,42 @@ let run_serve verbose seed jobs trace_capacity report_path trace_path history_pa
   if trace_cache_mib > 0 then
     Simbridge.Runner.set_trace_cache_limits ~words:(trace_cache_mib * 1024 * 1024 / 8) ();
   let addr = parse_addr "--listen" listen in
-  let observing = report_path <> "" || trace_path <> "" || history_path <> "" in
-  let reg =
-    if observing then Telemetry.Registry.create ~trace_capacity () else Telemetry.Registry.disabled
-  in
-  let t0 = Unix.gettimeofday () in
-  let srv =
-    try
-      Serve.Server.create ~jobs ~response_cache_capacity:response_cache ~telemetry:reg addr
-    with Unix.Unix_error (e, _, _) ->
-      Format.eprintf "cannot listen on %s: %s@."
+  observed ~trace_path ~history_path ~trace_capacity ~report_path ~command:"serve"
+    ~config:
+      [
+        ("listen", J.Str (Serve.Protocol.addr_to_string addr));
+        ("seed", num_j seed);
+        ("jobs", num_j jobs);
+        ("trace_capacity", num_j trace_capacity);
+        ("response_cache", num_j response_cache);
+      ]
+    ~span:"serve"
+    (fun reg ->
+      let srv =
+        try
+          Serve.Server.create ~jobs ~response_cache_capacity:response_cache ~telemetry:reg addr
+        with Unix.Unix_error (e, _, _) ->
+          Format.eprintf "cannot listen on %s: %s@."
+            (Serve.Protocol.addr_to_string addr)
+            (Unix.error_message e);
+          exit 1
+      in
+      let on_signal _ = Serve.Server.stop srv in
+      Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
+      Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
+      Format.eprintf "serving on %s (jobs=%d, response cache=%d); SIGTERM drains@."
         (Serve.Protocol.addr_to_string addr)
-        (Unix.error_message e);
-      exit 1
-  in
-  let on_signal _ = Serve.Server.stop srv in
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-  Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-  Format.eprintf "serving on %s (jobs=%d, response cache=%d); SIGTERM drains@."
-    (Serve.Protocol.addr_to_string addr)
-    jobs response_cache;
-  (* The root span wraps the whole service lifetime; the registry is
-     written by the main thread only here (before the dispatcher starts)
-     and after [run] returns (all service threads joined). *)
-  Telemetry.Registry.span_with reg ~root:true "serve" (fun () -> Serve.Server.run srv);
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let served = Serve.Engine.requests_served (Serve.Server.engine srv) in
-  Format.eprintf "drained after %d request%s in %.1f s@." served
-    (if served = 1 then "" else "s")
-    wall_s;
-  if observing then begin
-    let report =
-      Ledger.Run_report.build ~wall_s ~exit_status:0 ~command:"serve"
-        ~config:
-          [
-            ("listen", Validate.Jsonx.Str (Serve.Protocol.addr_to_string addr));
-            ("seed", num_j seed);
-            ("jobs", num_j jobs);
-            ("trace_capacity", num_j trace_capacity);
-            ("response_cache", num_j response_cache);
-          ]
-        ~extra:[ ("serve", Serve.Engine.stats_json (Serve.Server.engine srv)) ]
-        ~telemetry:reg ()
-    in
-    if report_path <> "" then begin
-      Ledger.Run_report.write ~path:report_path report;
-      Format.eprintf "run report    : %s (%s)@." report_path
-        (Ledger.Run_report.summary_line report)
-    end;
-    if trace_path <> "" then begin
-      write_text trace_path (Telemetry.Export.chrome_trace reg);
-      Format.eprintf "run trace     : %s (load in ui.perfetto.dev)@." trace_path
-    end;
-    if history_path <> "" then begin
-      Ledger.History.append ~path:history_path report;
-      Format.eprintf "history       : recorded in %s@." history_path
-    end
-  end
+        jobs response_cache;
+      (* The registry is written by the main thread only here (before
+         the dispatcher starts) and after [run] returns (all service
+         threads joined). *)
+      Serve.Server.run srv;
+      fun wall_s ->
+        let served = Serve.Engine.requests_served (Serve.Server.engine srv) in
+        Format.eprintf "drained after %d request%s in %.1f s@." served
+          (if served = 1 then "" else "s")
+          wall_s;
+        { finished with extra = [ ("serve", Serve.Engine.stats_json (Serve.Server.engine srv)) ] })
 
 let run_query connect figure scale render cell ping stats shutdown show_report =
   let addr = parse_addr "--connect" connect in
@@ -649,7 +614,7 @@ let run_query connect figure scale render cell ping stats shutdown show_report =
     print_string payload;
     if payload <> "" && payload.[String.length payload - 1] <> '\n' then print_newline ();
     if show_report then
-      Format.eprintf "%s@." (Validate.Jsonx.to_string ~indent:2 report);
+      Format.eprintf "%s@." (J.to_string ~indent:2 report);
     finish 0
 
 (* ------------------------------------------------------------------ cli *)

@@ -1,4 +1,4 @@
-module J = Validate.Jsonx
+module J = Util.Jsonx
 
 type entry = {
   h_run_id : string;
@@ -75,20 +75,7 @@ let load ~path =
           in
           scan 1 [])
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let append ~path report =
-  mkdir_p (Filename.dirname path);
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (J.to_string ~indent:0 report);
-      output_char oc '\n')
+let append ~path report = Util.Outfile.write ~append:true path (J.to_string ~indent:0 report ^ "\n")
 
 (* ------------------------------------------------------------ render *)
 

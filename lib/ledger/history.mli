@@ -18,19 +18,20 @@ type entry = {
   h_exact : int option;
   h_drifted : int option;
   h_cache_hit_rate : float option;
-  h_json : Validate.Jsonx.t;  (** the full report *)
+  h_json : Util.Jsonx.t;  (** the full report *)
 }
 
-val entry_of_report : Validate.Jsonx.t -> (entry, string) result
+val entry_of_report : Util.Jsonx.t -> (entry, string) result
 (** Validate the schema tag and extract the trend fields. *)
 
 val load : path:string -> (entry list, string) result
 (** Parse the ledger, oldest first.  A missing file is [Ok []]; a
     malformed line is an [Error] naming the line. *)
 
-val append : path:string -> Validate.Jsonx.t -> unit
-(** Append one report as a compact JSON line, creating parent
-    directories. *)
+val append : path:string -> Util.Jsonx.t -> unit
+(** Append one report as a compact JSON line through
+    {!Util.Outfile.write} (parent directories are created; failures
+    raise [Sys_error] naming the path). *)
 
 val render : entry list -> string
 (** Text trend table (time, run, rev, command, MIPS, wall, fidelity,

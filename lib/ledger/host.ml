@@ -1,4 +1,4 @@
-module J = Validate.Jsonx
+module J = Util.Jsonx
 
 type t = {
   hostname : string;

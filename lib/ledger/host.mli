@@ -20,4 +20,4 @@ val fingerprint : t -> string
     equal fingerprints are a precondition for comparing MIPS across
     history entries. *)
 
-val to_json : t -> Validate.Jsonx.t
+val to_json : t -> Util.Jsonx.t

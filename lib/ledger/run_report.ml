@@ -1,4 +1,4 @@
-module J = Validate.Jsonx
+module J = Util.Jsonx
 module Registry = Telemetry.Registry
 
 let schema = "simbridge-run-report/1"
@@ -107,19 +107,25 @@ let aggregate_mips reg =
 
 let num_i n = J.Num (float_of_int n)
 
-let fidelity_json ~strict (r : Validate.Fidelity.report) =
-  let t = r.Validate.Fidelity.r_totals in
+let phases_json rows =
+  J.Arr
+    (List.map
+       (fun r ->
+         J.Obj
+           [
+             ("name", J.Str r.pr_name);
+             ("count", num_i r.pr_count);
+             ("target_cycles", num_i r.pr_target_cycles);
+             ("wall_s", J.Num r.pr_wall_s);
+           ])
+       rows)
+
+let trace_cache_json (tc : Simbridge.Runner.trace_cache_stats) =
   J.Obj
     [
-      ("ok", J.Bool (Validate.Fidelity.ok ~strict r));
-      ("strict", J.Bool strict);
-      ("cells", num_i t.Validate.Fidelity.t_cells);
-      ("exact", num_i t.Validate.Fidelity.t_exact);
-      ("within_band", num_i t.Validate.Fidelity.t_within);
-      ("drifted", num_i t.Validate.Fidelity.t_drifted);
-      ("band_misses", num_i t.Validate.Fidelity.t_band_misses);
-      ("shape_misses", num_i t.Validate.Fidelity.t_shape_misses);
-      ("structural", num_i t.Validate.Fidelity.t_structural);
+      ("hits", num_i tc.tc_hits);
+      ("misses", num_i tc.tc_misses);
+      ("evictions", num_i tc.tc_evictions);
     ]
 
 let build ?run_id:(id = run_id ()) ?(wall_s = 0.0) ?fidelity ?(exit_status = 0)
@@ -162,19 +168,6 @@ let build ?run_id:(id = run_id ()) ?(wall_s = 0.0) ?fidelity ?(exit_status = 0)
     in
     J.Obj (List.filter (fun (k, _) -> not (List.mem_assoc k metrics)) base @ metrics)
   in
-  let phases =
-    J.Arr
-      (List.map
-         (fun r ->
-           J.Obj
-             [
-               ("name", J.Str r.pr_name);
-               ("count", num_i r.pr_count);
-               ("target_cycles", num_i r.pr_target_cycles);
-               ("wall_s", J.Num r.pr_wall_s);
-             ])
-         (phase_breakdown telemetry))
-  in
   let base =
     [
       ("schema", J.Str schema);
@@ -186,7 +179,7 @@ let build ?run_id:(id = run_id ()) ?(wall_s = 0.0) ?fidelity ?(exit_status = 0)
       ("config", J.Obj config);
       ("exit_status", num_i exit_status);
       ("metrics", metrics_obj);
-      ("phases", phases);
+      ("phases", phases_json (phase_breakdown telemetry));
       ("counters", J.Obj (List.map (fun (n, v) -> (n, num_i v)) counters));
       ("cache", cache_json);
       ( "trace",
@@ -198,29 +191,12 @@ let build ?run_id:(id = run_id ()) ?(wall_s = 0.0) ?fidelity ?(exit_status = 0)
           ] );
     ]
   in
-  let base =
-    match fidelity with
-    | None -> base
-    | Some (r, strict) -> base @ [ ("fidelity", fidelity_json ~strict r) ]
-  in
-  J.Obj (base @ extra)
+  let fidelity = match fidelity with Some f -> [ ("fidelity", f) ] | None -> [] in
+  J.Obj (base @ fidelity @ extra)
 
 (* ------------------------------------------------------------ output *)
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let write ~path report =
-  mkdir_p (Filename.dirname path);
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (J.to_string report);
-      output_char oc '\n')
+let write ~path report = Util.Outfile.write path (J.to_string report ^ "\n")
 
 let summary_line report =
   let str k = Option.value ~default:"?" (Option.bind (J.member k report) J.to_str) in

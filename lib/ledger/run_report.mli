@@ -20,24 +20,21 @@ val git_rev : ?root:string -> unit -> string
     file or [.git/packed-refs]) under [root] (default ["."]) — no [git]
     binary required.  ["unknown"] when unresolvable. *)
 
-val iso8601 : float -> string
-(** UTC timestamp for a [Unix.gettimeofday] value. *)
-
 val build :
   ?run_id:string ->
   ?wall_s:float ->
-  ?fidelity:Validate.Fidelity.report * bool ->
+  ?fidelity:Util.Jsonx.t ->
   ?exit_status:int ->
-  ?extra:(string * Validate.Jsonx.t) list ->
-  ?metrics:(string * Validate.Jsonx.t) list ->
+  ?extra:(string * Util.Jsonx.t) list ->
+  ?metrics:(string * Util.Jsonx.t) list ->
   command:string ->
-  config:(string * Validate.Jsonx.t) list ->
+  config:(string * Util.Jsonx.t) list ->
   telemetry:Telemetry.Registry.t ->
   unit ->
-  Validate.Jsonx.t
+  Util.Jsonx.t
 (** Assemble a report from a (merged) registry.  [wall_s] is the
-    invocation's total wall time; [fidelity] is the validate report
-    paired with its strictness; [extra] appends caller-specific
+    invocation's total wall time; [fidelity] is the validate totals
+    ([Validate.Fidelity.summary_json]); [extra] appends caller-specific
     top-level sections (the bench gates put their own metrics there);
     [metrics] overrides/extends the report's [metrics] object — benches
     without a telemetry registry use it to record the
@@ -46,11 +43,12 @@ val build :
     first, so cache counters are part of the snapshot.  Works on
     {!Telemetry.Registry.disabled} too (metrics degrade to [null]). *)
 
-val write : path:string -> Validate.Jsonx.t -> unit
-(** Write compact JSON (one line + newline, so a report file is also a
-    valid history.jsonl fragment), creating parent directories. *)
+val write : path:string -> Util.Jsonx.t -> unit
+(** Write the report, pretty-printed and newline-terminated, through
+    {!Util.Outfile.write} (parent directories are created; failures
+    raise [Sys_error] naming the path). *)
 
-val summary_line : Validate.Jsonx.t -> string
+val summary_line : Util.Jsonx.t -> string
 (** One human line: id, command, MIPS, wall, fidelity totals. *)
 
 (** {2 Aggregates} (exposed for {!History} and tests) *)
@@ -64,6 +62,14 @@ type phase_row = {
 
 val phase_breakdown : Telemetry.Registry.t -> phase_row list
 (** Completed phases grouped by name, in first-completion order. *)
+
+val phases_json : phase_row list -> Util.Jsonx.t
+(** The [phases] array of a run report (and of a serve request's
+    report): [{name, count, target_cycles, wall_s}] per row. *)
+
+val trace_cache_json : Simbridge.Runner.trace_cache_stats -> Util.Jsonx.t
+(** [{hits, misses, evictions}]: the trace-cache object of serve's
+    request reports and stats payload. *)
 
 val measured_wall_s : Telemetry.Registry.t -> float
 (** Total wall seconds in "measure"/"run" phases — the MIPS denominator. *)

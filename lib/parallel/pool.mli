@@ -98,11 +98,12 @@ val run : ?jobs:int -> ?telemetry:Telemetry.Registry.t -> 'r cell list -> 'r lis
 
     [telemetry] (default {!Telemetry.Registry.disabled}) is the parent
     registry: each cell records into a private fork, merged back in cell
-    order after the workers join.  When the caller has an active span
-    ({!Telemetry.Registry.span_active}), every cell additionally records
-    a span (namespace ["c<i>."], parent = the caller's current span,
-    [tid] = worker lane) annotated with its queue wait, so the merged
-    Chrome trace shows the real fan-out timeline.
+    order after the workers join.  When the caller has an open span on
+    a live registry ({!Telemetry.Registry.span_current} is not [""]),
+    every cell additionally records a span (namespace ["c<i>."], parent
+    = the caller's current span, [tid] = worker lane) annotated with its
+    queue wait, so the merged Chrome trace shows the real fan-out
+    timeline.
 
     If any cell raises, remaining unstarted cells are skipped
     (best-effort), every sink that did run is still merged, and the

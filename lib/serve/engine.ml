@@ -1,4 +1,4 @@
-module J = Validate.Jsonx
+module J = Util.Jsonx
 module Reg = Telemetry.Registry
 module Runner = Simbridge.Runner
 module Experiments = Simbridge.Experiments
@@ -173,25 +173,8 @@ let request_report ~rq_id ?key ~served ~queue_wait_s ?entry () =
       [
         ("compute_wall_s", J.Num e.en_wall_s);
         ("span", J.Str e.en_span);
-        ( "phases",
-          J.Arr
-            (List.map
-               (fun (p : Ledger.Run_report.phase_row) ->
-                 J.Obj
-                   [
-                     ("name", J.Str p.pr_name);
-                     ("count", num_i p.pr_count);
-                     ("target_cycles", num_i p.pr_target_cycles);
-                     ("wall_s", J.Num p.pr_wall_s);
-                   ])
-               e.en_phases) );
-        ( "trace_cache",
-          J.Obj
-            [
-              ("hits", num_i e.en_tc.tc_hits);
-              ("misses", num_i e.en_tc.tc_misses);
-              ("evictions", num_i e.en_tc.tc_evictions);
-            ] );
+        ("phases", Ledger.Run_report.phases_json e.en_phases);
+        ("trace_cache", Ledger.Run_report.trace_cache_json e.en_tc);
       ]
   in
   J.Obj (base @ keyf @ comp)
@@ -213,13 +196,7 @@ let stats_json t =
           ( "response_cache",
             J.Obj
               [ ("size", num_i (List.length t.e_cache)); ("capacity", num_i t.e_cache_cap) ] );
-          ( "trace_cache",
-            J.Obj
-              [
-                ("hits", num_i tc.tc_hits);
-                ("misses", num_i tc.tc_misses);
-                ("evictions", num_i tc.tc_evictions);
-              ] );
+          ("trace_cache", Ledger.Run_report.trace_cache_json tc);
           ("jobs", (match t.e_jobs with None -> J.Null | Some j -> num_i j));
         ])
 

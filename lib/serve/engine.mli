@@ -71,7 +71,7 @@ val oracle : Protocol.query -> (string, string) result
     byte-for-byte what the one-shot CLI prints.  The bench gate diffs
     every served payload against this. *)
 
-val stats_json : t -> Validate.Jsonx.t
+val stats_json : t -> Util.Jsonx.t
 (** Service counters: uptime, requests by served-kind, errors,
     computations running, response-cache occupancy, trace-cache
     counters, jobs. *)

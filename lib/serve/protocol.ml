@@ -1,4 +1,4 @@
-module J = Validate.Jsonx
+module J = Util.Jsonx
 
 let schema = "simbridge-serve/1"
 

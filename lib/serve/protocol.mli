@@ -1,7 +1,6 @@
 (** The serve wire protocol: newline-delimited JSON frames (schema
     ["simbridge-serve/1"]) over a Unix or TCP socket, encoded with the
-    repo's own {!Validate.Jsonx} — no external JSON dependency, same as
-    the validation subsystem.
+    repo's own {!Util.Jsonx} — no external JSON dependency.
 
     One request frame per line, one response frame per line; a client
     may pipeline requests and match responses by the echoed [id].
@@ -40,7 +39,7 @@ type request = { rq_id : string; rq_op : op }
 (** [rq_id] is client-chosen, non-empty, echoed verbatim in the
     response. *)
 
-type report = Validate.Jsonx.t
+type report = Util.Jsonx.t
 (** The per-request run-report-shaped section: request id, computation
     key, served-from (computed / cached / inline), queue wait,
     compute wall, phase breakdown, trace-cache delta, span id. *)
@@ -52,13 +51,9 @@ type response = { rs_id : string; rs_result : (string * report, string) result }
 (** {2 Encoding}  ([print_*] emits a single line without the trailing
     newline; [parse_*] accepts exactly one frame.) *)
 
-val request_to_json : request -> Validate.Jsonx.t
-val request_of_json : Validate.Jsonx.t -> (request, string) result
 val print_request : request -> string
 val parse_request : string -> (request, string) result
 
-val response_to_json : response -> Validate.Jsonx.t
-val response_of_json : Validate.Jsonx.t -> (response, string) result
 val print_response : response -> string
 val parse_response : string -> (response, string) result
 

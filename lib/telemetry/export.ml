@@ -86,87 +86,66 @@ let to_csv reg =
 
 (* ---------------------------------------------------------------- json *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module J = Util.Jsonx
 
-let json_arg = function
-  | Trace.Int n -> string_of_int n
-  | Trace.Float x -> Printf.sprintf "%.6g" x
-  | Trace.Str s -> Printf.sprintf "\"%s\"" (json_escape s)
+let num_i n = J.Num (float_of_int n)
 
 let json_event (e : Trace.event) =
+  let dur = if e.ph = 'X' then [ ("dur", num_i e.dur) ] else [] in
   let args =
     match e.args with
-    | [] -> ""
+    | [] -> []
     | args ->
-      let fields =
-        List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" (json_escape k) (json_arg v)) args
+      let arg = function
+        | Trace.Int n -> num_i n
+        | Trace.Float x -> J.Num x
+        | Trace.Str s -> J.Str s
       in
-      Printf.sprintf ",\"args\":{%s}" (String.concat "," fields)
+      [ ("args", J.Obj (List.map (fun (k, v) -> (k, arg v)) args)) ]
   in
-  let dur = if e.ph = 'X' then Printf.sprintf ",\"dur\":%d" e.dur else "" in
-  Printf.sprintf "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%c\",\"ts\":%d,\"pid\":0,\"tid\":%d%s%s}"
-    (json_escape e.name) (json_escape e.cat) e.ph e.ts e.tid dur args
+  J.Obj
+    ([
+       ("name", J.Str e.name);
+       ("cat", J.Str e.cat);
+       ("ph", J.Str (String.make 1 e.ph));
+       ("ts", num_i e.ts);
+       ("pid", num_i 0);
+       ("tid", num_i e.tid);
+     ]
+    @ dur @ args)
 
 let chrome_trace reg =
   let tr = Registry.trace reg in
   let meta =
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"simbridge\"}}"
+    J.Obj
+      [
+        ("name", J.Str "process_name");
+        ("ph", J.Str "M");
+        ("pid", num_i 0);
+        ("tid", num_i 0);
+        ("args", J.Obj [ ("name", J.Str "simbridge") ]);
+      ]
   in
   (* A final counter sample makes headline counters visible on the
      timeline even for traces that only carry phase events. *)
   let final_counters =
-    match Registry.counters reg with
-    | [] -> []
-    | kvs ->
-      let ts =
-        List.fold_left (fun acc (p : Registry.phase_info) -> max acc p.ph_ts1) 0
-          (Registry.phases reg)
-      in
-      List.map
-        (fun (name, v) ->
-          json_event
-            { Trace.name; cat = "counter"; ph = 'C'; ts; dur = 0; tid = 0; args = [ ("value", Trace.Int v) ] })
-        kvs
+    let ts =
+      List.fold_left (fun acc (p : Registry.phase_info) -> max acc p.ph_ts1) 0 (Registry.phases reg)
+    in
+    List.map
+      (fun (name, v) ->
+        json_event
+          { Trace.name; cat = "counter"; ph = 'C'; ts; dur = 0; tid = 0; args = [ ("value", Trace.Int v) ] })
+      (Registry.counters reg)
   in
   let events = meta :: (List.map json_event (Trace.to_list tr) @ final_counters) in
-  Printf.sprintf "{\"traceEvents\":[\n%s\n],\"displayTimeUnit\":\"ms\"}\n"
-    (String.concat ",\n" events)
+  J.to_string ~indent:0 (J.Obj [ ("traceEvents", J.Arr events); ("displayTimeUnit", J.Str "ms") ])
+  ^ "\n"
 
 (* --------------------------------------------------------------- write *)
 
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
-
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    (* Only a lost race (someone else created it) is benign; every other
-       failure (permissions, a file in the way) must surface instead of
-       letting [write_file] fail later with a confusing ENOENT. *)
-    match Unix.mkdir dir 0o755 with
-    | () -> ()
-    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    | exception Unix.Unix_error (e, _, _) ->
-      raise (Sys_error (Printf.sprintf "%s: %s" dir (Unix.error_message e)))
-  end
-
 let write reg ~dir =
-  mkdir_p dir;
-  write_file (Filename.concat dir "telemetry.txt") (summary reg);
-  write_file (Filename.concat dir "telemetry.csv") (to_csv reg);
-  write_file (Filename.concat dir "trace.json") (chrome_trace reg)
+  let file name contents = Util.Outfile.write (Filename.concat dir name) contents in
+  file "telemetry.txt" (summary reg);
+  file "telemetry.csv" (to_csv reg);
+  file "trace.json" (chrome_trace reg)

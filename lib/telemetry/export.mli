@@ -21,5 +21,6 @@ val chrome_trace : Registry.t -> string
 
 val write : Registry.t -> dir:string -> unit
 (** Creates [dir] — including missing parent directories, so
-    [--telemetry out/run1/telemetry] works on a clean tree.  Raises
-    [Sys_error] when a component cannot be created. *)
+    [--telemetry out/run1/telemetry] works on a clean tree, through
+    {!Util.Outfile.write}.  Raises [Sys_error] naming the path when a
+    directory or file cannot be written. *)

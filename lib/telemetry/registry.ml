@@ -188,7 +188,6 @@ let span_current t =
   | id :: _ -> id
   | [] -> t.span_parent
 
-let span_active t = t.live && span_current t <> ""
 let set_span_lane t lane = if t.live then t.span_lane <- lane
 
 let span_start t ?(root = false) name =

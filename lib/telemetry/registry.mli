@@ -145,10 +145,6 @@ val span_with : t -> ?root:bool -> ?args:(string * Trace.arg) list -> string -> 
 val span_current : t -> string
 (** Innermost open span id, or the fork-inherited parent id, or [""]. *)
 
-val span_active : t -> bool
-(** [true] when a live registry has an active span context — i.e. new
-    non-root spans would record. *)
-
 val set_span_lane : t -> int -> unit
 (** Set the worker lane recorded as the [tid] of subsequent span
     events (default 0); {!Parallel.Pool} tags each cell's sink with the

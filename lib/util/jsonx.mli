@@ -1,13 +1,13 @@
-(** Minimal JSON for the validation subsystem.
+(** Minimal JSON: the codec every JSON document in the repo goes
+    through.
 
     The repo deliberately carries no external JSON dependency (the CI
-    image bakes in a fixed opam set), and the two JSON documents this
-    subsystem touches — [results/paper-expectations.json] and the
-    machine-readable fidelity report — need only the core data model.
-    This is a complete recursive-descent parser (objects, arrays,
-    strings with escapes, numbers, booleans, null) plus a deterministic
-    pretty-printer, shared by {!Expectations} (read side) and
-    {!Fidelity} (write side). *)
+    image bakes in a fixed opam set), and its documents — the paper
+    expectations, the fidelity and run reports, the history ledger, the
+    Chrome traces, the serve wire frames and the bench summaries — need
+    only the core data model.  This is a complete recursive-descent
+    parser (objects, arrays, strings with escapes, numbers, booleans,
+    null) plus a deterministic printer. *)
 
 type t =
   | Null
@@ -39,7 +39,6 @@ val to_int : t -> int option
 
 val to_str : t -> string option
 val to_list : t -> t list option
-val to_bool : t -> bool option
 
 val get_str : ?default:string -> string -> t -> string
 (** [get_str key obj] with a default of [""]: the common case for

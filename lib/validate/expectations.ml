@@ -1,3 +1,5 @@
+module Jsonx = Util.Jsonx
+
 type band = {
   bx : string option;
   bseries : string option;

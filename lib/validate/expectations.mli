@@ -70,7 +70,7 @@ type t = {
   figures : fig_expect list;
 }
 
-val of_json : Jsonx.t -> (t, string) result
+val of_json : Util.Jsonx.t -> (t, string) result
 val load : string -> (t, string) result
 
 val find : t -> string -> fig_expect option

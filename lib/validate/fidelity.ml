@@ -466,6 +466,8 @@ let render ?(strict = false) report =
 
 (* ------------------------------------------------------------ JSON out *)
 
+module Jsonx = Util.Jsonx
+
 let verdict_json (c : cell_check) =
   let base = [ ("x", Jsonx.Str c.cc_x); ("series", Jsonx.Str c.cc_series) ] in
   match c.cc_verdict with
@@ -542,4 +544,20 @@ let to_json ?(strict = false) report =
                           fr.fr_shapes) );
                  ])
              report.r_figures) );
+    ]
+
+let summary_json ~strict report =
+  let t = report.r_totals in
+  let num n = Jsonx.Num (float_of_int n) in
+  Jsonx.Obj
+    [
+      ("ok", Jsonx.Bool (ok ~strict report));
+      ("strict", Jsonx.Bool strict);
+      ("cells", num t.t_cells);
+      ("exact", num t.t_exact);
+      ("within_band", num t.t_within);
+      ("drifted", num t.t_drifted);
+      ("band_misses", num t.t_band_misses);
+      ("shape_misses", num t.t_shape_misses);
+      ("structural", num t.t_structural);
     ]

@@ -107,6 +107,11 @@ val render : ?strict:bool -> report -> string
 (** Human summary: one line per figure plus a diff table of every
     non-exact cell, missed band, and violated shape. *)
 
-val to_json : ?strict:bool -> report -> Jsonx.t
+val to_json : ?strict:bool -> report -> Util.Jsonx.t
 (** The machine-readable fidelity report (schema
     ["simbridge-validate/1"]), uploaded as a CI artifact. *)
+
+val summary_json : strict:bool -> report -> Util.Jsonx.t
+(** The totals alone ([ok], [strict], cells, exact, within-band,
+    drifted, band/shape misses, structural): the [fidelity] section of a
+    run report, which the history ledger trends and gates on. *)

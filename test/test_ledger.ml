@@ -2,7 +2,7 @@
    through Jsonx, span trees are identical across job counts, and the
    history regression gate passes/fails on the right trajectories. *)
 
-module J = Validate.Jsonx
+module J = Util.Jsonx
 module Reg = Telemetry.Registry
 module Trace = Telemetry.Trace
 module Pool = Parallel.Pool

@@ -7,7 +7,7 @@
 
 module P = Serve.Protocol
 module Engine = Serve.Engine
-module J = Validate.Jsonx
+module J = Util.Jsonx
 
 (* ------------------------------------------------------------- daemon *)
 

@@ -85,6 +85,7 @@ let test_export_summary_and_csv () =
     (contains ~needle:"phase,measure,target_cycles,1000" csv)
 
 let test_chrome_trace_json () =
+  let module J = Util.Jsonx in
   let reg = Reg.create ~trace_capacity:16 () in
   Trace.record (Reg.trace reg)
     {
@@ -94,19 +95,37 @@ let test_chrome_trace_json () =
       ts = 5;
       dur = 7;
       tid = 3;
-      args = [ ("bytes", Trace.Int 64); ("note", Trace.Str "a\\b") ];
+      args = [ ("bytes", Trace.Int 64); ("note", Trace.Str "a\\b"); ("ratio", Trace.Float 0.25) ];
     };
   let json = Telemetry.Export.chrome_trace reg in
-  Alcotest.(check bool) "has traceEvents" true (contains ~needle:"\"traceEvents\"" json);
   Alcotest.(check bool) "escapes quotes" true (contains ~needle:"odd \\\"name\\\"\\n" json);
   Alcotest.(check bool) "escapes backslash" true (contains ~needle:"a\\\\b" json);
-  Alcotest.(check bool) "complete event" true (contains ~needle:"\"ph\":\"X\"" json);
-  Alcotest.(check bool) "duration kept" true (contains ~needle:"\"dur\":7" json);
-  (* Balanced braces is a cheap well-formedness proxy without a JSON dep
-     (no unescaped braces appear in the generated strings). *)
-  let depth = ref 0 in
-  String.iter (fun c -> if c = '{' then incr depth else if c = '}' then decr depth) json;
-  Alcotest.(check int) "balanced braces" 0 !depth
+  let events =
+    match J.parse json with
+    | Error msg -> Alcotest.failf "trace is not JSON: %s" msg
+    | Ok doc -> (
+      Alcotest.(check (option string)) "display unit" (Some "ms")
+        (Option.bind (J.member "displayTimeUnit" doc) J.to_str);
+      match Option.bind (J.member "traceEvents" doc) J.to_list with
+      | Some events -> events
+      | None -> Alcotest.fail "no traceEvents array")
+  in
+  (* the process-name metadata event, then the recorded one (the
+     registry has no counters, so no final counter samples follow) *)
+  Alcotest.(check int) "event count" 2 (List.length events);
+  Alcotest.(check (option string)) "metadata first" (Some "M")
+    (Option.bind (J.member "ph" (List.hd events)) J.to_str);
+  let ev = List.nth events 1 in
+  let str k = Option.bind (J.member k ev) J.to_str and int k = Option.bind (J.member k ev) J.to_int in
+  Alcotest.(check (option string)) "name" (Some "odd \"name\"\n") (str "name");
+  Alcotest.(check (option string)) "cat" (Some "smpi") (str "cat");
+  Alcotest.(check (option string)) "ph" (Some "X") (str "ph");
+  Alcotest.(check (option int)) "ts" (Some 5) (int "ts");
+  Alcotest.(check (option int)) "dur" (Some 7) (int "dur");
+  Alcotest.(check (option int)) "tid" (Some 3) (int "tid");
+  Alcotest.(check bool) "args" true
+    (J.member "args" ev
+    = Some (J.Obj [ ("bytes", J.Num 64.0); ("note", J.Str "a\\b"); ("ratio", J.Num 0.25) ]))
 
 (* Published counters must agree with the run's Soc.result aggregates —
    including for kernels with a setup stream, where both are differenced

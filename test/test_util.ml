@@ -1,4 +1,5 @@
-(* Tests for the util library: PRNG determinism and statistics. *)
+(* Tests for the util library: PRNG determinism, statistics, and the
+   JSON codec under arbitrary input. *)
 
 let check = Alcotest.check
 let checkf = Alcotest.check (Alcotest.float 1e-9)
@@ -130,6 +131,77 @@ let prop_geomean_le_mean =
       let a = Array.of_list xs in
       Util.Stats.geomean a <= Util.Stats.mean a +. 1e-9)
 
+(* ---------------------------------------------------------------- jsonx *)
+
+module J = Util.Jsonx
+
+(* Numbers with at most 12 significant digits: the printer's "%.12g"
+   spelling of such a double parses back to the same double. *)
+let gen_num =
+  QCheck.Gen.(
+    map2
+      (fun m e -> float_of_string (Printf.sprintf "%de%d" m e))
+      (int_range (-999_999_999_999) 999_999_999_999)
+      (int_range (-30) 30))
+
+let gen_json =
+  QCheck.Gen.(
+    sized_size (int_bound 4)
+    @@ fix (fun self depth ->
+           let leaf =
+             oneof
+               [
+                 return J.Null;
+                 map (fun b -> J.Bool b) bool;
+                 map (fun v -> J.Num v) gen_num;
+                 map (fun s -> J.Str s) (string_size (int_bound 12));
+               ]
+           in
+           if depth = 0 then leaf
+           else
+             frequency
+               [
+                 (1, leaf);
+                 (2, map (fun l -> J.Arr l) (list_size (int_bound 4) (self (depth - 1))));
+                 ( 2,
+                   map
+                     (fun l -> J.Obj l)
+                     (list_size (int_bound 4) (pair (string_size (int_bound 8)) (self (depth - 1))))
+                 );
+               ]))
+
+(* Top-level containers: every strict prefix of their text is incomplete. *)
+let gen_container =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun l -> J.Arr l) (list_size (int_bound 4) gen_json);
+        map (fun l -> J.Obj l) (list_size (int_bound 4) (pair (string_size (int_bound 8)) gen_json));
+      ])
+
+let arb_json gen = QCheck.make ~print:(fun v -> J.to_string ~indent:0 v) gen
+
+let prop_jsonx_roundtrip =
+  QCheck.Test.make ~name:"jsonx parse (to_string v) = Ok v" ~count:500
+    (QCheck.pair (arb_json gen_json) QCheck.bool)
+    (fun (v, pretty) -> J.parse (J.to_string ~indent:(if pretty then 2 else 0) v) = Ok v)
+
+let parses_to_error s = match J.parse s with Error _ -> true | Ok _ -> false
+
+let prop_jsonx_prefixes =
+  QCheck.Test.make ~name:"jsonx truncated document is an Error" ~count:200 (arb_json gen_container)
+    (fun v ->
+      let s = J.to_string ~indent:0 v in
+      List.init (String.length s) Fun.id
+      |> List.for_all (fun n -> parses_to_error (String.sub s 0 n)))
+
+let prop_jsonx_garbage =
+  QCheck.Test.make ~name:"jsonx random bytes never raise; trailing bytes are an Error" ~count:500
+    (QCheck.pair (arb_json gen_container) QCheck.(string_of_size Gen.(0 -- 40)))
+    (fun (v, bytes) ->
+      (match J.parse bytes with Ok _ | Error _ -> ());
+      String.trim bytes = "" || parses_to_error (J.to_string ~indent:0 v ^ bytes))
+
 let suite =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
@@ -149,4 +221,7 @@ let suite =
     Alcotest.test_case "unit conversions" `Quick test_units;
     QCheck_alcotest.to_alcotest prop_percentile_within_range;
     QCheck_alcotest.to_alcotest prop_geomean_le_mean;
+    QCheck_alcotest.to_alcotest prop_jsonx_roundtrip;
+    QCheck_alcotest.to_alcotest prop_jsonx_prefixes;
+    QCheck_alcotest.to_alcotest prop_jsonx_garbage;
   ]

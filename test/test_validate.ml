@@ -5,7 +5,7 @@
    static gate that replays the checked-in golden CSVs through the full
    band/shape machinery without running any simulation. *)
 
-module J = Validate.Jsonx
+module J = Util.Jsonx
 module V = Validate.Verdict
 module G = Validate.Golden
 module X = Validate.Expectations

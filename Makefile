@@ -129,6 +129,7 @@ CLI := ./_build/default/bin/simbridge_cli.exe
 # CI smoke for the serve daemon: boot it on a Unix socket, hit it with
 # two concurrent clients (fig2 after fig1 so the cross-request trace
 # cache is exercised), diff every payload against the one-shot CLI,
+# check that a stats query is answered while a cold MIP cell computes,
 # verify malformed flags (garbage --jobs, non-positive or non-finite
 # --scale, non-positive --ranks/--budget) and empty-history handling, then SIGTERM and
 # assert a clean drain (exit 0 + final run report written).
@@ -171,6 +172,17 @@ serve-smoke: build
 		|| { echo "serve-smoke: FAIL (served fig1 differs from one-shot csv)"; kill -TERM $$SERVE_PID; exit 1; }; \
 	cmp _build/serve-oracle-fig2.csv _build/serve-got-fig2.csv \
 		|| { echo "serve-smoke: FAIL (served fig2 differs from one-shot csv)"; kill -TERM $$SERVE_PID; exit 1; }; \
+	$(CLI) query --cell banana-pi-hw/MIP --scale 4 \
+		--connect _build/serve-smoke.sock > _build/serve-got-mip.csv & C3=$$!; \
+	for i in $$(seq 1 100); do \
+		$(CLI) query --stats --connect _build/serve-smoke.sock > _build/serve-stats.json \
+			|| { echo "serve-smoke: FAIL (stats query errored)"; kill -TERM $$SERVE_PID; exit 1; }; \
+		grep -q '"running": 1' _build/serve-stats.json && break; sleep 0.05; \
+	done; \
+	grep -q '"running": 1' _build/serve-stats.json && kill -0 $$C3 2>/dev/null \
+		|| { echo "serve-smoke: FAIL (stats not answered while a cold cell computes)"; kill -TERM $$SERVE_PID; exit 1; }; \
+	wait $$C3 || { echo "serve-smoke: FAIL (the cold MIP query errored)"; kill -TERM $$SERVE_PID; exit 1; }; \
+	echo "serve-smoke: stats answered (running 1) while a cold MIP cell computed"; \
 	kill -TERM $$SERVE_PID; wait $$SERVE_PID; STATUS=$$?; \
 	[ $$STATUS -eq 0 ] || { echo "serve-smoke: FAIL (daemon exited $$STATUS on SIGTERM)"; exit 1; }; \
 	[ -f _build/serve-report.json ] \

@@ -47,8 +47,14 @@ module Trace_cache = struct
      [budget] instructions, so the budget is part of the key too. *)
   type key = { kernel : string; scale : float; setup : bool; budget : int option; seed : int }
 
+  (* A key is [Compiling] from the first miss on it until its trace is
+     in: a worker that misses on a key another worker is compiling waits
+     for that result instead of compiling it again. *)
+  type slot = Ready of Trace.t * int ref | Compiling
+
   let mutex = Mutex.create ()
-  let table : (key, Trace.t * int ref) Hashtbl.t = Hashtbl.create 64
+  let compiled = Condition.create ()
+  let table : (key, slot) Hashtbl.t = Hashtbl.create 64
   let tick = ref 0
   let words_cached = ref 0
   let hits = Atomic.make 0
@@ -66,57 +72,82 @@ module Trace_cache = struct
   let max_entries = ref 128
   let max_words = ref 24_000_000
 
+  (* Caller holds [mutex].  Evicts the least recently used ready trace;
+     false when there is none (only keys being compiled are left). *)
   let evict_lru () =
     let victim =
       Hashtbl.fold
-        (fun k (_, last) acc ->
-          match acc with Some (_, l) when l <= !last -> acc | _ -> Some (k, !last))
+        (fun k slot acc ->
+          match (slot, acc) with
+          | Compiling, _ -> acc
+          | Ready (_, last), Some (_, _, l) when l <= !last -> acc
+          | Ready (tr, last), _ -> Some (k, tr, !last))
         table None
     in
     match victim with
-    | None -> ()
-    | Some (k, _) ->
-      (match Hashtbl.find_opt table k with
-      | Some (tr, _) -> words_cached := !words_cached - Trace.words tr
-      | None -> ());
+    | None -> false
+    | Some (k, tr, _) ->
+      words_cached := !words_cached - Trace.words tr;
       Hashtbl.remove table k;
-      Atomic.incr evictions
+      Atomic.incr evictions;
+      true
+
+  (* Caller holds [mutex]: a finished compile takes its key out of
+     [Compiling], enters the table if it fits, and wakes the waiters. *)
+  let settle key tr =
+    Hashtbl.remove table key;
+    (match tr with
+    | Some tr ->
+      let w = Trace.words tr in
+      if w <= !max_words then begin
+        while
+          (Hashtbl.length table >= !max_entries || !words_cached + w > !max_words) && evict_lru ()
+        do
+          ()
+        done;
+        Hashtbl.add table key (Ready (tr, ref !tick));
+        words_cached := !words_cached + w
+      end
+    | None -> ());
+    Condition.broadcast compiled
 
   (* Returns the trace and whether it came from the cache, so callers
-     can annotate their telemetry spans with hit/miss. *)
+     can annotate their telemetry spans with hit/miss.  One compile per
+     key however many workers miss on it at once, so the hit and miss
+     counts do not depend on the job count. *)
   let find_or_compile ~kernel ~scale ~setup ~budget f =
     let key = { kernel; scale; setup; budget; seed = Util.Rng.get_global_seed () } in
-    let cached =
+    let rec look () =
+      match Hashtbl.find_opt table key with
+      | Some (Ready (tr, last)) ->
+        last := !tick;
+        Some tr
+      | Some Compiling ->
+        Condition.wait compiled mutex;
+        look ()
+      | None ->
+        Hashtbl.replace table key Compiling;
+        None
+    in
+    match
       Mutex.protect mutex (fun () ->
           incr tick;
-          match Hashtbl.find_opt table key with
-          | Some (tr, last) ->
-            last := !tick;
-            Some tr
-          | None -> None)
-    in
-    match cached with
+          look ())
+    with
     | Some tr ->
       Atomic.incr hits;
       (tr, true)
     | None ->
       Atomic.incr misses;
-      (* Compile outside the lock: two domains racing on the same key do
-         redundant work at worst, never corruption. *)
-      let tr = f () in
-      let w = Trace.words tr in
-      if w <= !max_words then
-        Mutex.protect mutex (fun () ->
-            if not (Hashtbl.mem table key) then begin
-              while
-                Hashtbl.length table > 0
-                && (Hashtbl.length table >= !max_entries || !words_cached + w > !max_words)
-              do
-                evict_lru ()
-              done;
-              Hashtbl.add table key (tr, ref !tick);
-              words_cached := !words_cached + w
-            end);
+      (* Compile outside the lock; a failed compile frees the key, and
+         a waiter then compiles it itself. *)
+      let tr =
+        try f ()
+        with exn ->
+          Mutex.protect mutex (fun () -> settle key None);
+          raise exn
+      in
+      Mutex.protect mutex (fun () -> settle key (Some tr));
       (tr, false)
 
   let stats () =
@@ -161,6 +192,32 @@ let publish_trace_cache_stats reg =
 
 let cache_attr hit = ("trace_cache", Telemetry.Trace.Str (if hit then "hit" else "miss"))
 
+(* ------------------------------------------------------------ replay *)
+
+(* Instructions fed to the core model between two [Thread.yield]s.  The
+   serve daemon answers cached queries on other systhreads of the domain
+   that replays cold cells, and they can run only when the replaying
+   thread lets go of the runtime lock; without a yield they wait for the
+   50 ms systhread tick.  serve-hol on a 2-vCPU VM (perfbench, 30 s
+   runs, 10 seeds) reads a hot p95 of 18.9 ms (median) with one feed per
+   trace and 2.5 ms at 8,192-instruction slices, mips, setup and RSS
+   unchanged; a 20 s sweep read 4.35 ms at 32,768 and 1.95 ms at 2,048,
+   so smaller slices buy little more.  A yield with no thread waiting
+   returns at once, so batch runs pay one C call per slice. *)
+let replay_slice = 8192
+
+let replay soc tr =
+  let n = Trace.length tr in
+  let rec go lo =
+    if lo < n then begin
+      let hi = Int.min n (lo + replay_slice) in
+      Platform.Soc.feed_trace soc tr ~lo ~hi;
+      Thread.yield ();
+      go hi
+    end
+  in
+  go 0
+
 let run_kernel_timed ?(scale = 1.0) ?(telemetry = Registry.disabled) ?budget
     ?engine:(_ : engine = `Trace) config (kernel : Workloads.Workload.kernel) =
   (match budget with
@@ -194,7 +251,8 @@ let run_kernel_timed ?(scale = 1.0) ?(telemetry = Registry.disabled) ?budget
       let ph = Registry.phase_start telemetry ~ts:0 "setup" in
       let tr, hit = trace ~setup:true ~budget:None setup in
       setup_cache := cache_attr hit;
-      let b = Platform.Soc.run_trace soc tr in
+      replay soc tr;
+      let b = Platform.Soc.collect_result soc ~ranks:1 ~comm:None in
       Registry.phase_end telemetry ph ~ts:b.Platform.Soc.cycles ~args:(phase_args b) ();
       Some b
   in
@@ -221,7 +279,7 @@ let run_kernel_timed ?(scale = 1.0) ?(telemetry = Registry.disabled) ?budget
   let t1 = Unix.gettimeofday () in
   let now = (Platform.Soc.core_iface soc 0).Smpi.now in
   let c0 = now () in
-  Platform.Soc.feed_trace soc tr ~lo:0 ~hi:(Trace.length tr);
+  replay soc tr;
   (* The measured region's cycles are its completion-frontier delta. *)
   let cycles = now () - c0 in
   let measure_wall_s = Unix.gettimeofday () -. t1 in

@@ -45,10 +45,23 @@ val publish_trace_cache_stats : Telemetry.Registry.t -> unit
 (** Snapshot {!trace_cache_stats} into the registry as the
     [trace.cache.hits]/[trace.cache.misses]/[trace.cache.evictions]
     counters, so the cache shows up in summaries, CSV export, and run
-    reports.  The counters are process-wide and scheduling-dependent at
-    [jobs > 1] (racing domains may compile the same key twice), so this
-    is called once at report time — never from inside pooled cells,
-    where it would break telemetry determinism across job counts. *)
+    reports.  The counters are process-wide: a key missed by several
+    domains at once is compiled by the first and waited for by the
+    others, so a run's hits and misses do not depend on [jobs], but
+    which cell saw the miss does.  So this is called once at report
+    time — never from inside pooled cells, where it would break
+    telemetry determinism across job counts. *)
+
+val replay_slice : int
+(** Instructions {!replay} feeds between two [Thread.yield]s. *)
+
+val replay : Platform.Soc.t -> Trace.t -> unit
+(** Feed a whole trace to core 0 ({!Platform.Soc.feed_trace}) in slices
+    of {!replay_slice} instructions, yielding the domain's runtime lock
+    between them so other systhreads (a serve daemon's connection
+    readers) run while a long replay computes.  The slices cut the loop
+    at instruction boundaries only: the SoC ends in the same state as
+    after one [feed_trace] over the whole trace. *)
 
 val run_kernel_timed :
   ?scale:float ->

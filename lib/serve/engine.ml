@@ -30,6 +30,7 @@ type t = {
   mutable e_inline : int;
   mutable e_errors : int;
   mutable e_running : int;  (* computations started and not finished *)
+  mutable e_queued : int;  (* enqueued and not yet taken by [execute] *)
 }
 
 type pending = { p_req : Protocol.request; p_enqueued_s : float }
@@ -50,6 +51,7 @@ let create ?jobs ?(response_cache_capacity = 64) ?(telemetry = Reg.disabled) () 
     e_inline = 0;
     e_errors = 0;
     e_running = 0;
+    e_queued = 0;
   }
 
 (* ------------------------------------------------------- response LRU *)
@@ -193,6 +195,7 @@ let stats_json t =
           ("inline", num_i t.e_inline);
           ("errors", num_i t.e_errors);
           ("running", num_i t.e_running);
+          ("queued", num_i t.e_queued);
           ( "response_cache",
             J.Obj
               [ ("size", num_i (List.length t.e_cache)); ("capacity", num_i t.e_cache_cap) ] );
@@ -250,11 +253,22 @@ let reject t ~id msg =
       t.e_errors <- t.e_errors + 1);
   Protocol.{ rs_id = id; rs_result = Error msg }
 
+let enqueue t req =
+  Mutex.protect t.e_mutex (fun () -> t.e_queued <- t.e_queued + 1);
+  { p_req = req; p_enqueued_s = Unix.gettimeofday () }
+
+let dequeue t = Mutex.protect t.e_mutex (fun () -> t.e_queued <- t.e_queued - 1)
+
+let refuse t p msg =
+  dequeue t;
+  reject t ~id:p.p_req.Protocol.rq_id msg
+
 (* Only this function writes [t.e_reg]; the server calls it from its
    single dispatcher thread.  A key is computed at most once while it
    stays in the response LRU: a repeat queued behind the first request
    is dispatched after the first was cached, and answered from there. *)
 let execute t p =
+  dequeue t;
   let rq = p.p_req in
   let queue_wait_s = Float.max 0.0 (Unix.gettimeofday () -. p.p_enqueued_s) in
   match (rq.Protocol.rq_op, answer_cheap t ~queue_wait_s rq) with

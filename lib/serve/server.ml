@@ -90,7 +90,7 @@ let handle_line t c line =
   | Ok req when answered_now t c req -> ()
   | Ok req ->
     Mutex.protect c.c_mutex (fun () -> c.c_outstanding <- c.c_outstanding + 1);
-    let pending = Engine.{ p_req = req; p_enqueued_s = Unix.gettimeofday () } in
+    let pending = Engine.enqueue t.s_engine req in
     if Parallel.Jobq.push t.s_queue (c, pending) then begin
       (* stop only after the frame is queued, so the shutdown request
          itself drains through the dispatcher and gets its response *)
@@ -99,8 +99,7 @@ let handle_line t c line =
       | _ -> ()
     end
     else begin
-      send_response c
-        (Engine.reject t.s_engine ~id:req.rq_id "server is draining; request rejected");
+      send_response c (Engine.refuse t.s_engine pending "server is draining; request rejected");
       conn_finish_one c
     end
 

@@ -4,7 +4,8 @@
    named on stderr) rather than run an empty simulation, raise deep
    inside a workload generator, or be silently ignored.  An artefact
    that cannot be written must likewise end the run with a one-line
-   reason and exit 1, not an uncaught exception (exit 125).  Drives the
+   reason and exit 1, not an uncaught exception (exit 125).  A run
+   report's trace-cache counts must not depend on [--jobs].  Drives the
    built binary, which the test stanza declares as a dependency. *)
 
 let cli = "../bin/simbridge_cli.exe"
@@ -45,6 +46,24 @@ let unwritable (what, path, args) =
       Alcotest.(check bool) (Printf.sprintf "stderr %S has %S" msg expected) true
         (contains ~needle:expected msg))
 
+(* Worker domains that miss on the same trace-cache key at once compile
+   it once between them, so fig1's run report counts the same hits and
+   misses (one miss per distinct trace) at any job count. *)
+let test_trace_cache_jobs_independent () =
+  let cache jobs =
+    let report = Filename.temp_file "simbridge-cli" ".json" in
+    let status, msg =
+      run_cli [ "csv"; "fig1"; "--scale"; "0.25"; "--jobs"; string_of_int jobs; "--report"; report ]
+    in
+    let contents = In_channel.with_open_bin report In_channel.input_all in
+    Sys.remove report;
+    Alcotest.(check int) (Printf.sprintf "--jobs %d exits 0 (%s)" jobs msg) 0 status;
+    match Result.map (Util.Jsonx.member "cache") (Util.Jsonx.parse contents) with
+    | Ok (Some c) -> Util.Jsonx.to_string c
+    | _ -> Alcotest.failf "--jobs %d: run report has no cache section" jobs
+  in
+  Alcotest.(check string) "cache section at --jobs 2 = at --jobs 1" (cache 1) (cache 2)
+
 let suite =
   List.map rejects
     [
@@ -74,4 +93,8 @@ let suite =
           "validate"; "--figures"; "1"; "--results"; "../results"; "--expectations";
           "../results/paper-expectations.json"; "--run-report"; ""; "--report"; "v.json";
         ] );
+    ]
+  @ [
+      Alcotest.test_case "fig1 trace-cache counts equal at --jobs 1 and 2" `Quick
+        test_trace_cache_jobs_independent;
     ]

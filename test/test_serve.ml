@@ -89,6 +89,20 @@ let stats_of resp =
     | Error msg -> Alcotest.failf "stats payload unparseable: %s" msg)
   | Error msg -> Alcotest.failf "stats request failed: %s" msg
 
+(* One stats snapshot, asked over [r]; [r] must have nothing queued, so
+   the daemon answers it at once. *)
+let stats_over r =
+  raw_send r (frames [ P.{ rq_id = "s"; rq_op = Stats } ]);
+  stats_of (raw_response r)
+
+(* Poll stats over [r] until [cond] holds of a snapshot. *)
+let wait_stats r what cond =
+  let deadline = Unix.gettimeofday () +. 30.0 in
+  while not (cond (stats_over r)) do
+    if Unix.gettimeofday () > deadline then Alcotest.failf "%s: not within 30 s" what;
+    Unix.sleepf 0.002
+  done
+
 (* ------------------------------------------------------------ protocol *)
 
 let gen_request =
@@ -190,8 +204,7 @@ let test_malformed_frames () =
       let resp = raw_response r in
       Alcotest.(check string) "error frame carries no id" "" resp.P.rs_id;
       Alcotest.(check bool) "error frame" true (Result.is_error resp.P.rs_result);
-      raw_send r (frames [ P.{ rq_id = "s"; rq_op = Stats } ]);
-      let stat = stats_of (raw_response r) in
+      let stat = stats_over r in
       Alcotest.(check int) "malformed frame counted as a request" 1 (stat "requests");
       Alcotest.(check int) "malformed frame counted as an error" 1 (stat "errors");
       Unix.close r.fd)
@@ -257,7 +270,7 @@ let test_jobq_blocking_consumer () =
    simulation cell, so engine tests stay fast. *)
 let cellq ?(scale = 0.02) () = P.Cell { platform = "banana-pi-sim"; kernel = "ED1"; scale }
 
-let mk_pending id q = Engine.{ p_req = P.{ rq_id = id; rq_op = Run q }; p_enqueued_s = 0.0 }
+let mk_pending e id q = Engine.enqueue e P.{ rq_id = id; rq_op = Run q }
 
 let served_of resp =
   match resp.P.rs_result with
@@ -275,9 +288,9 @@ let payload_of resp =
 let test_engine_repeat_key_cached () =
   let e = Engine.create ~jobs:1 () in
   let q = cellq () in
-  let ra = Engine.execute e (mk_pending "a" q) in
-  let rb = Engine.execute e (mk_pending "b" q) in
-  let rc = Engine.execute e (mk_pending "c" (cellq ~scale:0.03 ())) in
+  let ra = Engine.execute e (mk_pending e "a" q) in
+  let rb = Engine.execute e (mk_pending e "b" q) in
+  let rc = Engine.execute e (mk_pending e "c" (cellq ~scale:0.03 ())) in
   Alcotest.(check string) "ids echoed" "a,b,c"
     (String.concat "," [ ra.P.rs_id; rb.P.rs_id; rc.P.rs_id ]);
   Alcotest.(check string) "first request computed" "computed" (served_of ra);
@@ -287,7 +300,7 @@ let test_engine_repeat_key_cached () =
   | Ok expect -> Alcotest.(check string) "cached payload = sequential oracle" expect (payload_of rb)
   | Error msg -> Alcotest.failf "oracle failed: %s" msg);
   let stat =
-    stats_of (Engine.execute e Engine.{ p_req = P.{ rq_id = "s"; rq_op = Stats }; p_enqueued_s = 0.0 })
+    stats_of (Engine.execute e (Engine.enqueue e P.{ rq_id = "s"; rq_op = Stats }))
   in
   Alcotest.(check int) "each key computed once" 2 (stat "computed");
   Alcotest.(check int) "one cached answer" 1 (stat "cached");
@@ -297,9 +310,9 @@ let test_engine_errors_and_inline () =
   let e = Engine.create ~jobs:1 () in
   let bad_fig = P.Figure { fmt = `Csv; figure = "fig99"; scale = 1.0 } in
   let bad_cell = P.Cell { platform = "banana-pi-sim"; kernel = "NOPE"; scale = 1.0 } in
-  let op id rq_op = Engine.execute e Engine.{ p_req = P.{ rq_id = id; rq_op }; p_enqueued_s = 0.0 } in
-  let rf = Engine.execute e (mk_pending "f" bad_fig) in
-  let rc = Engine.execute e (mk_pending "c" bad_cell) in
+  let op id rq_op = Engine.execute e (Engine.enqueue e P.{ rq_id = id; rq_op }) in
+  let rf = Engine.execute e (mk_pending e "f" bad_fig) in
+  let rc = Engine.execute e (mk_pending e "c" bad_cell) in
   let rp = op "p" Ping in
   let rs = op "s" Stats in
   (match rf.P.rs_result with
@@ -321,7 +334,7 @@ let test_engine_figure_oracle_identity () =
      byte-identical to the one-shot CSV at a different jobs setting *)
   let e = Engine.create ~jobs:2 () in
   let q = P.Figure { fmt = `Csv; figure = "fig1"; scale = 0.05 } in
-  let r = Engine.execute e (mk_pending "x" q) in
+  let r = Engine.execute e (mk_pending e "x" q) in
   match Engine.oracle q with
   | Ok expect -> Alcotest.(check string) "served fig1 = sequential oracle" expect (payload_of r)
   | Error msg -> Alcotest.failf "oracle failed: %s" msg
@@ -498,25 +511,60 @@ let test_queued_cell_not_late () =
       let c3 = raw_connect sock in
       Fun.protect ~finally:(fun () -> List.iter (fun r -> Unix.close r.fd) [ c0; c1; c2; c3 ])
       @@ fun () ->
-      let stat field =
-        raw_send c3 (frames [ P.{ rq_id = "s"; rq_op = Stats } ]);
-        stats_of (raw_response c3) field
-      in
+      let stat field = stats_over c3 field in
       let fig id figure scale = P.{ rq_id = id; rq_op = Run (Figure { fmt = `Csv; figure; scale }) } in
       raw_send c0 (frames [ fig "busy" "fig6" 0.1 ]);
       (* The busy figure is computing before anything queues behind it. *)
-      let deadline = Unix.gettimeofday () +. 30.0 in
-      while stat "running" = 0 do
-        if Unix.gettimeofday () > deadline then Alcotest.fail "busy figure never started";
-        Unix.sleepf 0.002
-      done;
+      wait_stats c3 "busy figure started" (fun st -> st "running" = 1);
       raw_send c1 (frames [ P.{ rq_id = "cell"; rq_op = Run (cellq ~scale:0.04 ()) } ]);
-      Unix.sleepf 0.05;
+      (* The slow figure is sent only once the cell has reached the
+         daemon's queue.  From its start on, the busy figure adds 1 to
+         queued + running + computed (running, then computed), and the
+         cell adds 1 from the moment it is queued.  A snapshot taken
+         between two of those steps reads one less, and the poll goes
+         on. *)
+      wait_stats c3 "cell queued" (fun st -> st "queued" + st "running" + st "computed" >= 2);
       raw_send c2 (frames [ fig "slow" "fig6" 0.2 ]);
       Alcotest.(check string) "cell computed" "computed" (served_of (raw_response c1));
       Alcotest.(check int) "cell answered before the later figure was computed" 2 (stat "computed");
       Alcotest.(check string) "busy figure computed" "computed" (served_of (raw_response c0));
       Alcotest.(check string) "slow figure computed" "computed" (served_of (raw_response c2)))
+
+(* While connection A's cold query computes, connection B makes 20
+   sequential ping -> stats round trips, and every one is answered
+   before A's query finishes: the computation yields the runtime lock
+   between replay slices (a cell) or batches of horizon advances (an
+   app figure), so B's reader thread never waits for the 50 ms systhread
+   tick.  At two ticks a round trip, the 20 would take about a second. *)
+let round_trips_beside_cold sock cold =
+  let a = raw_connect sock and b = raw_connect sock in
+  Fun.protect ~finally:(fun () -> List.iter (fun r -> Unix.close r.fd) [ a; b ]) @@ fun () ->
+  raw_send a (frames [ P.{ rq_id = "cold"; rq_op = Run cold } ]);
+  wait_stats b "cold query started" (fun st -> st "running" = 1);
+  let last = ref (stats_over b) in
+  for i = 1 to 20 do
+    raw_send b (frames [ P.{ rq_id = "p"; rq_op = Ping } ]);
+    Alcotest.(check string) (Printf.sprintf "ping %d" i) "pong" (payload_of (raw_response b));
+    last := stats_over b
+  done;
+  Alcotest.(check int) "the cold query still running after 20 round trips" 1 (!last "running");
+  Alcotest.(check string) "cold query computed" "computed" (served_of (raw_response a))
+
+let test_round_trips_beside_cold_cell () =
+  with_server ~jobs:1 (fun sock _srv ->
+      (* Compiling a trace does not yield yet: warm the trace cache with
+         the same kernel and scale on another platform first, so the
+         cold cell below is replay only (about 0.5 s, dev build). *)
+      let warm = raw_connect sock in
+      let warm_cell = P.Cell { platform = "banana-pi-hw"; kernel = "MIP"; scale = 3.0 } in
+      raw_send warm (frames [ P.{ rq_id = "warm"; rq_op = Run warm_cell } ]);
+      Alcotest.(check string) "warm-up computed" "computed" (served_of (raw_response warm));
+      Unix.close warm.fd;
+      round_trips_beside_cold sock (P.Cell { platform = "milkv-sim"; kernel = "MIP"; scale = 3.0 }))
+
+let test_round_trips_beside_cold_figure () =
+  with_server ~jobs:1 (fun sock _srv ->
+      round_trips_beside_cold sock (P.Figure { fmt = `Csv; figure = "fig6"; scale = 0.5 }))
 
 let test_non_reading_client () =
   (* A queues a cold cell and thousands of pings, and never reads: once
@@ -557,8 +605,7 @@ let test_oversized_frame () =
       Alcotest.(check bool) "one error frame" true (Result.is_error resp.P.rs_result);
       Alcotest.(check bool) "then the connection closes" true (raw_recv a = None);
       let b = raw_connect sock in
-      raw_send b (frames [ P.{ rq_id = "s"; rq_op = Stats } ]);
-      let stat = stats_of (raw_response b) in
+      let stat = stats_over b in
       Alcotest.(check int) "oversized frame counted as an error" 1 (stat "errors");
       List.iter (fun r -> Unix.close r.fd) [ a; b ])
 
@@ -586,5 +633,9 @@ let suite =
     Alcotest.test_case "queued cell not held back by a later figure" `Quick
       test_queued_cell_not_late;
     Alcotest.test_case "non-reading client does not stall others" `Quick test_non_reading_client;
+    Alcotest.test_case "round trips answered while a cold cell replays" `Quick
+      test_round_trips_beside_cold_cell;
+    Alcotest.test_case "round trips answered while a cold figure computes" `Quick
+      test_round_trips_beside_cold_figure;
     Alcotest.test_case "oversized frame rejected and closed" `Quick test_oversized_frame;
   ]

@@ -375,6 +375,35 @@ let test_replay_allocation_free () =
         [ "MM"; "MM_st"; "M_Dyn" ])
     [ Cat.banana_pi_sim; Cat.boom_large; Cat.milkv_hw; Cat.milkv_sim ]
 
+(* [Runner.replay] cuts the feed into slices of [replay_slice]
+   instructions and yields between them; the cuts fall on instruction
+   boundaries only, so the SoC must end exactly where one [feed_trace]
+   over the whole trace leaves it: the same result and every component
+   counter, for traces just under, at and just past one slice. *)
+let test_sliced_replay_identity () =
+  let kernel = Mb.find "M_Dyn" in
+  List.iter
+    (fun (platform : Platform.Config.t) ->
+      List.iter
+        (fun n ->
+          let tr = T.compile ~limit:n (kernel.Workloads.Workload.stream ~scale:1.0) in
+          Alcotest.(check int) "trace length" n (T.length tr);
+          let run feed =
+            let soc = Platform.Soc.create platform in
+            feed soc tr;
+            let r = Platform.Soc.collect_result soc ~ranks:1 ~comm:None in
+            let c = Platform.Soc.counters soc in
+            Platform.Soc.release soc;
+            (r, c)
+          in
+          let r1, c1 = run (fun soc tr -> Platform.Soc.feed_trace soc tr ~lo:0 ~hi:(T.length tr)) in
+          let r2, c2 = run R.replay in
+          let label what = Printf.sprintf "%s, %d insns on %s" what n platform.Platform.Config.name in
+          Alcotest.(check bool) (label "result") true (r1 = r2);
+          Alcotest.(check (list (pair string int))) (label "counters") c1 c2)
+        [ R.replay_slice - 1; R.replay_slice; R.replay_slice + 1 ])
+    [ Cat.banana_pi_sim; Cat.boom_large ]
+
 (* The lines of a fresh [simbridge workload] process's report that the
    in-process result [r] also prints: cycles, instructions, L1D, L2 and
    DRAM. *)
@@ -493,6 +522,7 @@ let suite =
     Alcotest.test_case "digest keeps control targets" `Quick test_digest_keeps_targets;
     Alcotest.test_case "max_len splits straight-line runs" `Quick test_max_len_segmentation;
     Alcotest.test_case "warm replay allocates nothing" `Quick test_replay_allocation_free;
+    Alcotest.test_case "sliced replay = one-call replay" `Quick test_sliced_replay_identity;
     Alcotest.test_case "LLC reuse across geometries" `Quick test_llc_reuse_matches_fresh_process;
     Alcotest.test_case "reused SoC = fresh process, no major garbage" `Quick test_soc_reuse;
     Alcotest.test_case "compile major words per instruction" `Quick test_compile_major_words;

@@ -1,4 +1,4 @@
-.PHONY: all build test check bench budget-gate soc-reuse parallel-smoke perf-smoke perf-trend hotpath-lint ledger-smoke serve-smoke serve-bench validate validate-smoke update-golden clean
+.PHONY: all build test check bench budget-gate soc-reuse heap-gate parallel-smoke perf-smoke perf-trend hotpath-lint ledger-smoke serve-smoke serve-bench validate validate-smoke update-golden clean
 
 # Worker domains for smoke runs (0 = auto); CI passes JOBS=2 so the
 # parallel path is exercised on every push.
@@ -34,6 +34,14 @@ budget-gate:
 soc-reuse:
 	dune build --profile release bench/main.exe
 	dune exec --profile release bench/main.exe -- soc-reuse
+
+# CI gate for heap accounting: every fig1/fig2 kernel at scale 1 (MIP
+# included) plus one cell per platform; prints the cached trace words,
+# the memoized chase permutations and the cache/TLB/predictor spares,
+# and fails if the major heap exceeds their sum by more than 10%.
+heap-gate:
+	dune build --profile release bench/main.exe
+	dune exec --profile release bench/main.exe -- heap
 
 # CI smoke for the Domain worker pool: fig1 regenerated with 2 worker
 # domains must be byte-identical to the sequential run.

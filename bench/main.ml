@@ -12,6 +12,7 @@
                                            # (BENCH_perf.json, run-report.json)
      dune exec bench/main.exe -- perf-identity  # identity half only (CI smoke)
      dune exec bench/main.exe -- soc-reuse # heap flat over 3,000 cold cells
+     dune exec bench/main.exe -- heap      # heap explained by named consumers
 
    Experiment ids: table1-5, fig1-7, runtimes, ablate-l1, ablate-clock,
    ablate-bus, simrate. *)
@@ -591,6 +592,47 @@ let run_soc_reuse_gate () =
     exit 1
   end
 
+(* ----------------------------------------------------------- heap gate *)
+
+(* `bench/main.exe heap`: the major heap of a grid process, explained by
+   named consumers.  Runs every fig1/fig2 kernel at scale 1 (MIP
+   included) on one platform, which compiles and caches all their traces
+   and builds the chase permutations, then one cell on each other
+   platform, so every config leaves its caches, TLBs and branch
+   predictors to the spare pools.  Prints each consumer and fails if
+   [Gc.quick_stat]'s [heap_words] exceeds their sum by more than 10%. *)
+let run_heap_gate () =
+  let module Cat = Platform.Catalog in
+  let platforms =
+    [ Cat.banana_pi_hw; Cat.banana_pi_sim; Cat.fast_banana_pi_sim; Cat.milkv_hw; Cat.boom_small;
+      Cat.boom_medium; Cat.boom_large; Cat.milkv_sim ]
+  in
+  let kernels = Workloads.Microbench.evaluated in
+  List.iter (fun k -> ignore (Simbridge.Runner.run_kernel (List.hd platforms) k)) kernels;
+  List.iter (fun p -> ignore (Simbridge.Runner.run_kernel p (List.hd kernels))) (List.tl platforms);
+  Gc.full_major ();
+  let consumers =
+    [
+      ("cached traces", Simbridge.Runner.trace_cache_words ());
+      ("chase permutations", Util.Rng.shared_permutation_bytes () / (Sys.word_size / 8));
+      ("cache spares", Cache.spare_words ());
+      ("TLB spares", Platform.Tlb.spare_words ());
+      ("predictor spares", Branch.Predictor.spare_words ());
+    ]
+  in
+  let mib words = float_of_int (words * (Sys.word_size / 8)) /. 1048576.0 in
+  List.iter (fun (name, w) -> Printf.printf "heap: %-20s %8.1f MiB\n" name (mib w)) consumers;
+  let named = List.fold_left (fun acc (_, w) -> acc + w) 0 consumers in
+  let heap = (Gc.quick_stat ()).Gc.heap_words in
+  Printf.printf "heap: %-20s %8.1f MiB\nheap: %-20s %8.1f MiB\n" "named" (mib named) "major heap"
+    (mib heap);
+  let over = float_of_int (heap - named) /. float_of_int named in
+  Printf.printf "heap: major heap %+.1f%% over named (bound +10%%)\n" (100.0 *. over);
+  if over > 0.10 then begin
+    print_endline "heap: FAIL";
+    exit 1
+  end
+
 (* ----------------------------------------------------------- bechamel *)
 
 let staged = Bechamel.Staged.stage
@@ -705,9 +747,10 @@ let () =
   | [ _; "perf-identity" ] -> run_perf_gate ~identity_only:true ()
   | [ _; "serve" ] -> run_serve_gate ()
   | [ _; "soc-reuse" ] -> run_soc_reuse_gate ()
+  | [ _; "heap" ] -> run_heap_gate ()
   | [ _; id ] -> run_experiment id
   | _ ->
     prerr_endline
       "usage: main.exe [experiment-id | bechamel | budget | parallel | perf | perf-identity | \
-       serve | soc-reuse]";
+       serve | soc-reuse | heap]";
     exit 1

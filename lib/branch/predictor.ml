@@ -73,6 +73,7 @@ let reset t =
 let spare : (config, t) Util.Spare.t = Util.Spare.create ()
 
 let release t = Util.Spare.put spare t.config t
+let spare_words () = Util.Spare.words spare
 
 let create config =
   match Util.Spare.take spare config with

@@ -20,6 +20,9 @@ val create : config -> t
 val release : t -> unit
 (** Hand [t] to a later {!create} ({!Util.Spare}); [t] is dead after. *)
 
+val spare_words : unit -> int
+(** Heap words held by released predictors ({!Util.Spare.words}). *)
+
 val reset : t -> unit
 (** Back to the state {!create} returns. *)
 

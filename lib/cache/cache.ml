@@ -70,6 +70,7 @@ type t = {
 let spare : (int, t) Util.Spare.t = Util.Spare.create ()
 
 let release t = Util.Spare.put spare (Array.length t.tags) t
+let spare_words () = Util.Spare.words spare
 
 let create cfg =
   let n = cfg.sets * cfg.ways in

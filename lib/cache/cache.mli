@@ -79,6 +79,9 @@ val release : t -> unit
     number of lines, on any domain ({!Util.Spare}).  [t] must not be used
     afterwards.  The arrays are not cleared here either; see {!create}. *)
 
+val spare_words : unit -> int
+(** Heap words held by released caches ({!Util.Spare.words}). *)
+
 val reset : t -> unit
 (** Back to the state {!create} returns: {!flush} and zeroed stats. *)
 

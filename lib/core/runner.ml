@@ -64,11 +64,12 @@ module Trace_cache = struct
   (* The figure grids iterate platform-major, so a figure's working set is
      every (kernel, setup/measure) pair — ~42 keys for fig1/fig2.  The
      entry bound only caps Hashtbl bookkeeping; the word bound
-     (~3 words/instruction) is what keeps large-scale sweeps from pinning
-     gigabytes of compiled traces.  Both are refs so a process that keeps
-     the cache for its whole lifetime (the serve daemon) can size it at
-     startup; they are startup-only, like the pool's default job count —
-     resizing while cells are in flight would race the eviction scan. *)
+     ([Trace.words]: 2 words/instruction, so about 12 M instructions)
+     is what keeps large-scale sweeps from pinning gigabytes of compiled
+     traces.  Both are refs so a process that keeps the cache for its
+     whole lifetime (the serve daemon) can size it at startup; they are
+     startup-only, like the pool's default job count — resizing while
+     cells are in flight would race the eviction scan. *)
   let max_entries = ref 128
   let max_words = ref 24_000_000
 
@@ -167,6 +168,7 @@ module Trace_cache = struct
 end
 
 let trace_cache_stats = Trace_cache.stats
+let trace_cache_words () = Mutex.protect Trace_cache.mutex (fun () -> !Trace_cache.words_cached)
 let trace_cache_clear = Trace_cache.clear
 
 let set_trace_cache_limits ?entries ?words () =
@@ -194,29 +196,17 @@ let cache_attr hit = ("trace_cache", Telemetry.Trace.Str (if hit then "hit" else
 
 (* ------------------------------------------------------------ replay *)
 
-(* Instructions fed to the core model between two [Thread.yield]s.  The
-   serve daemon answers cached queries on other systhreads of the domain
-   that replays cold cells, and they can run only when the replaying
-   thread lets go of the runtime lock; without a yield they wait for the
-   50 ms systhread tick.  serve-hol on a 2-vCPU VM (perfbench, 30 s
-   runs, 10 seeds) reads a hot p95 of 18.9 ms (median) with one feed per
-   trace and 2.5 ms at 8,192-instruction slices, mips, setup and RSS
-   unchanged; a 20 s sweep read 4.35 ms at 32,768 and 1.95 ms at 2,048,
-   so smaller slices buy little more.  A yield with no thread waiting
-   returns at once, so batch runs pay one C call per slice. *)
-let replay_slice = 8192
-
+(* One [Soc.feed_trace] per trace chunk, with a [Thread.yield] after
+   each: the serve daemon's cached queries run on other systhreads of
+   this domain, and they get the runtime lock only at a yield or the
+   50 ms systhread tick ([Trace.chunk_len] cites the measurement). *)
 let replay soc tr =
   let n = Trace.length tr in
-  let rec go lo =
-    if lo < n then begin
-      let hi = Int.min n (lo + replay_slice) in
-      Platform.Soc.feed_trace soc tr ~lo ~hi;
-      Thread.yield ();
-      go hi
-    end
-  in
-  go 0
+  for c = 0 to Trace.chunks tr - 1 do
+    let lo = c * Trace.chunk_len in
+    Platform.Soc.feed_trace soc tr ~lo ~hi:(Int.min n (lo + Trace.chunk_len));
+    Thread.yield ()
+  done
 
 let run_kernel_timed ?(scale = 1.0) ?(telemetry = Registry.disabled) ?budget
     ?engine:(_ : engine = `Trace) config (kernel : Workloads.Workload.kernel) =

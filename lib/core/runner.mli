@@ -18,7 +18,7 @@ type timed = {
 
 type engine = [ `Trace ]
 (** The one way a kernel is timed: its [Seq.t] streams are compiled into
-    flat {!Trace.t}s — cached across grid cells sharing (kernel, scale) —
+    compiled {!Trace.t}s — cached across grid cells sharing (kernel, scale) —
     and replayed allocation-free.  This single-value type and
     {!run_kernel_timed}'s [?engine] exist only because the benchmark
     harness ([perfbench/cells.ml]) still passes [~engine:`Trace]; both go
@@ -41,6 +41,10 @@ val set_trace_cache_limits : ?entries:int -> ?words:int -> unit -> unit
     called before any cell runs.  Raises [Invalid_argument] on
     non-positive values. *)
 
+val trace_cache_words : unit -> int
+(** Resident words of the traces the cache holds ({!Trace.words} summed),
+    for heap accounting. *)
+
 val publish_trace_cache_stats : Telemetry.Registry.t -> unit
 (** Snapshot {!trace_cache_stats} into the registry as the
     [trace.cache.hits]/[trace.cache.misses]/[trace.cache.evictions]
@@ -52,16 +56,13 @@ val publish_trace_cache_stats : Telemetry.Registry.t -> unit
     time — never from inside pooled cells, where it would break
     telemetry determinism across job counts. *)
 
-val replay_slice : int
-(** Instructions {!replay} feeds between two [Thread.yield]s. *)
-
 val replay : Platform.Soc.t -> Trace.t -> unit
-(** Feed a whole trace to core 0 ({!Platform.Soc.feed_trace}) in slices
-    of {!replay_slice} instructions, yielding the domain's runtime lock
-    between them so other systhreads (a serve daemon's connection
-    readers) run while a long replay computes.  The slices cut the loop
-    at instruction boundaries only: the SoC ends in the same state as
-    after one [feed_trace] over the whole trace. *)
+(** Feed a whole trace to core 0 ({!Platform.Soc.feed_trace}) one chunk
+    ({!Trace.chunk_len} instructions) at a time, yielding the domain's
+    runtime lock between chunks so other systhreads (a serve daemon's
+    connection readers) run while a long replay computes.  The chunks cut
+    the loop at instruction boundaries only: the SoC ends in the same
+    state as after one [feed_trace] over the whole trace. *)
 
 val run_kernel_timed :
   ?scale:float ->

@@ -65,6 +65,7 @@ let reset t =
 let spare : (config, t) Util.Spare.t = Util.Spare.create ()
 
 let release t = Util.Spare.put spare t.cfg t
+let spare_words () = Util.Spare.words spare
 
 let create cfg =
   let n = cfg.l1_entries in

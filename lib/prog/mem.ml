@@ -13,9 +13,9 @@ let chase rng ~base ~bytes ~stride =
      chain (each address loaded from the previous node) is expressed by the
      kernel through registers.  The permutation is memoized on the
      generator state, so replaying the same seeded chase on another
-     platform reuses the array instead of re-shuffling. *)
+     platform reuses the buffer instead of re-shuffling. *)
   let order = Util.Rng.shared_permutation rng nodes in
-  fun pos -> base + (order.(pos mod nodes) * stride)
+  fun pos -> base + (Int32.to_int (Bytes.get_int32_le order (4 * (pos mod nodes))) * stride)
 
 let random_in ~seed ~base ~bytes ~align =
   if align <= 0 then invalid_arg "Mem.random_in: align must be positive";

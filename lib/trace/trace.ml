@@ -1,17 +1,20 @@
 (* Compiled struct-of-arrays instruction traces.
 
-   A trace holds one retired instruction per index across three flat int
-   arrays:
+   A trace holds one retired instruction per index in two words, stored
+   as fixed-size chunks of [chunk_len] instructions (only the last chunk
+   may be shorter):
 
-     pcs.(i)   — the instruction's PC
-     metas.(i) — packed kind/dst/src1/src2/taken/mem-size (layout below)
-     auxs.(i)  — memory address (memory kinds), branch target (control
-                 kinds), 0 otherwise
+     ops  — the instruction's PC above [pc_shift], its packed
+            kind/dst/src1/src2/taken/mem-size meta word below (layout
+            below)
+     auxs — memory address (memory kinds), branch target (control
+            kinds), 0 otherwise
 
    Memory and control kinds are mutually exclusive (see Isa.Insn), so one
-   auxiliary array serves both.  Replay consumers index these arrays
+   auxiliary word serves both.  Replay consumers index the chunks
    directly: no Insn.t record, no option boxes, no Seq nodes — the replay
-   loop allocates nothing. *)
+   loop allocates nothing.  Chunks are filled in place and never
+   concatenated, so compiling holds no second copy of the trace. *)
 
 (* Meta word layout (low to high):
    bits 0..4   kind code (17 kinds)
@@ -19,7 +22,8 @@
    bits 10..14 src1 register
    bits 15..19 src2 register
    bit  20     ctrl taken (control kinds; 0 otherwise)
-   bits 21..27 mem access size in bytes (memory kinds; 0 otherwise) *)
+   bits 21..27 mem access size in bytes (memory kinds; 0 otherwise)
+   The op word is [(pc lsl pc_shift) lor meta]. *)
 let kind_mask = 0x1f
 let dst_shift = 5
 let src1_shift = 10
@@ -29,6 +33,28 @@ let taken_bit = 1 lsl 20
 let size_shift = 21
 let size_mask = 0x7f
 let max_mem_size = size_mask
+let pc_shift = 28
+let meta_mask = (1 lsl pc_shift) - 1
+
+(* [op lsr pc_shift] recovers every pc that fits in the 63 - 28 = 35 bits
+   above the meta word. *)
+let max_pc = max_int lsr pc_shift
+
+(* Instructions per chunk, and so per [Simbridge.Runner.replay] slice
+   between two [Thread.yield]s.  The serve daemon answers cached queries
+   on other systhreads of the domain that compiles and replays cold
+   cells, and they can run only when that thread lets go of the runtime
+   lock; without a yield they wait for the 50 ms systhread tick.
+   serve-hol on a 2-vCPU VM (perfbench, 30 s runs, 10 seeds) reads a hot
+   p95 of 18.9 ms (median) with one feed per trace and 2.5 ms at
+   8,192-instruction slices, mips, setup and RSS unchanged; a 20 s sweep
+   read 4.35 ms at 32,768 and 1.95 ms at 2,048, so smaller slices buy
+   little more.  A yield with no thread waiting returns at once, so batch
+   runs pay one C call per chunk.  A power of two, so an index splits
+   into chunk and offset by a shift and a mask. *)
+let chunk_bits = 13
+let chunk_len = 1 lsl chunk_bits
+let chunk_mask = chunk_len - 1
 
 (* Dense codes for Isa.Insn.kind, in declaration order. *)
 let kind_code : Isa.Insn.kind -> int = function
@@ -73,17 +99,17 @@ let pack ~kind ~dst ~src1 ~src2 ~taken ~size =
 
 type t = {
   len : int;
-  pcs : int array;
-  metas : int array;
-  auxs : int array;
+  ops : int array array;  (* chunk -> op words *)
+  auxs : int array array;  (* chunk -> aux words *)
   kind_counts : int array;  (* histogram over kind codes, filled at compile *)
 }
 
 let length t = t.len
-let pcs t = t.pcs
-let metas t = t.metas
-let auxs t = t.auxs
+let chunks t = Array.length t.ops
+let ops t c = t.ops.(c)
+let auxs t c = t.auxs.(c)
 
+(* The op word of an instruction: its meta word with the pc above it. *)
 let encode (i : Isa.Insn.t) =
   let is_mem = Isa.Insn.is_mem i.kind and is_ctrl = Isa.Insn.is_ctrl i.kind in
   (* The packed form can only carry what the timing models consume: memory
@@ -98,57 +124,59 @@ let encode (i : Isa.Insn.t) =
   (match i.ctrl with
   | Some _ -> if not is_ctrl then invalid_arg "Trace.compile: ctrl outcome on a non-control kind"
   | None -> if is_ctrl then invalid_arg "Trace.compile: control kind without ctrl outcome");
+  if i.pc < 0 || i.pc > max_pc then invalid_arg "Trace.compile: pc out of range";
   let taken = match i.ctrl with Some c -> c.Isa.Insn.taken | None -> false in
   let size = match i.mem with Some m -> m.Isa.Insn.size | None -> 0 in
-  pack ~kind:i.kind ~dst:i.dst ~src1:i.src1 ~src2:i.src2 ~taken ~size
+  (i.pc lsl pc_shift) lor pack ~kind:i.kind ~dst:i.dst ~src1:i.src1 ~src2:i.src2 ~taken ~size
 
-(* Fixed-size chunks, copied once into exact-size arrays: no array is
-   grown and then cut down.  Under a limit the chunk is the limit
-   (capped), and kept as is if the trace fills it. *)
+(* Chunks are filled in place.  Under a limit each chunk is sized to
+   what the limit leaves, so a trace that reaches its limit ends on an
+   exactly sized chunk; otherwise only the last chunk is cut down, a copy
+   of at most one chunk.  The runtime lock is yielded after every filled
+   chunk, so other systhreads of the domain run while a long stream
+   compiles. *)
 let compile ?limit (stream : Isa.Insn.t Seq.t) =
-  let stream, chunk =
+  let stream, room =
     match limit with
-    | None -> (stream, 4096)
+    | None -> (stream, max_int)
     | Some n when n < 1 -> invalid_arg "Trace.compile: limit must be positive"
-    | Some n -> (Seq.take n stream, min n (1 lsl 20))
+    | Some n -> (Seq.take n stream, n)
   in
   let kind_counts = Array.make num_kinds 0 in
-  let full = ref [] in  (* filled chunks, newest first *)
-  let pcs = ref (Array.make chunk 0) in
-  let metas = ref (Array.make chunk 0) in
-  let auxs = ref (Array.make chunk 0) in
+  let full_ops = ref [] and full_auxs = ref [] in  (* filled chunks, newest first *)
+  let filled = ref 0 in  (* instructions in [full_*] *)
+  let fresh () = Array.make (Int.min chunk_len (room - !filled)) 0 in
+  let ops = ref (fresh ()) in
+  let auxs = ref (fresh ()) in
   let k = ref 0 in
   Seq.iter
     (fun (i : Isa.Insn.t) ->
-      if !k = chunk then begin
-        full := (!pcs, !metas, !auxs) :: !full;
-        pcs := Array.make chunk 0;
-        metas := Array.make chunk 0;
-        auxs := Array.make chunk 0;
+      if !k = chunk_len then begin
+        full_ops := !ops :: !full_ops;
+        full_auxs := !auxs :: !full_auxs;
+        filled := !filled + chunk_len;
+        Thread.yield ();
+        ops := fresh ();
+        auxs := fresh ();
         k := 0
       end;
-      let meta = encode i in
+      let op = encode i in
       let j = !k in
-      !pcs.(j) <- i.pc;
-      !metas.(j) <- meta;
+      !ops.(j) <- op;
       (* Memory and control kinds are exclusive ([encode] checks). *)
       !auxs.(j) <-
         (match (i.mem, i.ctrl) with Some m, _ -> m.addr | None, Some c -> c.target | None, None -> 0);
-      kind_counts.(meta land kind_mask) <- kind_counts.(meta land kind_mask) + 1;
+      kind_counts.(op land kind_mask) <- kind_counts.(op land kind_mask) + 1;
       k := j + 1)
     stream;
   let tail = !k in
-  let gather field last =
-    match !full with
-    | [] -> if tail = chunk then last else Array.sub last 0 tail
-    | chunks -> Array.concat (List.rev (Array.sub last 0 tail :: List.map field chunks))
-  in
-  let pcs = gather (fun (p, _, _) -> p) !pcs in
+  let last a = if Array.length a = tail then a else Array.sub a 0 tail in
+  (* Only an empty stream ends on an empty chunk, and it keeps none. *)
+  let gather full a = Array.of_list (List.rev (if tail = 0 then full else last a :: full)) in
   {
-    len = Array.length pcs;
-    pcs;
-    metas = gather (fun (_, m, _) -> m) !metas;
-    auxs = gather (fun (_, _, a) -> a) !auxs;
+    len = !filled + tail;
+    ops = gather !full_ops !ops;
+    auxs = gather !full_auxs !auxs;
     kind_counts;
   }
 
@@ -162,24 +190,33 @@ let count_kind p t =
 let check i t =
   if i < 0 || i >= t.len then invalid_arg "Trace: index out of bounds"
 
-let pc t i = check i t; t.pcs.(i)
-let meta t i = check i t; t.metas.(i)
-let aux t i = check i t; t.auxs.(i)
+(* Unchecked reads by trace index. *)
+let[@inline] op_at t i =
+  Array.unsafe_get (Array.unsafe_get t.ops (i lsr chunk_bits)) (i land chunk_mask)
+
+let[@inline] aux_at t i =
+  Array.unsafe_get (Array.unsafe_get t.auxs (i lsr chunk_bits)) (i land chunk_mask)
+
+let[@inline] pc_at t i = op_at t i lsr pc_shift
+let[@inline] meta_at t i = op_at t i land meta_mask
+
+let pc t i = check i t; pc_at t i
+let meta t i = check i t; meta_at t i
+let aux t i = check i t; aux_at t i
 
 let insn t i =
   check i t;
-  let m = t.metas.(i) in
+  let op = op_at t i and a = aux_at t i in
+  let m = op land meta_mask in
   let kind = kind_of_meta m in
   let mem =
-    if Isa.Insn.is_mem kind then Some { Isa.Insn.addr = t.auxs.(i); size = size_of_meta m }
-    else None
+    if Isa.Insn.is_mem kind then Some { Isa.Insn.addr = a; size = size_of_meta m } else None
   in
   let ctrl =
-    if Isa.Insn.is_ctrl kind then Some { Isa.Insn.taken = taken_of_meta m; target = t.auxs.(i) }
-    else None
+    if Isa.Insn.is_ctrl kind then Some { Isa.Insn.taken = taken_of_meta m; target = a } else None
   in
   Isa.Insn.make ?mem ?ctrl ~dst:(dst_of_meta m) ~src1:(src1_of_meta m) ~src2:(src2_of_meta m)
-    ~pc:t.pcs.(i) kind
+    ~pc:(op lsr pc_shift) kind
 
 let iter f t =
   for i = 0 to t.len - 1 do
@@ -190,8 +227,11 @@ let to_seq t =
   let rec go i () = if i >= t.len then Seq.Nil else Seq.Cons (insn t i, go (i + 1)) in
   go 0
 
-(* Rough resident size: three 8-byte words per instruction plus headers. *)
-let words t = (3 * t.len) + 16
+(* Resident size: two words per instruction, a header per chunk array,
+   the two chunk tables, the histogram and the record. *)
+let words t =
+  let tables = 2 * (Array.length t.ops + 1) in
+  (2 * t.len) + (2 * Array.length t.ops) + tables + (num_kinds + 1) + 5
 
 type trace = t
 
@@ -220,18 +260,17 @@ module Blocks = struct
   let analyze ?(max_len = default_max_len) (tr : trace) =
     if max_len < 1 then invalid_arg "Trace.Blocks.analyze: max_len must be >= 1";
     let n = tr.len in
-    let pcs = tr.pcs and metas = tr.metas and auxs = tr.auxs in
     (* Pass 1: every pc that is ever a taken control-flow target is a
        leader everywhere, so one static block is segmented identically on
        every dynamic path that reaches it and all its instances intern to
        one block id. *)
     let targets : (int, unit) Hashtbl.t = Hashtbl.create 1024 in
     for i = 0 to n - 1 do
-      let m = Array.unsafe_get metas i in
+      let m = meta_at tr i in
       if
         m land taken_bit <> 0
         && Isa.Insn.is_ctrl (Array.unsafe_get kind_of_code (m land kind_mask))
-      then Hashtbl.replace targets (Array.unsafe_get auxs i) ()
+      then Hashtbl.replace targets (aux_at tr i) ()
     done;
     (* Pass 2: segment at leaders (taken targets, post-control fall-
        throughs, the max_len cap) and intern each segment into the block
@@ -270,12 +309,12 @@ module Blocks = struct
       let j = ref 0 in
       while !ok && !j < len do
         let a = s0 + !j and b = start + !j in
-        let ma = Array.unsafe_get metas a in
-        if Array.unsafe_get pcs a <> Array.unsafe_get pcs b || ma <> Array.unsafe_get metas b
-        then ok := false
+        (* The op word carries both the pc and the meta word. *)
+        let oa = op_at tr a in
+        if oa <> op_at tr b then ok := false
         else if
-          Isa.Insn.is_ctrl (Array.unsafe_get kind_of_code (ma land kind_mask))
-          && Array.unsafe_get auxs a <> Array.unsafe_get auxs b
+          Isa.Insn.is_ctrl (Array.unsafe_get kind_of_code (oa land kind_mask))
+          && aux_at tr a <> aux_at tr b
         then ok := false;
         incr j
       done;
@@ -289,7 +328,7 @@ module Blocks = struct
       let stop = ref false in
       while not !stop do
         let j = !i in
-        let m = Array.unsafe_get metas j in
+        let m = meta_at tr j in
         let kind = Array.unsafe_get kind_of_code (m land kind_mask) in
         (match kind with
         | Isa.Insn.Load | Isa.Insn.Amo -> incr loads
@@ -298,17 +337,17 @@ module Blocks = struct
         let is_ctrl = Isa.Insn.is_ctrl kind in
         (* Memory addresses vary per iteration and are excluded from the
            digest; control targets are part of block identity. *)
-        h := mix !h (Array.unsafe_get pcs j);
+        h := mix !h (pc_at tr j);
         h := mix !h m;
-        if is_ctrl then h := mix !h (Array.unsafe_get auxs j);
+        if is_ctrl then h := mix !h (aux_at tr j);
         incr i;
         if
           !i >= n || !i - start >= max_len || is_ctrl
-          || Hashtbl.mem targets (Array.unsafe_get pcs !i)
+          || Hashtbl.mem targets (pc_at tr !i)
         then stop := true
       done;
       let len = !i - start in
-      let digest = mix (mix !h (Array.unsafe_get pcs start)) len in
+      let digest = mix (mix !h (pc_at tr start)) len in
       let id =
         let candidates = try Hashtbl.find table digest with Not_found -> [] in
         match List.find_opt (fun id -> same_content id start len) candidates with

@@ -60,8 +60,9 @@ val feed_until : t -> Isa.Insn.t Seq.t -> horizon:int -> Isa.Insn.t Seq.t option
 
 val feed_trace : t -> Trace.t -> lo:int -> hi:int -> unit
 (** Retire trace indices [lo, hi): cycle-identical to {!feed}ing the same
-    instructions, but decoding packed trace fields directly — no
-    [Insn.t] reconstruction, no allocation in the loop. *)
+    instructions, but decoding packed trace fields directly, chunk by
+    chunk — no [Insn.t] reconstruction, no allocation in the loop.  The
+    range may start, end and cross anywhere inside chunks. *)
 
 val now : t -> int
 (** Current completion frontier in cycles: all work issued so far is done

@@ -281,18 +281,25 @@ let rec feed_until t (s : Isa.Insn.t Seq.t) ~horizon =
 
 let feed_trace t tr ~lo ~hi =
   if lo < 0 || hi > Trace.length tr || lo > hi then invalid_arg "Ooo.feed_trace: bad range";
-  let pcs = Trace.pcs tr and metas = Trace.metas tr and auxs = Trace.auxs tr in
   let kinds = Trace.kind_table in
-  for j = lo to hi - 1 do
-    let m = Array.unsafe_get metas j in
-    feed_scalar t ~pc:(Array.unsafe_get pcs j)
-      ~kind:(Array.unsafe_get kinds (m land Trace.kind_mask))
-      ~dst:((m lsr Trace.dst_shift) land Trace.reg_mask)
-      ~src1:((m lsr Trace.src1_shift) land Trace.reg_mask)
-      ~src2:((m lsr Trace.src2_shift) land Trace.reg_mask)
-      ~addr:(Array.unsafe_get auxs j)
-      ~taken:(m land Trace.taken_bit <> 0)
-      ~target:(Array.unsafe_get auxs j)
+  let j = ref lo in
+  while !j < hi do
+    let c = !j / Trace.chunk_len in
+    let base = c * Trace.chunk_len in
+    let ops = Trace.ops tr c and auxs = Trace.auxs tr c in
+    let stop = Int.min hi (base + Trace.chunk_len) in
+    for k = !j - base to stop - base - 1 do
+      let op = Array.unsafe_get ops k and aux = Array.unsafe_get auxs k in
+      feed_scalar t ~pc:(op lsr Trace.pc_shift)
+        ~kind:(Array.unsafe_get kinds (op land Trace.kind_mask))
+        ~dst:((op lsr Trace.dst_shift) land Trace.reg_mask)
+        ~src1:((op lsr Trace.src1_shift) land Trace.reg_mask)
+        ~src2:((op lsr Trace.src2_shift) land Trace.reg_mask)
+        ~addr:aux
+        ~taken:(op land Trace.taken_bit <> 0)
+        ~target:aux
+    done;
+    j := stop
   done
 
 let now t = t.frontier

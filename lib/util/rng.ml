@@ -96,27 +96,48 @@ let permutation t n =
    draw adds the golden gamma to the state), keeping downstream draws
    bit-identical whether the entry was cached or not.
 
+   Entries are int32s in a [Bytes] buffer: half the size of an [int
+   array], and never scanned by the GC.  The shuffle is [shuffle]'s, draw
+   for draw, on that buffer.
+
    The memo table is domain-local (Domain.DLS), not mutex-guarded: worker
    domains in the experiment pool hit this path concurrently, and a
-   per-domain table needs no locking, never shares arrays across domains
+   per-domain table needs no locking, never shares buffers across domains
    (so even a caller that ignores the read-only contract cannot corrupt a
    sibling's stream), and still amortizes the shuffle because each domain
    runs many cells.  The only cost is one rebuild per domain per
    distinct (state, n) — noise next to the simulations themselves. *)
-let perm_memo_key : (int64 * int, int array) Hashtbl.t Domain.DLS.key =
+let perm_memo_key : (int64 * int, Bytes.t) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 8)
 
 let perm_memo_capacity = 32
+
+let permutation32 t n =
+  if n < 0 || n > Int32.to_int Int32.max_int then invalid_arg "Rng.shared_permutation: bad size";
+  let b = Bytes.create (4 * n) in
+  for i = 0 to n - 1 do
+    Bytes.set_int32_le b (4 * i) (Int32.of_int i)
+  done;
+  for i = n - 1 downto 1 do
+    let j = int t (i + 1) in
+    let tmp = Bytes.get_int32_le b (4 * i) in
+    Bytes.set_int32_le b (4 * i) (Bytes.get_int32_le b (4 * j));
+    Bytes.set_int32_le b (4 * j) tmp
+  done;
+  b
 
 let shared_permutation t n =
   let perm_memo = Domain.DLS.get perm_memo_key in
   let key = (t.state, n) in
   match Hashtbl.find_opt perm_memo key with
-  | Some a ->
+  | Some b ->
     t.state <- Int64.add t.state (Int64.mul (Int64.of_int (max 0 (n - 1))) golden_gamma);
-    a
+    b
   | None ->
-    let a = permutation t n in
+    let b = permutation32 t n in
     if Hashtbl.length perm_memo >= perm_memo_capacity then Hashtbl.reset perm_memo;
-    Hashtbl.add perm_memo key a;
-    a
+    Hashtbl.add perm_memo key b;
+    b
+
+let shared_permutation_bytes () =
+  Hashtbl.fold (fun _ b acc -> acc + Bytes.length b) (Domain.DLS.get perm_memo_key) 0

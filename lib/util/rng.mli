@@ -48,21 +48,27 @@ val shuffle : t -> 'a array -> unit
 val permutation : t -> int -> int array
 (** [permutation t n] is a uniformly random permutation of 0..n-1. *)
 
-val shared_permutation : t -> int -> int array
-(** Like {!permutation}, but memoized on (generator state, n): callers
-    replaying the same seeded stream share one array instead of re-running
-    the Fisher–Yates shuffle (the multi-MiB pointer-chase workloads rebuild
-    ~2M-entry permutations once per platform otherwise).  The returned
-    array MUST be treated as read-only.  The generator state advances
-    exactly as a non-memoized call would.
+val shared_permutation : t -> int -> Bytes.t
+(** Like {!permutation}, but memoized on (generator state, n), and packed
+    as [n] little-endian int32 entries: entry [i] is
+    [Bytes.get_int32_le b (4 * i)], equal to element [i] of {!permutation}
+    on the same state.  Callers replaying the same seeded stream share
+    one buffer instead of re-running the Fisher–Yates shuffle (the
+    multi-MiB pointer-chase workloads rebuild ~2M-entry permutations once
+    per platform otherwise).  The returned buffer MUST be treated as
+    read-only.  The generator state advances exactly as a non-memoized
+    call would.  Raises [Invalid_argument] unless [0 <= n <= 2{^31} - 1].
 
     The memo table is {e domain-local} (one table per worker domain, via
     [Domain.DLS]) rather than mutex-guarded: concurrent cells in the
     experiment pool hit this path, and a per-domain table needs no
-    locking and never shares arrays across domains.  Each domain pays at
+    locking and never shares buffers across domains.  Each domain pays at
     most one rebuild per distinct (state, n); the memoized result is a
     pure function of those, so which domain computed it can never be
     observed in the output. *)
+
+val shared_permutation_bytes : unit -> int
+(** Bytes held by the calling domain's permutation memo. *)
 
 (** {2 Global seed override}
 

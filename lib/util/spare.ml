@@ -2,6 +2,7 @@ type ('k, 'a) t = { lock : Mutex.t; mutable items : ('k * 'a) list }
 
 let create () = { lock = Mutex.create (); items = [] }
 let put t key x = Mutex.protect t.lock (fun () -> t.items <- (key, x) :: t.items)
+let words t = Mutex.protect t.lock (fun () -> Obj.reachable_words (Obj.repr t.items))
 
 let take t key =
   Mutex.protect t.lock (fun () ->

@@ -11,3 +11,8 @@ val put : ('k, 'a) t -> 'k -> 'a -> unit
 
 val take : ('k, 'a) t -> 'k -> 'a option
 (** A value put under a structurally equal key, removed from the pool. *)
+
+val words : ('k, 'a) t -> int
+(** Heap words reachable from the pool's keys and values, headers
+    included ([Obj.reachable_words]): a walk of everything held, for heap
+    accounting, not for hot paths. *)

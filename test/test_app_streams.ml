@@ -16,7 +16,14 @@ let mix h x =
   let z = (h lxor x) * 0x2545F4914F6CDD1D in
   z lxor (z lsr 29)
 
-let mix_array h a = Array.fold_left mix h a
+(* Folds [get tr i] over every index.  The digests were pinned on every
+   pc, then every meta word, then every aux word. *)
+let mix_field get h tr =
+  let h = ref h in
+  for i = 0 to Trace.length tr - 1 do
+    h := mix !h (get tr i)
+  done;
+  !h
 
 let mix_op h (op : Smpi.op) =
   List.fold_left mix h
@@ -34,7 +41,7 @@ let mix_op h (op : Smpi.op) =
 let mix_stream (h, n) s =
   let tr = Trace.compile s in
   let h = mix h (Trace.length tr) in
-  let h = mix_array (mix_array (mix_array h (Trace.pcs tr)) (Trace.metas tr)) (Trace.auxs tr) in
+  let h = mix_field Trace.aux (mix_field Trace.meta (mix_field Trace.pc h tr) tr) tr in
   (h, n + Trace.length tr)
 
 (* "<instructions> <digest>" of a whole program. *)

@@ -1,6 +1,8 @@
 (* Tests for compiled instruction traces: packed-field encode/decode
    round-trips (including the Amo/Fence/untaken-branch edge cases),
-   compile-time validation of malformed instructions, the central
+   compile-time validation of malformed instructions, the chunked layout
+   (round-trips at chunk boundaries, feeds over ranges that cross
+   chunks, the runtime lock yielded while compiling), the central
    replay properties — the runner's compiled-trace replay produces
    structurally identical [Soc.result]s to the one-instruction-at-a-time
    reference in [Oracle] on random kernel/platform draws, in full and
@@ -99,9 +101,13 @@ let test_raw_layout () =
   (* Inline decoders used by the replay hot loops must agree with the
      [*_of_meta] accessors on every sample word. *)
   let tr = T.compile (List.to_seq sample_insns) in
-  let metas = T.metas tr in
-  Array.iter
-    (fun m ->
+  List.iteri
+    (fun i (orig : In.t) ->
+      let op = (T.ops tr 0).(i) in
+      Alcotest.(check int) "pc via shift" orig.pc (op lsr T.pc_shift);
+      Alcotest.(check int) "meta via mask" (T.meta tr i) (op land T.meta_mask);
+      Alcotest.(check int) "aux word" (T.aux tr i) (T.auxs tr 0).(i);
+      let m = T.meta tr i in
       Alcotest.(check bool) "kind via table" true
         (T.kind_table.(m land T.kind_mask) = T.kind_of_meta m);
       Alcotest.(check int) "dst via shift" (T.dst_of_meta m) ((m lsr T.dst_shift) land T.reg_mask);
@@ -112,7 +118,7 @@ let test_raw_layout () =
       Alcotest.(check bool) "taken via bit" (T.taken_of_meta m) (m land T.taken_bit <> 0);
       Alcotest.(check int) "size via shift" (T.size_of_meta m)
         ((m lsr T.size_shift) land T.size_mask))
-    metas
+    sample_insns
 
 let test_to_seq_identity () =
   let tr = T.compile (List.to_seq sample_insns) in
@@ -143,7 +149,136 @@ let test_compile_rejects () =
   rejects "amo without mem" (raw In.Amo);
   rejects "ctrl on non-control kind" (raw ~ctrl:{ taken = true; target = 4 } In.Fence);
   rejects "control kind without ctrl" (raw In.Branch);
-  rejects "oversized mem access" (raw ~mem:{ addr = 0; size = T.max_mem_size + 1 } In.Load)
+  rejects "oversized mem access" (raw ~mem:{ addr = 0; size = T.max_mem_size + 1 } In.Load);
+  rejects "negative pc" { (raw In.Nop) with pc = -4 };
+  rejects "oversized pc" { (raw In.Nop) with pc = T.max_pc + 1 };
+  let top = { (raw ~mem:{ addr = max_int; size = 8 } In.Load) with pc = T.max_pc; dst = 31 } in
+  Alcotest.(check bool) "largest pc round-trips" true
+    (insn_eq top (T.insn (T.compile (List.to_seq [ top ])) 0))
+
+(* ------------------------------------------------------ chunked layout *)
+
+(* Instruction [i] of a stream that cycles through [sample_insns] with a
+   distinct pc and address per index, so a misplaced chunk or offset
+   shows up as a wrong instruction. *)
+let varied i =
+  let (s : In.t) = List.nth sample_insns (i mod List.length sample_insns) in
+  let mem = Option.map (fun (m : In.mem_access) -> { m with addr = m.addr + (64 * i) }) s.mem in
+  { s with pc = 0x1000 + (4 * i); mem }
+
+let chunked_lengths = [ 0; 1; T.chunk_len - 1; T.chunk_len; T.chunk_len + 1; (3 * T.chunk_len) + 5 ]
+
+let check_layout label n tr =
+  Alcotest.(check int) (label ^ " length") n (T.length tr);
+  let chunks = (n + T.chunk_len - 1) / T.chunk_len in
+  Alcotest.(check int) (label ^ " chunks") chunks (T.chunks tr);
+  for c = 0 to chunks - 1 do
+    let want = Int.min T.chunk_len (n - (c * T.chunk_len)) in
+    let what = Printf.sprintf "%s chunk %d %s" label c in
+    Alcotest.(check int) (what "ops") want (Array.length (T.ops tr c));
+    Alcotest.(check int) (what "auxs") want (Array.length (T.auxs tr c))
+  done;
+  for i = 0 to n - 1 do
+    if not (insn_eq (varied i) (T.insn tr i)) then Alcotest.failf "%s: insn %d differs" label i
+  done;
+  Alcotest.(check int) (label ^ " to_seq length") n (Seq.length (T.to_seq tr))
+
+(* Every chunk is full but the last; the chunks never lose or reorder an
+   instruction, whether the stream ends on its own or at a limit. *)
+let test_chunked_roundtrip () =
+  List.iter
+    (fun n ->
+      check_layout (Printf.sprintf "%d insns" n) n (T.compile (Seq.init n varied));
+      if n > 0 then begin
+        check_layout (Printf.sprintf "%d insns, limit = length" n) n
+          (T.compile ~limit:n (Seq.init n varied));
+        check_layout (Printf.sprintf "%d insns, limit cuts" n) n
+          (T.compile ~limit:n (Seq.init (n + 7) varied));
+        check_layout (Printf.sprintf "%d insns, limit past the end" n) n
+          (T.compile ~limit:(n + T.chunk_len) (Seq.init n varied))
+      end)
+    chunked_lengths
+
+(* [feed_trace] over ranges that start, end and cross inside chunks
+   leaves the SoC where feeding the same instructions one at a time
+   does: the same result and every component counter, in-order and
+   out-of-order. *)
+let test_feed_ranges () =
+  let kernel = Mb.find "M_Dyn" in
+  let n = (3 * T.chunk_len) + 5 in
+  let tr = T.compile ~limit:n (kernel.Workloads.Workload.stream ~scale:1.0) in
+  Alcotest.(check int) "trace length" n (T.length tr);
+  let c = T.chunk_len in
+  let cuts = [ 0; 7; c - 1; c + 3; (2 * c) - 2; 2 * c; (2 * c) + 1; n ] in
+  List.iter
+    (fun (platform : Platform.Config.t) ->
+      let run feed =
+        let soc = Platform.Soc.create platform in
+        feed soc;
+        let r = Platform.Soc.collect_result soc ~ranks:1 ~comm:None in
+        let counters = Platform.Soc.counters soc in
+        Platform.Soc.release soc;
+        (r, counters)
+      in
+      let r1, c1 =
+        run (fun soc ->
+            for i = 0 to n - 1 do
+              Platform.Soc.feed_insn soc 0 (T.insn tr i)
+            done)
+      in
+      let rec ranges soc = function
+        | lo :: (hi :: _ as rest) ->
+          Platform.Soc.feed_trace soc tr ~lo ~hi;
+          ranges soc rest
+        | _ -> ()
+      in
+      let r2, c2 = run (fun soc -> ranges soc cuts) in
+      let label what = Printf.sprintf "%s on %s" what platform.Platform.Config.name in
+      Alcotest.(check bool) (label "result") true (r1 = r2);
+      Alcotest.(check (list (pair string int))) (label "counters") c1 c2)
+    [ Cat.banana_pi_sim; Cat.boom_large ]
+
+(* Compiling yields the runtime lock after every filled chunk: a second
+   systhread of the domain advances at each chunk boundary, far more
+   often than the 50 ms systhread tick alone would let it. *)
+let test_compile_yields () =
+  let chunks = 20 in
+  let progress = Atomic.make 0 and stop = Atomic.make false in
+  let other =
+    Thread.create
+      (fun () ->
+        while not (Atomic.get stop) do
+          Atomic.incr progress;
+          Thread.yield ()
+        done)
+      ()
+  in
+  (* Wait for the thread to start, so every yield has a taker. *)
+  while Atomic.get progress = 0 do
+    Thread.yield ()
+  done;
+  (* Counted by the stream itself, so only what happens while the
+     compile runs counts. *)
+  let seen = ref 0 and last = ref (Atomic.get progress) in
+  let stream =
+    Seq.init (chunks * T.chunk_len) (fun i ->
+        let p = Atomic.get progress in
+        if p <> !last then begin
+          incr seen;
+          last := p
+        end;
+        In.make ~pc:(4 * i) ~dst:1 ~src1:2 Int_alu)
+  in
+  let t0 = Unix.gettimeofday () in
+  let tr = T.compile stream in
+  let wall = Unix.gettimeofday () -. t0 in
+  Atomic.set stop true;
+  Thread.join other;
+  Alcotest.(check int) "chunks" chunks (T.chunks tr);
+  let ticks = 1 + int_of_float (wall /. 0.05) in
+  if !seen < chunks - 4 || !seen <= ticks then
+    Alcotest.failf "other thread advanced %d times during a %.1f ms compile of %d chunks" !seen
+      (1e3 *. wall) chunks
 
 (* ------------------------------------------ replay identity property *)
 
@@ -375,7 +510,7 @@ let test_replay_allocation_free () =
         [ "MM"; "MM_st"; "M_Dyn" ])
     [ Cat.banana_pi_sim; Cat.boom_large; Cat.milkv_hw; Cat.milkv_sim ]
 
-(* [Runner.replay] cuts the feed into slices of [replay_slice]
+(* [Runner.replay] cuts the feed into chunks of [Trace.chunk_len]
    instructions and yields between them; the cuts fall on instruction
    boundaries only, so the SoC must end exactly where one [feed_trace]
    over the whole trace leaves it: the same result and every component
@@ -401,7 +536,7 @@ let test_sliced_replay_identity () =
           let label what = Printf.sprintf "%s, %d insns on %s" what n platform.Platform.Config.name in
           Alcotest.(check bool) (label "result") true (r1 = r2);
           Alcotest.(check (list (pair string int))) (label "counters") c1 c2)
-        [ R.replay_slice - 1; R.replay_slice; R.replay_slice + 1 ])
+        [ T.chunk_len - 1; T.chunk_len; T.chunk_len + 1 ])
     [ Cat.banana_pi_sim; Cat.boom_large ]
 
 (* The lines of a fresh [simbridge workload] process's report that the
@@ -477,10 +612,11 @@ let test_soc_reuse () =
         (major1 -. major0 -. (promoted1 -. promoted0)))
     [ Cat.banana_pi_sim; Cat.boom_large; Cat.milkv_hw; Cat.milkv_sim ]
 
-(* Compiling fills fixed-size chunks and copies them once into the
-   trace's three arrays: 6 major words per instruction, 3 when a limit
-   sizes one chunk for the whole trace.  Growing by doubling and cutting
-   down to size read 10.7.  A [Gc.counters] delta, so deterministic. *)
+(* Compiling fills the trace's chunks in place: two major words per
+   instruction, plus, when no limit sizes the last chunk, that chunk
+   allocated in full and then cut down to size (2.17 for this stream).
+   A limit sizes every chunk exactly.  A [Gc.counters] delta, so
+   deterministic. *)
 let test_compile_major_words () =
   let n = 100_000 in
   let insns =
@@ -497,9 +633,9 @@ let test_compile_major_words () =
     (major1 -. major0) /. float_of_int n
   in
   let full = per_insn T.compile and prefix = per_insn (T.compile ~limit:n) in
-  if full > 6.5 then Alcotest.failf "compile: %.2f major words per instruction, want <= 6.5" full;
-  if prefix > 3.1 then
-    Alcotest.failf "compile ~limit: %.2f major words per instruction, want <= 3.1" prefix
+  if full > 2.2 then Alcotest.failf "compile: %.2f major words per instruction, want <= 2.2" full;
+  if prefix > 2.01 then
+    Alcotest.failf "compile ~limit: %.3f major words per instruction, want <= 2.01" prefix
 
 let suite =
   [
@@ -509,6 +645,9 @@ let suite =
     Alcotest.test_case "raw layout agrees with accessors" `Quick test_raw_layout;
     Alcotest.test_case "to_seq identity" `Quick test_to_seq_identity;
     Alcotest.test_case "compile rejects malformed insns" `Quick test_compile_rejects;
+    Alcotest.test_case "chunked layout round-trips" `Quick test_chunked_roundtrip;
+    Alcotest.test_case "feed_trace ranges across chunks = per-insn feed" `Quick test_feed_ranges;
+    Alcotest.test_case "compile yields the runtime lock per chunk" `Quick test_compile_yields;
     QCheck_alcotest.to_alcotest prop_replay_oracle;
     Alcotest.test_case "budget past the end = full run" `Quick test_budget_past_end_is_full;
     Alcotest.test_case "budget complete flag at N <, =, > len" `Quick test_budget_complete_flag;

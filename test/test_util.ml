@@ -71,7 +71,17 @@ let test_permutation_is_permutation () =
   let p = Util.Rng.permutation rng 100 in
   let seen = Array.make 100 false in
   Array.iter (fun i -> seen.(i) <- true) p;
-  Alcotest.(check bool) "all present" true (Array.for_all Fun.id seen)
+  Alcotest.(check bool) "all present" true (Array.for_all Fun.id seen);
+  (* The memoized form holds int32 entries, so it refuses sizes past
+     their range (checked before anything is allocated). *)
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (Printf.sprintf "shared_permutation %d rejected" n) true
+        (try
+           ignore (Util.Rng.shared_permutation (Util.Rng.create 23) n);
+           false
+         with Invalid_argument _ -> true))
+    [ -1; Int32.to_int Int32.max_int + 1 ]
 
 let test_stats_basics () =
   checkf "mean" 2.5 (Util.Stats.mean [| 1.0; 2.0; 3.0; 4.0 |]);

@@ -1,4 +1,4 @@
-.PHONY: all build test check bench budget-gate soc-reuse heap-gate parallel-smoke perf-smoke perf-trend hotpath-lint ledger-smoke serve-smoke serve-bench validate validate-smoke update-golden clean
+.PHONY: all build test check bench budget-gate soc-reuse heap-gate parallel-smoke perf-smoke perf-trend hotpath-lint loc ledger-smoke serve-smoke serve-bench validate validate-smoke update-golden clean
 
 # Worker domains for smoke runs (0 = auto); CI passes JOBS=2 so the
 # parallel path is exercised on every push.
@@ -76,6 +76,15 @@ perf-trend:
 hotpath-lint:
 	dune build --profile release bench/main.exe bin/simbridge_cli.exe
 	sh tools/hotpath-lint.sh
+
+# Source size: the .ml + .mli line counts of lib/ and bin/.  CI appends
+# this to each build's step summary, so the size of lib/ is tracked on
+# every push.
+loc:
+	@for d in lib bin; do \
+		printf '%s/: %s lines (.ml + .mli)\n' $$d \
+			"$$(find $$d -name '*.ml' -o -name '*.mli' | xargs cat | wc -l)"; \
+	done
 
 # CI smoke for the run ledger: a pooled fig1 run must emit a run report
 # and a span-bearing Perfetto trace (both must load as JSON), two

@@ -173,5 +173,3 @@ let find name =
   | Some c -> c
   | None -> raise Not_found
 
-let sim_hw_pairs = [ (banana_pi_sim, banana_pi_hw); (milkv_sim, milkv_hw) ]
-

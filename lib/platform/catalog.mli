@@ -42,7 +42,3 @@ val all : Config.t list
 
 val find : string -> Config.t
 (** Look up by [Config.name]; raises [Not_found]. *)
-
-val sim_hw_pairs : (Config.t * Config.t) list
-(** The (simulation model, silicon reference) pairs the paper evaluates:
-    Banana-Pi-Sim/Banana-Pi-HW and MILKV-Sim/MILKV-HW. *)

@@ -61,10 +61,6 @@ let min_max xs =
     (xs.(0), xs.(0))
     xs
 
-let relative_error ~expected ~actual =
-  if expected = 0.0 then invalid_arg "Stats.relative_error: expected = 0";
-  Float.abs (actual -. expected) /. Float.abs expected
-
 let harmonic_mean xs =
   check_nonempty "Stats.harmonic_mean" xs;
   let acc =

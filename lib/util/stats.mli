@@ -22,8 +22,5 @@ val min_max : float array -> float * float
 val sum : float array -> float
 (** Kahan-compensated sum. *)
 
-val relative_error : expected:float -> actual:float -> float
-(** |actual - expected| / |expected|. *)
-
 val harmonic_mean : float array -> float
 (** Harmonic mean; all samples must be nonzero. *)

@@ -1,5 +1,4 @@
 let ghz f = f *. 1e9
-let mhz f = f *. 1e6
 
 let ns_to_cycles ~freq_hz ns =
   if ns <= 0.0 then 0

@@ -8,9 +8,6 @@
 val ghz : float -> float
 (** [ghz f] is the frequency in Hz of [f] GHz. *)
 
-val mhz : float -> float
-(** [mhz f] is the frequency in Hz of [f] MHz. *)
-
 val ns_to_cycles : freq_hz:float -> float -> int
 (** [ns_to_cycles ~freq_hz ns] is the number of whole cycles covering [ns]
     nanoseconds at [freq_hz] (ceiling, at least 1 for positive input). *)

@@ -9,8 +9,6 @@ let gcc_13_2 = { name = "gcc-13.2"; overhead = 1.0; unroll = 4; vector_width = 4
 let gcc_9_4 = { name = "gcc-9.4"; overhead = 1.08; unroll = 2; vector_width = 1.0 }
 let default = gcc_13_2
 
-let extra_ops t n = int_of_float (Float.round (float_of_int n *. t.overhead))
-
 let vector_ops t n = max 1 (int_of_float (Float.ceil (float_of_int n /. t.vector_width)))
 
 let ops_at t ~index ~base =

@@ -34,9 +34,6 @@ val vector_ops : t -> int -> int
 (** [vector_ops t n] is the dynamic op count for [n] scalar FP operations
     in a vectorizable inner loop under [t]'s SIMD width (ceiling, >= 1). *)
 
-val extra_ops : t -> int -> int
-(** [extra_ops t n] scales a base overhead-op count [n] by [t.overhead]. *)
-
 val ops_at : t -> index:int -> base:int -> int
 (** Per-iteration overhead-op count at loop iteration [index], dithered
     deterministically so the long-run average is [base * overhead] even

@@ -3,7 +3,6 @@ let () =
     [
       ("util", Test_util.suite);
       ("isa", Test_isa.suite);
-      ("rv64", Test_rv64.suite);
       ("prog", Test_prog.suite);
       ("branch", Test_branch.suite);
       ("cache", Test_cache.suite);

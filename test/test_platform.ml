@@ -149,6 +149,94 @@ let test_frequency_scaling_effect () =
     (Printf.sprintf "memory < compute gain (%.2f < %.2f)" mem_gain compute_gain)
     true (mem_gain < compute_gain)
 
+(* Counter conservation on random configurations: a catalog entry with
+   power-of-two cache, TLB and DRAM-channel geometry redrawn.  A random
+   evaluated kernel's setup and measured streams are cut into
+   [Trace.chunk_len] pieces, each replayed through [Runner.replay], so
+   core 0's clock can be read between chunks.  Prefetch fills are counted
+   in [prefetches] only, never as accesses, so each level's demand
+   identity holds exactly. *)
+let gen_case =
+  let open QCheck.Gen in
+  let pow2 lo hi = map (fun k -> 1 lsl k) (int_range lo hi) in
+  let cache (c : Cache.config) ~sets ~ways =
+    map2 (fun sets ways -> { c with Cache.sets; ways }) sets ways
+  in
+  let tlb (c : Platform.Tlb.config) =
+    map2
+      (fun l1_entries l2_entries -> { c with Platform.Tlb.l1_entries; l2_entries })
+      (pow2 2 6)
+      (oneof [ return 0; pow2 6 10 ])
+  in
+  oneofl Platform.Catalog.all >>= fun (base : Platform.Config.t) ->
+  cache base.l1i ~sets:(pow2 3 7) ~ways:(pow2 0 3) >>= fun l1i ->
+  cache base.l1d ~sets:(pow2 3 7) ~ways:(pow2 0 3) >>= fun l1d ->
+  cache base.l2 ~sets:(pow2 5 10) ~ways:(pow2 0 4) >>= fun l2 ->
+  opt (cache (Option.value base.llc ~default:base.l2) ~sets:(pow2 6 12) ~ways:(pow2 0 4))
+  >>= fun llc ->
+  tlb base.dtlb >>= fun dtlb ->
+  tlb base.itlb >>= fun itlb ->
+  pow2 0 2 >>= fun channels ->
+  oneofl Workloads.Microbench.evaluated >|= fun kernel ->
+  let dram = { base.dram with Dram.channels } in
+  ({ base with cores = 1; l1i; l1d; l2; llc; dtlb; itlb; dram }, kernel)
+
+let print_case ((c : Platform.Config.t), (k : Workloads.Workload.kernel)) =
+  let cache (x : Cache.config) = Printf.sprintf "%dx%d" x.Cache.sets x.Cache.ways in
+  let tlb (x : Platform.Tlb.config) = Printf.sprintf "%d+%d" x.Platform.Tlb.l1_entries x.l2_entries in
+  Printf.sprintf "%s on %s: l1i %s l1d %s l2 %s llc %s dtlb %s itlb %s dram x%d" k.name c.name
+    (cache c.l1i) (cache c.l1d) (cache c.l2)
+    (Option.fold ~none:"-" ~some:cache c.llc)
+    (tlb c.dtlb) (tlb c.itlb) c.dram.Dram.channels
+
+let prop_counters_conserved =
+  QCheck.Test.make ~name:"counters conserved on random configs" ~count:20
+    (QCheck.make ~print:print_case gen_case)
+    (fun ((cfg : Platform.Config.t), (kernel : Workloads.Workload.kernel)) ->
+      let scale = 0.05 in
+      let stream =
+        Seq.append
+          (match kernel.setup with None -> Seq.empty | Some s -> s ~scale)
+          (kernel.stream ~scale)
+      in
+      let next = Seq.to_dispenser stream in
+      let soc = Platform.Soc.create cfg in
+      let now = (Platform.Soc.core_iface soc 0).Smpi.now in
+      let fed = ref 0 and clock = ref (now ()) and last = ref Trace.chunk_len in
+      while !last = Trace.chunk_len do
+        let tr = Trace.compile ~limit:Trace.chunk_len (Seq.of_dispenser next) in
+        Simbridge.Runner.replay soc tr;
+        last := Trace.length tr;
+        fed := !fed + !last;
+        let t = now () in
+        if t < !clock then QCheck.Test.fail_reportf "clock went back: %d after %d" t !clock;
+        clock := t
+      done;
+      let c = Platform.Soc.counters soc in
+      Platform.Soc.release soc;
+      let get k = List.assoc k c in
+      let eq what a b = if a <> b then QCheck.Test.fail_reportf "%s: %d <> %d" what a b in
+      let le what a b = if a > b then QCheck.Test.fail_reportf "%s: %d > %d" what a b in
+      List.iter
+        (fun lvl ->
+          let k f = Printf.sprintf "cache.%s.%s" lvl f in
+          eq (k "hits + misses") (get (k "hits") + get (k "misses")) (get (k "accesses")))
+        ("l1i" :: "l1d" :: "l2" :: (if Option.is_some cfg.llc then [ "llc" ] else []));
+      List.iter
+        (fun t ->
+          let k f = Printf.sprintf "tlb.%s.%s" t f in
+          le (k "walks") (get (k "walks")) (get (k "l1_misses"));
+          le (k "l1_misses") (get (k "l1_misses")) (get (k "accesses")))
+        [ "dtlb"; "itlb" ];
+      let req = get "dram.requests" in
+      eq "dram reads + writes" (get "dram.reads" + get "dram.writes") req;
+      eq "dram row outcomes"
+        (get "dram.row_hits" + get "dram.row_empty" + get "dram.row_conflicts")
+        req;
+      eq "core.instructions" (get "core.instructions") !fed;
+      eq "stream length" !fed (Seq.length stream);
+      true)
+
 let suite =
   [
     Alcotest.test_case "catalog complete" `Quick test_catalog_complete;
@@ -163,4 +251,5 @@ let suite =
     Alcotest.test_case "comm stats collected" `Quick test_run_ranks_collects_comm;
     Alcotest.test_case "config transforms" `Quick test_with_cores_and_freq;
     Alcotest.test_case "frequency scaling" `Quick test_frequency_scaling_effect;
+    QCheck_alcotest.to_alcotest prop_counters_conserved;
   ]

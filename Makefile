@@ -43,13 +43,16 @@ heap-gate:
 	dune build --profile release bench/main.exe
 	dune exec --profile release bench/main.exe -- heap
 
-# CI smoke for the Domain worker pool: fig1 regenerated with 2 worker
-# domains must be byte-identical to the sequential run.
+# CI smoke for the Domain worker pool: fig1 (kernel cells) and fig5
+# (app cells) regenerated with 2 worker domains must be byte-identical
+# to the sequential run.
 parallel-smoke: build
-	@dune exec bin/simbridge_cli.exe -- run fig1 --jobs 1 > _build/parallel-smoke-seq.txt
-	@dune exec bin/simbridge_cli.exe -- run fig1 --jobs 2 > _build/parallel-smoke-par.txt
-	@cmp _build/parallel-smoke-seq.txt _build/parallel-smoke-par.txt \
-		&& echo "parallel-smoke: OK (fig1 --jobs 2 byte-identical to --jobs 1)"
+	@for fig in fig1 fig5; do \
+		dune exec bin/simbridge_cli.exe -- run $$fig --jobs 1 > _build/parallel-smoke-seq.txt && \
+		dune exec bin/simbridge_cli.exe -- run $$fig --jobs 2 > _build/parallel-smoke-par.txt && \
+		cmp _build/parallel-smoke-seq.txt _build/parallel-smoke-par.txt && \
+		echo "parallel-smoke: OK ($$fig --jobs 2 byte-identical to --jobs 1)" || exit 1; \
+	done
 
 # CI smoke for the compiled-trace engine: every fig1/fig2 cell replayed
 # from compiled traces (jobs=1) must be bit-identical to the reference

@@ -643,25 +643,21 @@ let staged = Bechamel.Staged.stage
 let figure_tests =
   let t name f = Bechamel.Test.make ~name (staged f) in
   let module Cat = Platform.Catalog in
-  let krel name = 
-    ignore
-      (Simbridge.Runner.kernel_relative ~scale:0.05 ~sim:Cat.banana_pi_sim ~hw:Cat.banana_pi_hw
-         (Workloads.Microbench.find name))
+  let rel ~scale ~sim ~hw workload =
+    ignore (Simbridge.Runner.compare_grid ~scale ~jobs:1 [ (sim, hw, workload) ])
   in
-  let arel ?(scale = 0.15) app ~sim ~hw =
-    ignore (Simbridge.Runner.app_relative ~scale ~ranks:1 ~sim ~hw app)
+  let krel ~sim ~hw name =
+    rel ~scale:0.05 ~sim ~hw (Simbridge.Runner.Kernel (Workloads.Microbench.find name))
   in
+  let arel ?(scale = 0.15) app ~sim ~hw = rel ~scale ~sim ~hw (Simbridge.Runner.App (app, 1)) in
   [
     t "table1" (fun () -> ignore (Simbridge.Experiments.table1 ()));
     t "table2" (fun () -> ignore (Simbridge.Experiments.table2 ()));
     t "table3" (fun () -> ignore (Simbridge.Experiments.table3 ()));
     t "table4" (fun () -> ignore (Simbridge.Experiments.table4 ()));
     t "table5" (fun () -> ignore (Simbridge.Experiments.table5 ()));
-    t "fig1-slice(Cca)" (fun () -> krel "Cca");
-    t "fig2-slice(EI)" (fun () ->
-        ignore
-          (Simbridge.Runner.kernel_relative ~scale:0.05 ~sim:Cat.milkv_sim ~hw:Cat.milkv_hw
-             (Workloads.Microbench.find "EI")));
+    t "fig1-slice(Cca)" (fun () -> krel ~sim:Cat.banana_pi_sim ~hw:Cat.banana_pi_hw "Cca");
+    t "fig2-slice(EI)" (fun () -> krel ~sim:Cat.milkv_sim ~hw:Cat.milkv_hw "EI");
     t "fig3-slice(EP)" (fun () -> arel Workloads.Npb.ep ~sim:Cat.banana_pi_sim ~hw:Cat.banana_pi_hw);
     t "fig4-slice(CG)" (fun () -> arel Workloads.Npb.cg ~sim:Cat.milkv_sim ~hw:Cat.milkv_hw);
     t "fig5-slice(UME)" (fun () ->

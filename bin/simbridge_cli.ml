@@ -6,7 +6,11 @@
      run EXPERIMENT       regenerate one table/figure (or "all")
      csv FIGURE           emit a figure's data as CSV
      workload NAME        run one workload on one platform and print details
+     compare NAME         run one workload on both sim/silicon platform pairs
      tune TARGET          rank candidate models against a silicon reference
+     grid TARGET          grid-search a model's parameters against a silicon
+                          reference
+     dump-raw             write every figure panel's data as CSV
      validate             fidelity gate: recompute fig1-7 vs golden CSVs +
                           paper expectation bands
      history              run ledger: record reports, trend tables,
@@ -258,9 +262,18 @@ let run_workload verbose name platform ranks scale telemetry_dir seed jobs trace
 
 let run_compare name ranks scale =
   (* Side-by-side sim-vs-silicon comparison for both platform pairs. *)
-  let kernel = try Some (Workloads.Microbench.find name) with Not_found -> None in
   let apps =
     Workloads.Npb.all @ [ Workloads.Ume.app; Workloads.Lammps.lj; Workloads.Lammps.chain ]
+  in
+  let workload =
+    match Workloads.Microbench.find name with
+    | k -> Simbridge.Runner.Kernel k
+    | exception Not_found -> (
+      match List.find_opt (fun (a : Workloads.Workload.app) -> a.app_name = name) apps with
+      | Some app -> Simbridge.Runner.App (app, ranks)
+      | None ->
+        Format.eprintf "unknown workload %s@." name;
+        exit 1)
   in
   let pairs =
     [
@@ -269,21 +282,8 @@ let run_compare name ranks scale =
     ]
   in
   let t = Report.Table.create ~headers:[ "Pair"; "t_sim (ms)"; "t_hw (ms)"; "relative" ] in
-  List.iter
-    (fun (label, sim, hw) ->
-      let s, h =
-        match kernel with
-        | Some k ->
-          (Simbridge.Runner.run_kernel ~scale sim k, Simbridge.Runner.run_kernel ~scale hw k)
-        | None -> (
-          match List.find_opt (fun (a : Workloads.Workload.app) -> a.app_name = name) apps with
-          | Some app ->
-            ( Simbridge.Runner.run_app ~scale ~codegen:Workloads.Codegen.gcc_9_4 ~ranks sim app,
-              Simbridge.Runner.run_app ~scale ~codegen:Workloads.Codegen.gcc_13_2 ~ranks hw app )
-          | None ->
-            Format.eprintf "unknown workload %s@." name;
-            exit 1)
-      in
+  List.iter2
+    (fun (label, _, _) (s, h) ->
       Report.Table.add_row t
         [
           label;
@@ -291,7 +291,8 @@ let run_compare name ranks scale =
           Printf.sprintf "%.4f" (h.Platform.Soc.seconds *. 1e3);
           Printf.sprintf "%.3f" (Simbridge.Runner.relative_speedup ~sim:s ~hw:h);
         ])
-    pairs;
+    pairs
+    (Simbridge.Runner.compare_grid ~scale (List.map (fun (_, sim, hw) -> (sim, hw, workload)) pairs));
   print_string (Report.Table.render t)
 
 let run_grid target scale =
@@ -319,21 +320,13 @@ let run_grid target scale =
 let dump_raw jobs dir scale =
   setup_jobs jobs;
   (* The paper publishes its raw runtime data; this writes ours. *)
-  let write name (fig : Simbridge.Experiments.figure) =
-    let path = Filename.concat dir (name ^ ".csv") in
-    write_or_exit ~what:"raw data" path (fun () ->
-        Util.Outfile.write path (Simbridge.Experiments.figure_csv fig));
-    Format.printf "wrote %s@." path
-  in
-  write "fig1" (Simbridge.Experiments.fig1 ~scale ());
-  write "fig2" (Simbridge.Experiments.fig2 ~scale ());
-  List.iteri (fun i f -> write (Printf.sprintf "fig3%c" (Char.chr (97 + i))) f)
-    (Simbridge.Experiments.fig3 ~scale ());
-  List.iteri (fun i f -> write (Printf.sprintf "fig4%c" (Char.chr (97 + i))) f)
-    (Simbridge.Experiments.fig4 ~scale ());
-  write "fig5" (Simbridge.Experiments.fig5 ~scale ());
-  write "fig6" (Simbridge.Experiments.fig6 ~scale ());
-  write "fig7" (Simbridge.Experiments.fig7 ~scale ())
+  List.iter
+    (fun (id, fig) ->
+      let path = Filename.concat dir (id ^ ".csv") in
+      write_or_exit ~what:"raw data" path (fun () ->
+          Util.Outfile.write path (Simbridge.Experiments.figure_csv fig));
+      Format.printf "wrote %s@." path)
+    (Simbridge.Experiments.figures ~scale Simbridge.Experiments.figure_ids)
 
 (* ------------------------------------------------------------ validate *)
 

@@ -146,70 +146,48 @@ let table5 () =
 
 (* ------------------------------------------------------------- figures *)
 
-(* Every figure below builds an explicit list of independent simulation
-   cells (its grid) and submits it to the domain pool via the Runner grid
-   drivers; [jobs] defaults to the pool's process-wide setting (the CLI's
+(* Every figure below states its comparisons as tagged rows of one
+   [Runner.compare_grid], run on the domain pool under a ["figure:<id>"]
+   span; [jobs] defaults to the pool's process-wide setting (the CLI's
    --jobs).  Each cell simulates a fresh SoC from seeded streams, so the
-   reassembled-in-order results are bit-identical to a sequential run. *)
+   results are bit-identical to a sequential run. *)
 
-(* Split [l] into consecutive chunks of [n] (the per-platform rows of a
-   flattened grid). *)
-let chunks n l =
-  let rec take k acc l =
-    if k = 0 then (List.rev acc, l)
-    else
-      match l with
-      | [] -> (List.rev acc, [])
-      | x :: rest -> take (k - 1) (x :: acc) rest
-  in
-  let rec go acc l =
-    match l with
-    | [] -> List.rev acc
-    | _ ->
-      let c, rest = take n [] l in
-      go (c :: acc) rest
-  in
-  go [] l
-
-let microbench_figure ?budget ?jobs
-    ?(telemetry = Telemetry.Registry.disabled) ~id ~title ~hw ~sims ~scale () =
-  let kernels = Mb.evaluated in
-  let platforms = hw :: sims in
-  let nplat = List.length platforms in
-  (* One cell per (platform, kernel) grid point, in *kernel-major* order:
-     consecutive cells share a kernel, so the compiled-trace cache's reuse
-     distance is the platform count (3-5) rather than the kernel count
-     (~40) and every platform after the first replays a cached trace.
-     Results are regrouped below into the platform-major rows (hardware
-     first) the series layout has always used. *)
-  let grid =
-    List.concat_map
-      (fun (k : W.kernel) -> List.map (fun (cfg : Platform.Config.t) -> (cfg, k)) platforms)
-      kernels
-  in
+(* Run [rows] — (tag, (sim, hw, workload)) — as one comparison grid and
+   pair each tag with its (sim, hw) results. *)
+let compare_tagged ?budget ?jobs ?(telemetry = Telemetry.Registry.disabled) ~scale ~span rows =
   let results =
-    Telemetry.Registry.span_with telemetry ("figure:" ^ id) (fun () ->
-        Array.of_list
-          (List.map
-             (fun t -> t.Runner.result)
-             (Runner.run_kernel_grid ~scale ?budget ?jobs ~telemetry grid)))
+    Telemetry.Registry.span_with telemetry span (fun () ->
+        Runner.compare_grid ~scale ?budget ?jobs ~telemetry (List.map snd rows))
   in
-  (* Platform row [p]: that platform's result for every kernel, in kernel
-     order — cell (kernel ki, platform p) landed at index ki*nplat + p. *)
-  let row p = List.mapi (fun ki (k : W.kernel) -> (k.name, results.(ki * nplat + p))) kernels in
-  let hw_results = row 0 in
-  let series =
-    List.mapi
-      (fun i (sim : Platform.Config.t) ->
-        {
-          label = sim.name;
-          points =
-            List.map
-              (fun (name, s) ->
-                (name, Runner.relative_speedup ~sim:s ~hw:(List.assoc name hw_results)))
-              (row (i + 1));
-        })
-      sims
+  List.map2 (fun (tag, _) r -> (tag, r)) rows results
+
+(* The values tagged [key], in order. *)
+let tagged key l = List.filter_map (fun (k, v) -> if k = key then Some v else None) l
+
+(* Run a figure's rows, tagged (panel id, series label, x label), and
+   return a function from panel id to that panel's series: series in
+   first-appearance order, points in row order. *)
+let compare_panels ?budget ?jobs ?telemetry ~scale ~span rows =
+  let rels =
+    List.map
+      (fun ((panel, label, x), (sim, hw)) -> (panel, (label, (x, Runner.relative_speedup ~sim ~hw))))
+      (compare_tagged ?budget ?jobs ?telemetry ~scale ~span:("figure:" ^ span) rows)
+  in
+  fun panel ->
+    let points = tagged panel rels in
+    let labels = List.fold_left (fun acc (l, _) -> if List.mem l acc then acc else acc @ [ l ]) [] points in
+    List.map (fun label -> { label; points = tagged label points }) labels
+
+let microbench_figure ?budget ?jobs ?telemetry ~id ~title ~hw ~sims ~scale () =
+  (* Kernel-major rows: consecutive cells share a kernel, so the
+     compiled-trace cache's reuse distance is the platform count (3-5)
+     rather than the kernel count (~40) and every platform after the
+     board replays a cached trace. *)
+  let rows =
+    List.concat_map
+      (fun (k : W.kernel) ->
+        List.map (fun (sim : Platform.Config.t) -> ((id, sim.name, k.name), (sim, hw, Runner.Kernel k))) sims)
+      Mb.evaluated
   in
   let note = "relative speedup = t_hw / t_sim; 1.0 = exact match" in
   let note =
@@ -217,7 +195,13 @@ let microbench_figure ?budget ?jobs
     | None -> note
     | Some n -> note ^ Printf.sprintf "; first %d measured insns per kernel" n
   in
-  { id; title; note; reference = Some 1.0; series }
+  {
+    id;
+    title;
+    note;
+    reference = Some 1.0;
+    series = compare_panels ?budget ?jobs ?telemetry ~scale ~span:id rows id;
+  }
 
 let fig1 ?(scale = 1.0) ?budget ?jobs ?telemetry () =
   microbench_figure ?budget ?jobs ?telemetry ~id:"fig1"
@@ -330,40 +314,16 @@ let budget_report ?scale () =
       render_budget_eval (budget_eval_fig2 ?scale ());
     ]
 
-let npb_figure ?jobs ?(telemetry = Telemetry.Registry.disabled) ~id ~title ~hw ~sims ~ranks
-    ~scale () =
-  let apps = Npb.all in
-  (* Hardware row first (native GCC 13.2 binaries), then each simulation
-     model (FireSim-image GCC 9.4 binaries) — one cell per (platform, app). *)
-  let grid =
-    List.concat_map
-      (fun ((cfg : Platform.Config.t), codegen) ->
-        List.map (fun a -> (cfg, codegen, ranks, a)) apps)
-      ((hw, Workloads.Codegen.gcc_13_2)
-      :: List.map (fun s -> (s, Workloads.Codegen.gcc_9_4)) sims)
-  in
-  let results =
-    Telemetry.Registry.span_with telemetry ("figure:" ^ id) (fun () ->
-        Runner.run_app_grid ~scale ?jobs ~telemetry grid)
-  in
-  let series =
-    match chunks (List.length apps) results with
-    | [] -> []
-    | hw_row :: sim_rows ->
-      let hw_results = List.map2 (fun (a : W.app) r -> (a.app_name, r)) apps hw_row in
-      List.map2
-        (fun (sim : Platform.Config.t) row ->
-          {
-            label = sim.name;
-            points =
-              List.map2
-                (fun (a : W.app) s ->
-                  (String.uppercase_ascii a.app_name,
-                   Runner.relative_speedup ~sim:s ~hw:(List.assoc a.app_name hw_results)))
-                apps row;
-          })
-        sims sim_rows
-  in
+(* A panel's rows for one simulation model: every NPB app against the
+   board at [ranks], in series [series] (default: the model's name). *)
+let npb_rows ~panel ?series ~hw ~ranks (sim : Platform.Config.t) =
+  let series = Option.value series ~default:sim.name in
+  List.map
+    (fun (a : W.app) ->
+      ((panel, series, String.uppercase_ascii a.app_name), (sim, hw, Runner.App (a, ranks))))
+    Npb.all
+
+let npb_panel ~id ~title ~ranks series =
   {
     id;
     title;
@@ -373,191 +333,130 @@ let npb_figure ?jobs ?(telemetry = Telemetry.Registry.disabled) ~id ~title ~hw ~
   }
 
 let fig3 ?(scale = 1.0) ?jobs ?telemetry () =
+  let hw = Cat.banana_pi_hw in
   let sims = [ Cat.rocket1; Cat.rocket2; Cat.banana_pi_sim; Cat.fast_banana_pi_sim ] in
+  let panels =
+    compare_panels ?jobs ?telemetry ~scale ~span:"fig3"
+      (List.concat_map (npb_rows ~panel:"fig3a" ~hw ~ranks:1) sims
+      @ List.concat_map (npb_rows ~panel:"fig3b" ~hw ~ranks:4) sims)
+  in
   [
-    npb_figure ?jobs ?telemetry ~id:"fig3a" ~title:"NPB on Rocket configs vs Banana Pi (single core)"
-      ~hw:Cat.banana_pi_hw ~sims ~ranks:1 ~scale ();
-    npb_figure ?jobs ?telemetry ~id:"fig3b" ~title:"NPB on Rocket configs vs Banana Pi (four cores)"
-      ~hw:Cat.banana_pi_hw ~sims ~ranks:4 ~scale ();
+    npb_panel ~id:"fig3a" ~title:"NPB on Rocket configs vs Banana Pi (single core)" ~ranks:1
+      (panels "fig3a");
+    npb_panel ~id:"fig3b" ~title:"NPB on Rocket configs vs Banana Pi (four cores)" ~ranks:4
+      (panels "fig3b");
   ]
 
-let fig4 ?(scale = 1.0) ?jobs ?(telemetry = Telemetry.Registry.disabled) () =
-  let a =
-    npb_figure ?jobs ~telemetry ~id:"fig4a" ~title:"NPB on stock BOOM configs vs MILK-V (single core)"
-      ~hw:Cat.milkv_hw
-      ~sims:[ Cat.boom_small; Cat.boom_medium; Cat.boom_large ]
-      ~ranks:1 ~scale ()
+let fig4 ?(scale = 1.0) ?jobs ?telemetry () =
+  let hw = Cat.milkv_hw in
+  (* (b) is the tuned MILK-V Sim Model at 1 and 4 ranks; its 1-rank board
+     cells are (a)'s, run once. *)
+  let panels =
+    compare_panels ?jobs ?telemetry ~scale ~span:"fig4"
+      (List.concat_map (npb_rows ~panel:"fig4a" ~hw ~ranks:1)
+         [ Cat.boom_small; Cat.boom_medium; Cat.boom_large ]
+      @ npb_rows ~panel:"fig4b" ~series:"1 core" ~hw ~ranks:1 Cat.milkv_sim
+      @ npb_rows ~panel:"fig4b" ~series:"4 cores" ~hw ~ranks:4 Cat.milkv_sim)
   in
-  (* (b): the tuned MILK-V Sim Model at 1 and 4 ranks.  Cells come in
-     (ranks, app, side) order, the simulation side before the board. *)
-  let ranks_list = [ 1; 4 ] in
-  let grid =
-    List.concat_map
-      (fun ranks ->
-        List.concat_map
-          (fun (app : W.app) ->
-            [
-              (Cat.milkv_sim, Workloads.Codegen.gcc_9_4, ranks, app);
-              (Cat.milkv_hw, Workloads.Codegen.gcc_13_2, ranks, app);
-            ])
-          Npb.all)
-      ranks_list
-  in
-  let results =
-    Telemetry.Registry.span_with telemetry "figure:fig4b" (fun () ->
-        Runner.run_app_grid ~scale ?jobs ~telemetry grid)
-  in
-  let rows = chunks (2 * List.length Npb.all) results in
-  let series =
-    List.map2
-      (fun ranks row ->
-        {
-          label = (if ranks = 1 then "1 core" else Printf.sprintf "%d cores" ranks);
-          points =
-            List.map2
-              (fun (app : W.app) pt ->
-                match pt with
-                | [ s; h ] ->
-                  (String.uppercase_ascii app.app_name, Runner.relative_speedup ~sim:s ~hw:h)
-                | _ -> assert false)
-              Npb.all (chunks 2 row);
-        })
-      ranks_list rows
-  in
-  let b =
+  [
+    npb_panel ~id:"fig4a" ~title:"NPB on stock BOOM configs vs MILK-V (single core)" ~ranks:1
+      (panels "fig4a");
     {
       id = "fig4b";
       title = "NPB on the MILK-V Sim Model vs MILK-V (1 and 4 cores)";
       note = "relative speedup = t_hw / t_sim";
       reference = Some 1.0;
-      series;
-    }
-  in
-  [ a; b ]
+      series = panels "fig4b";
+    };
+  ]
 
-let app_pair_figure ?jobs ?(telemetry = Telemetry.Registry.disabled) ~id ~title (app : W.app)
-    ~scale () =
-  let ranks_list = [ 1; 2; 4 ] in
-  let pairs =
-    [
-      ("banana-pi pair", Cat.banana_pi_sim, Cat.banana_pi_hw);
-      ("milk-v pair", Cat.milkv_sim, Cat.milkv_hw);
-    ]
-  in
-  (* Cells in (pair, ranks, side) order; as in Runner.app_relative, the
-     simulation side runs the GCC 9.4 image binary, the board the GCC
-     13.2 native one (Table 3). *)
-  let grid =
-    List.concat_map
-      (fun (_, sim, hw) ->
-        List.concat_map
-          (fun ranks ->
-            [
-              (sim, Workloads.Codegen.gcc_9_4, ranks, app);
-              (hw, Workloads.Codegen.gcc_13_2, ranks, app);
-            ])
-          ranks_list)
-      pairs
-  in
-  let results =
-    Telemetry.Registry.span_with telemetry ("figure:" ^ id) (fun () ->
-        Runner.run_app_grid ~scale ?jobs ~telemetry grid)
-  in
-  let rows = chunks (2 * List.length ranks_list) results in
-  let series =
-    List.map2
-      (fun (label, _, _) row ->
-        {
-          label;
-          points =
-            List.map2
-              (fun ranks pt ->
-                match pt with
-                | [ s; h ] ->
-                  (string_of_int ranks ^ " ranks", Runner.relative_speedup ~sim:s ~hw:h)
-                | _ -> assert false)
-              ranks_list (chunks 2 row);
-        })
-      pairs rows
+(* The UME/LAMMPS comparisons (fig5-7 and the runtimes table): each
+   platform pair at 1, 2 and 4 ranks, tagged by pair. *)
+let app_pairs =
+  [ ("banana-pi pair", Cat.banana_pi_sim, Cat.banana_pi_hw); ("milk-v pair", Cat.milkv_sim, Cat.milkv_hw) ]
+
+let pair_rows (app : W.app) =
+  List.concat_map
+    (fun (label, sim, hw) ->
+      List.map (fun ranks -> ((label, ranks), (sim, hw, Runner.App (app, ranks)))) [ 1; 2; 4 ])
+    app_pairs
+
+let app_figure ~id ~title app ?(scale = 1.0) ?jobs ?telemetry () =
+  let rows =
+    List.map (fun ((label, ranks), row) -> ((id, label, string_of_int ranks ^ " ranks"), row)) (pair_rows app)
   in
   {
     id;
     title;
     note = "relative speedup = t_hw / t_sim per rank count";
     reference = Some 1.0;
-    series;
+    series = compare_panels ?jobs ?telemetry ~scale ~span:id rows id;
   }
 
-let fig5 ?(scale = 1.0) ?jobs ?telemetry () =
-  app_pair_figure ?jobs ?telemetry ~id:"fig5" ~title:"UME: FireSim models vs hardware" Workloads.Ume.app
-    ~scale ()
+let fig5 = app_figure ~id:"fig5" ~title:"UME: FireSim models vs hardware" Workloads.Ume.app
 
-let fig6 ?(scale = 1.0) ?jobs ?telemetry () =
-  app_pair_figure ?jobs ?telemetry ~id:"fig6" ~title:"LAMMPS Lennard-Jones: FireSim models vs hardware"
-    Workloads.Lammps.lj ~scale ()
+let fig6 =
+  app_figure ~id:"fig6" ~title:"LAMMPS Lennard-Jones: FireSim models vs hardware" Workloads.Lammps.lj
 
-let fig7 ?(scale = 1.0) ?jobs ?telemetry () =
-  app_pair_figure ?jobs ?telemetry ~id:"fig7" ~title:"LAMMPS Chain: FireSim models vs hardware"
-    Workloads.Lammps.chain ~scale ()
+let fig7 = app_figure ~id:"fig7" ~title:"LAMMPS Chain: FireSim models vs hardware" Workloads.Lammps.chain
 
-(* The per-panel figure index shared by `simbridge csv`, the validate
-   subsystem's recompute path, and the serve daemon: one id per rendered
-   CSV/golden file. *)
-let figure_ids = [ "fig1"; "fig2"; "fig3a"; "fig3b"; "fig4a"; "fig4b"; "fig5"; "fig6"; "fig7" ]
+(* The figure table: (registry id, description, panel ids, compute).
+   The panel ids — one per rendered CSV/golden file — are the vocabulary
+   of `simbridge csv`, the validate subsystem's recompute path and the
+   serve daemon; the figure rows of [all] come from here too. *)
+type figure_run = ?scale:float -> ?jobs:int -> ?telemetry:Telemetry.Registry.t -> unit -> figure list
+
+let figure_table : (string * string * string list * figure_run) list =
+  let one fig ?scale ?jobs ?telemetry () = [ fig ?scale ?jobs ?telemetry () ] in
+  [
+    ( "fig1",
+      "MicroBench: Rocket vs Banana Pi",
+      [ "fig1" ],
+      fun ?scale ?jobs ?telemetry () -> [ fig1 ?scale ?jobs ?telemetry () ] );
+    ( "fig2",
+      "MicroBench: BOOM vs MILK-V",
+      [ "fig2" ],
+      fun ?scale ?jobs ?telemetry () -> [ fig2 ?scale ?jobs ?telemetry () ] );
+    ("fig3", "NPB on Rocket configs (1 and 4 cores)", [ "fig3a"; "fig3b" ], fig3);
+    ("fig4", "NPB on BOOM configs (stock and tuned)", [ "fig4a"; "fig4b" ], fig4);
+    ("fig5", "UME relative speedup", [ "fig5" ], one fig5);
+    ("fig6", "LAMMPS LJ relative speedup", [ "fig6" ], one fig6);
+    ("fig7", "LAMMPS Chain relative speedup", [ "fig7" ], one fig7);
+  ]
+
+let figure_ids = List.concat_map (fun (_, _, panels, _) -> panels) figure_table
 
 let figures ?scale ?jobs ?telemetry ids =
-  (* the two panels of fig3 (fig4) come from one grid run *)
-  let fig3 = lazy (fig3 ?scale ?jobs ?telemetry ()) in
-  let fig4 = lazy (fig4 ?scale ?jobs ?telemetry ()) in
-  let panel l i = List.nth (Lazy.force l) i in
+  (* an entry runs at most once, however many of its panels are asked for *)
+  let runs =
+    List.map (fun (_, _, panels, run) -> (panels, lazy (run ?scale ?jobs ?telemetry ()))) figure_table
+  in
   List.map
     (fun id ->
-      let fig =
-        match id with
-        | "fig1" -> fig1 ?scale ?jobs ?telemetry ()
-        | "fig2" -> fig2 ?scale ?jobs ?telemetry ()
-        | "fig3a" -> panel fig3 0
-        | "fig3b" -> panel fig3 1
-        | "fig4a" -> panel fig4 0
-        | "fig4b" -> panel fig4 1
-        | "fig5" -> fig5 ?scale ?jobs ?telemetry ()
-        | "fig6" -> fig6 ?scale ?jobs ?telemetry ()
-        | "fig7" -> fig7 ?scale ?jobs ?telemetry ()
-        | id -> invalid_arg ("Experiments.figures: unknown figure " ^ id)
-      in
-      (id, fig))
+      match List.find_opt (fun (panels, _) -> List.mem id panels) runs with
+      | Some (_, figs) -> (id, List.find (fun f -> f.id = id) (Lazy.force figs))
+      | None -> invalid_arg ("Experiments.figures: unknown figure " ^ id))
     ids
 
 let figure_by_id ?scale ?jobs ?telemetry id =
   if List.mem id figure_ids then List.assoc_opt id (figures ?scale ?jobs ?telemetry [ id ]) else None
 
-let app_runtime_table ?(scale = 1.0) ?jobs ?(telemetry = Telemetry.Registry.disabled) (app : W.app) =
-  let platforms = [ Cat.banana_pi_hw; Cat.banana_pi_sim; Cat.milkv_hw; Cat.milkv_sim ] in
-  let ranks_list = [ 1; 2; 4 ] in
-  (* sim models run the FireSim-image binary, boards the native one *)
-  let codegen_of (p : Platform.Config.t) =
-    if
-      String.length p.Platform.Config.name >= 3
-      && String.sub p.Platform.Config.name (String.length p.Platform.Config.name - 3) 3 = "-hw"
-    then Workloads.Codegen.gcc_13_2
-    else Workloads.Codegen.gcc_9_4
-  in
-  let grid =
-    List.concat_map
-      (fun (p : Platform.Config.t) -> List.map (fun ranks -> (p, codegen_of p, ranks, app)) ranks_list)
-      platforms
-  in
+let app_runtime_table ?(scale = 1.0) ?jobs ?telemetry (app : W.app) =
   let results =
-    Telemetry.Registry.span_with telemetry ("runtimes:" ^ app.app_name) (fun () ->
-        Runner.run_app_grid ~scale ?jobs ~telemetry grid)
+    compare_tagged ?jobs ?telemetry ~scale ~span:("runtimes:" ^ app.app_name) (pair_rows app)
+  in
+  let seconds side pair =
+    List.filter_map
+      (fun ((label, _), r) ->
+        if label = pair then Some (Printf.sprintf "%.4f s" (side r).Platform.Soc.seconds) else None)
+      results
   in
   let t = Report.Table.create ~headers:[ "Platform"; "1 rank"; "2 ranks"; "4 ranks" ] in
-  List.iter2
-    (fun (p : Platform.Config.t) row ->
-      Report.Table.add_row t
-        (p.name :: List.map (fun (r : Platform.Soc.result) -> Printf.sprintf "%.4f s" r.Platform.Soc.seconds) row))
-    platforms
-    (chunks (List.length ranks_list) results);
+  List.iter
+    (fun (pair, (sim : Platform.Config.t), (hw : Platform.Config.t)) ->
+      Report.Table.add_row t (hw.name :: seconds snd pair);
+      Report.Table.add_row t (sim.name :: seconds fst pair))
+    app_pairs;
   Printf.sprintf "%s: absolute target runtimes\n" app.app_name ^ Report.Table.render t
 
 (* ------------------------------------------------------------ ablations *)
@@ -594,22 +493,35 @@ let ablation_l1 ?(scale = 4.0) () =
   ^ Report.Table.render t
 
 let ablation_clock ?(scale = 1.0) () =
-  let categories = W.all_categories in
-  let rel_of sim k = Runner.kernel_relative ~scale ~sim ~hw:Cat.banana_pi_hw k in
+  let sims = [ Cat.banana_pi_sim; Cat.fast_banana_pi_sim ] in
+  let rows =
+    List.concat_map
+      (fun cat ->
+        List.concat_map
+          (fun (k : W.kernel) ->
+            if k.excluded then []
+            else
+              List.map
+                (fun (sim : Platform.Config.t) -> ((cat, sim.name), (sim, Cat.banana_pi_hw, Runner.Kernel k)))
+                sims)
+          (Mb.by_category cat))
+      W.all_categories
+  in
+  let rels =
+    List.map
+      (fun (tag, (sim, hw)) -> (tag, Runner.relative_speedup ~sim ~hw))
+      (compare_tagged ~scale ~span:"ablate-clock" rows)
+  in
   let t = Report.Table.create ~headers:[ "Category"; "1.6 GHz geomean"; "3.2 GHz geomean" ] in
   List.iter
     (fun cat ->
-      let kernels = List.filter (fun (k : W.kernel) -> not k.excluded) (Mb.by_category cat) in
-      let g sim =
-        Util.Stats.geomean (Array.of_list (List.map (rel_of sim) kernels))
-      in
       Report.Table.add_row t
-        [
-          W.category_name cat;
-          Report.Table.cell_f (g Cat.banana_pi_sim);
-          Report.Table.cell_f (g Cat.fast_banana_pi_sim);
-        ])
-    categories;
+        (W.category_name cat
+        :: List.map
+             (fun (sim : Platform.Config.t) ->
+               Report.Table.cell_f (Util.Stats.geomean (Array.of_list (tagged (cat, sim.name) rels))))
+             sims))
+    W.all_categories;
   "Ablation A2 (clock doubling, per-category geomean relative speedup vs Banana Pi HW)\n"
   ^ Report.Table.render t
 
@@ -669,19 +581,20 @@ let ablation_prefetch ?(scale = 1.0) () =
     Report.Table.create
       ~headers:[ "L2 prefetcher"; "t_sim (ms)"; "t_hw (ms)"; "MG relative (BPi pair)" ]
   in
-  let row label sim hw =
-    let s = Runner.run_app ~scale ~codegen:Workloads.Codegen.gcc_9_4 ~ranks:1 sim Npb.mg in
-    let h = Runner.run_app ~scale ~codegen:Workloads.Codegen.gcc_13_2 ~ranks:1 hw Npb.mg in
-    Report.Table.add_row t
-      [
-        label;
-        Printf.sprintf "%.3f" (s.Platform.Soc.seconds *. 1e3);
-        Printf.sprintf "%.3f" (h.Platform.Soc.seconds *. 1e3);
-        Report.Table.cell_f (Runner.relative_speedup ~sim:s ~hw:h);
-      ]
-  in
-  row "on (both sides)" Cat.banana_pi_sim Cat.banana_pi_hw;
-  row "off (both sides)" (strip Cat.banana_pi_sim) (strip Cat.banana_pi_hw);
+  List.iter
+    (fun (label, (s, h)) ->
+      Report.Table.add_row t
+        [
+          label;
+          Printf.sprintf "%.3f" (s.Platform.Soc.seconds *. 1e3);
+          Printf.sprintf "%.3f" (h.Platform.Soc.seconds *. 1e3);
+          Report.Table.cell_f (Runner.relative_speedup ~sim:s ~hw:h);
+        ])
+    (compare_tagged ~scale ~span:"ablate-prefetch"
+       [
+         ("on (both sides)", (Cat.banana_pi_sim, Cat.banana_pi_hw, Runner.App (Npb.mg, 1)));
+         ("off (both sides)", (strip Cat.banana_pi_sim, strip Cat.banana_pi_hw, Runner.App (Npb.mg, 1)));
+       ]);
   "Ablation A5 (stream prefetcher as a modeling choice)\n" ^ Report.Table.render t
 
 let ablation_quantum ?(scale = 1.0) () =
@@ -729,19 +642,13 @@ let all =
     ("table3", "compiler (codegen) settings", fun _ -> table3 ());
     ("table4", "FireSim model configurations", fun _ -> table4 ());
     ("table5", "hardware vs simulation-model specs", fun _ -> table5 ());
-    ("fig1", "MicroBench: Rocket vs Banana Pi", fun reg -> render_figure (fig1 ~telemetry:reg ()));
-    ("fig2", "MicroBench: BOOM vs MILK-V", fun reg -> render_figure (fig2 ~telemetry:reg ()));
+  ]
+  @ List.map
+      (fun (id, doc, _, (run : figure_run)) -> (id, doc, fun reg -> render_figures (run ~telemetry:reg ())))
+      figure_table
+  @ [
     ("budget", "budgeted prefix runs vs full: accuracy and speed (fig1/fig2)", fun _ ->
       budget_report ());
-    ( "fig3",
-      "NPB on Rocket configs (1 and 4 cores)",
-      fun reg -> render_figures (fig3 ~telemetry:reg ()) );
-    ( "fig4",
-      "NPB on BOOM configs (stock and tuned)",
-      fun reg -> render_figures (fig4 ~telemetry:reg ()) );
-    ("fig5", "UME relative speedup", fun reg -> render_figure (fig5 ~telemetry:reg ()));
-    ("fig6", "LAMMPS LJ relative speedup", fun reg -> render_figure (fig6 ~telemetry:reg ()));
-    ("fig7", "LAMMPS Chain relative speedup", fun reg -> render_figure (fig7 ~telemetry:reg ()));
     ( "runtimes",
       "absolute runtimes for UME and LAMMPS",
       fun reg ->

@@ -29,11 +29,11 @@ val table3 : unit -> string
 val table4 : unit -> string
 val table5 : unit -> string
 
-(** Figures build explicit (platform, workload, ranks) cell grids and run
-    them on the {!Parallel.Pool} worker domains: [jobs] bounds the worker
-    count (default: the pool's process-wide setting, i.e. the CLI's
-    [--jobs]; [1] = sequential in-process).  Results are reassembled in
-    grid order and are bit-identical for every [jobs] value.
+(** Each figure is one list of (simulation model, silicon reference,
+    workload) rows run by {!Runner.compare_grid} on the {!Parallel.Pool}
+    worker domains: [jobs] bounds the worker count (default: the pool's
+    process-wide setting, i.e. the CLI's [--jobs]; [1] = sequential
+    in-process).  Results are bit-identical for every [jobs] value.
 
     [telemetry] (default {!Telemetry.Registry.disabled}) is the parent
     registry the grid's per-cell sinks merge into; when the caller holds
@@ -104,11 +104,13 @@ val budget_report : ?scale:float -> unit -> string
 (** The [budget] registry entry: both evaluations rendered. *)
 
 val fig3 : ?scale:float -> ?jobs:int -> ?telemetry:Telemetry.Registry.t -> unit -> figure list
-(** NPB on the Rocket-family configs vs Banana Pi HW; [single; four]. *)
+(** NPB on the Rocket-family configs vs Banana Pi HW; [single; four],
+    both panels from one grid. *)
 
 val fig4 : ?scale:float -> ?jobs:int -> ?telemetry:Telemetry.Registry.t -> unit -> figure list
 (** NPB on BOOM configs vs MILK-V HW; [(a) stock BOOMs; (b) tuned model
-    1 and 4 ranks]. *)
+    1 and 4 ranks], both panels from one grid (28 cells: (a)'s board
+    cells are (b)'s 1-rank board cells). *)
 
 val fig5 : ?scale:float -> ?jobs:int -> ?telemetry:Telemetry.Registry.t -> unit -> figure
 (** UME relative speedup over 1/2/4 ranks, both platform pairs. *)
@@ -131,7 +133,7 @@ val figures :
   string list ->
   (string * figure) list
 (** Compute the listed panels by id, in list order.  The two panels of
-    fig3 (fig4) share one grid run, so asking for both costs one run.
+    fig3 (fig4) come from one grid run, so asking for both costs one run.
     Raises [Invalid_argument] on an id not in {!figure_ids}. *)
 
 val figure_by_id :
@@ -148,7 +150,8 @@ val figure_by_id :
 val app_runtime_table :
   ?scale:float -> ?jobs:int -> ?telemetry:Telemetry.Registry.t -> Workloads.Workload.app -> string
 (** Absolute target runtimes (seconds) for 1/2/4 ranks on all four
-    platforms — the numbers quoted in §5.3/§5.4. *)
+    platforms — the numbers quoted in §5.3/§5.4 — from the same
+    comparison rows as {!fig5}–{!fig7}. *)
 
 val ablation_l1 : ?scale:float -> unit -> string
 (** §5.2.2: Large BOOM with 32 vs 64 KiB L1 on CG (expected ~25-30%

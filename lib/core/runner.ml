@@ -353,32 +353,55 @@ let run_kernel_grid ?scale ?budget ?jobs ?telemetry grid =
              run_kernel_timed ?scale ~telemetry:ctx.Parallel.Pool.telemetry ?budget config kernel))
        grid)
 
-let run_app_grid ?scale ?jobs ?telemetry grid =
-  Parallel.Pool.run ?jobs ?telemetry
-    (List.map
-       (fun (config, codegen, ranks, (app : Workloads.Workload.app)) ->
-         let label =
-           Printf.sprintf "%s/%s x%d" config.Platform.Config.name app.Workloads.Workload.app_name
-             ranks
-         in
-         Parallel.Pool.cell ~label (fun (ctx : Parallel.Pool.ctx) ->
-             run_app ?scale ~codegen ~telemetry:ctx.Parallel.Pool.telemetry ~ranks config app))
-       grid)
-
 let relative_speedup ~(sim : Platform.Soc.result) ~(hw : Platform.Soc.result) =
   if sim.Platform.Soc.seconds <= 0.0 then invalid_arg "relative_speedup: empty simulation run";
   hw.Platform.Soc.seconds /. sim.Platform.Soc.seconds
 
-let kernel_relative ?scale ~sim ~hw kernel =
-  let s = run_kernel ?scale sim kernel in
-  let h = run_kernel ?scale hw kernel in
-  relative_speedup ~sim:s ~hw:h
+type workload = Kernel of Workloads.Workload.kernel | App of Workloads.Workload.app * int
 
-let app_relative ?scale ?(mismatched_codegen = true) ~ranks ~sim ~hw app =
+let compare_grid ?scale ?budget ?jobs ?telemetry rows =
+  (* A cell is keyed by its platform (structurally), the codegen and
+     ranks of an app, and the workload's name — the name the trace cache
+     keys kernels by. *)
+  let index = Hashtbl.create 64 in
+  let cells = ref [] in
+  let cell config codegen workload =
+    let key =
+      match workload with
+      | Kernel k -> (config, None, k.Workloads.Workload.name, 0)
+      | App (app, ranks) -> (config, Some codegen, app.Workloads.Workload.app_name, ranks)
+    in
+    match Hashtbl.find_opt index key with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length index in
+      Hashtbl.add index key i;
+      let c =
+        match workload with
+        | Kernel k ->
+          Parallel.Pool.cell ~label:(kernel_cell_label config k) (fun (ctx : Parallel.Pool.ctx) ->
+              (run_kernel_timed ?scale ~telemetry:ctx.Parallel.Pool.telemetry ?budget config k).result)
+        | App (app, ranks) ->
+          let label =
+            Printf.sprintf "%s/%s x%d" config.Platform.Config.name app.Workloads.Workload.app_name
+              ranks
+          in
+          Parallel.Pool.cell ~label (fun (ctx : Parallel.Pool.ctx) ->
+              run_app ?scale ~codegen ~telemetry:ctx.Parallel.Pool.telemetry ~ranks config app)
+      in
+      cells := c :: !cells;
+      i
+  in
   (* The paper's setup (Table 3): the FireSim image carries GCC 9.4
-     binaries, the boards GCC 13.2 ones. *)
-  let sim_cg = if mismatched_codegen then Workloads.Codegen.gcc_9_4 else Workloads.Codegen.default in
-  let hw_cg = if mismatched_codegen then Workloads.Codegen.gcc_13_2 else Workloads.Codegen.default in
-  let s = run_app ?scale ~codegen:sim_cg ~ranks sim app in
-  let h = run_app ?scale ~codegen:hw_cg ~ranks hw app in
-  relative_speedup ~sim:s ~hw:h
+     binaries, the boards GCC 13.2 ones; a kernel cell has no codegen.
+     The board's cell goes first, so a kernel-major grid stays
+     kernel-major. *)
+  let pairs =
+    List.map
+      (fun (sim, hw, workload) ->
+        let h = cell hw Workloads.Codegen.gcc_13_2 workload in
+        (cell sim Workloads.Codegen.gcc_9_4 workload, h))
+      rows
+  in
+  let results = Array.of_list (Parallel.Pool.run ?jobs ?telemetry (List.rev !cells)) in
+  List.map (fun (s, h) -> (results.(s), results.(h))) pairs

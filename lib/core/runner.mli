@@ -34,7 +34,7 @@ val trace_cache_clear : unit -> unit
 
 val set_trace_cache_limits : ?entries:int -> ?words:int -> unit -> unit
 (** Re-size the process-wide compiled-trace cache (defaults: 128
-    entries, 24M words ≈ 192 MiB).  A one-shot CLI run never needs
+    entries, 24 M words: 192 MB ≈ 183 MiB).  A one-shot CLI run never needs
     this; the serve daemon keeps the cache for its whole lifetime and
     sizes it to the deployment at startup ([--trace-cache-mib]).
     {b Startup-only}, like {!Parallel.Pool.set_default_jobs}: must be
@@ -128,32 +128,32 @@ val run_kernel_grid :
   timed list
 (** {!run_kernel_timed} over a (platform, kernel) grid. *)
 
-val run_app_grid :
+type workload =
+  | Kernel of Workloads.Workload.kernel
+  | App of Workloads.Workload.app * int  (** the app and its rank count *)
+
+val compare_grid :
   ?scale:float ->
+  ?budget:int ->
   ?jobs:int ->
   ?telemetry:Telemetry.Registry.t ->
-  (Platform.Config.t * Workloads.Codegen.t * int * Workloads.Workload.app) list ->
-  Platform.Soc.result list
-(** {!run_app} over a (platform, codegen, ranks, app) grid. *)
+  (Platform.Config.t * Platform.Config.t * workload) list ->
+  (Platform.Soc.result * Platform.Soc.result) list
+(** [compare_grid rows] runs each (simulation model, silicon reference,
+    workload) row on both platforms and returns its (sim, hw) results in
+    row order — the pairs {!relative_speedup} takes.  This is where the
+    paper's Table 3 rule lives: an app runs the FireSim image's GCC 9.4
+    binary on the simulation side and the board's native GCC 13.2 one on
+    the silicon side.  A kernel is the same stream on both sides, and
+    [budget] (see {!run_kernel_timed}) applies to kernel cells only.
+
+    Every distinct (platform, codegen, ranks, workload) cell runs once,
+    in one {!Parallel.Pool.run}: a board shared by several rows is
+    simulated once.  Cells are submitted in first-appearance order, each
+    row's board cell before its simulation cell, so kernel-major rows
+    give a kernel-major grid whose compiled traces are replayed while
+    still cached.  Cell labels are {!run_kernel_grid}'s
+    ["platform/kernel"] and ["platform/app xRANKS"] for apps. *)
 
 val relative_speedup : sim:Platform.Soc.result -> hw:Platform.Soc.result -> float
 (** t_hw / t_sim in target seconds (clock-aware, not cycle counts). *)
-
-val kernel_relative :
-  ?scale:float ->
-  sim:Platform.Config.t ->
-  hw:Platform.Config.t ->
-  Workloads.Workload.kernel ->
-  float
-
-val app_relative :
-  ?scale:float ->
-  ?mismatched_codegen:bool ->
-  ranks:int ->
-  sim:Platform.Config.t ->
-  hw:Platform.Config.t ->
-  Workloads.Workload.app ->
-  float
-(** With [mismatched_codegen] (default true, as in the paper's Table 3)
-    the simulation side runs the GCC 9.4 scalar binary while the silicon
-    side runs the GCC 13.2 vectorizing one. *)

@@ -8,19 +8,25 @@ type score = {
 
 let default_kernels = Workloads.Microbench.evaluated
 
-let relatives ?(scale = 1.0) ~kernels ~sim ~hw () =
-  List.map
-    (fun (k : W.kernel) -> (k, Runner.kernel_relative ~scale ~sim ~hw k))
-    kernels
+(* Each candidate's (kernel, relative speedup) list, from one comparison
+   grid.  Kernel-major rows: the board runs each kernel once, and every
+   candidate replays that kernel's trace while it is cached. *)
+let relatives ?(scale = 1.0) ~kernels ~sims ~hw () =
+  let rows =
+    List.concat_map (fun k -> List.mapi (fun i sim -> ((i, k), (sim, hw, Runner.Kernel k))) sims) kernels
+  in
+  let rels =
+    List.map2
+      (fun ((i, k), _) (sim, hw) -> (i, (k, Runner.relative_speedup ~sim ~hw)))
+      rows
+      (Runner.compare_grid ~scale (List.map snd rows))
+  in
+  List.mapi (fun i _ -> List.filter_map (fun (j, r) -> if j = i then Some r else None) rels) sims
 
 let distance_of rels =
   Util.Stats.mean (Array.of_list (List.map (fun (_, r) -> Float.abs (log r)) rels))
 
-let distance ?scale ?(kernels = default_kernels) ~sim ~hw () =
-  distance_of (relatives ?scale ~kernels ~sim ~hw ())
-
-let score ?scale ?(kernels = default_kernels) ~sim ~hw () =
-  let rels = relatives ?scale ~kernels ~sim ~hw () in
+let score_of sim rels =
   let per_category =
     List.filter_map
       (fun cat ->
@@ -32,10 +38,12 @@ let score ?scale ?(kernels = default_kernels) ~sim ~hw () =
   in
   { candidate = sim; distance = distance_of rels; per_category }
 
-let rank_candidates ?scale ?kernels ~candidates ~hw () =
-  candidates
-  |> List.map (fun sim -> score ?scale ?kernels ~sim ~hw ())
+let rank_candidates ?scale ?(kernels = default_kernels) ~candidates ~hw () =
+  List.map2 score_of candidates (relatives ?scale ~kernels ~sims:candidates ~hw ())
   |> List.sort (fun a b -> compare a.distance b.distance)
+
+let score ?scale ?kernels ~sim ~hw () = List.hd (rank_candidates ?scale ?kernels ~candidates:[ sim ] ~hw ())
+let distance ?scale ?kernels ~sim ~hw () = (score ?scale ?kernels ~sim ~hw ()).distance
 
 let sweep_frequency ~base ~multipliers =
   List.map

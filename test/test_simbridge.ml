@@ -29,22 +29,32 @@ let test_relative_speedup_definition () =
   Alcotest.(check (float 1e-9)) "1.2" 1.2
     (Simbridge.Runner.relative_speedup ~sim:(mk 1.0) ~hw:(mk 1.2))
 
+(* One comparison row through the driver: t_hw / t_sim. *)
+let rel ?(scale = scale) ~sim ~hw workload =
+  match Simbridge.Runner.compare_grid ~scale [ (sim, hw, workload) ] with
+  | [ (s, h) ] -> Simbridge.Runner.relative_speedup ~sim:s ~hw:h
+  | _ -> Alcotest.fail "one row, one pair"
+
+let kernel name = Simbridge.Runner.Kernel (Mb.find name)
+
 let test_identical_platforms_match () =
+  (* Two separate runs: the driver would run a (sim = hw) row's one cell
+     once. *)
   let k = Mb.find "Cca" in
-  let rel = Simbridge.Runner.kernel_relative ~scale ~sim:Cat.banana_pi_sim ~hw:Cat.banana_pi_sim k in
+  let run () = Simbridge.Runner.run_kernel ~scale Cat.banana_pi_sim k in
+  let rel = Simbridge.Runner.relative_speedup ~sim:(run ()) ~hw:(run ()) in
   Alcotest.(check (float 1e-9)) "self relative = 1" 1.0 rel
 
 let test_memory_kernels_undershoot () =
   (* The paper's headline: DRAM-bound kernels on the DDR3 FireSim model
      reach well under half of silicon performance. *)
-  let mm = Mb.find "MM" in
-  let bpi = Simbridge.Runner.kernel_relative ~scale ~sim:Cat.banana_pi_sim ~hw:Cat.banana_pi_hw mm in
-  let mkv = Simbridge.Runner.kernel_relative ~scale ~sim:Cat.milkv_sim ~hw:Cat.milkv_hw mm in
+  let bpi = rel ~sim:Cat.banana_pi_sim ~hw:Cat.banana_pi_hw (kernel "MM") in
+  let mkv = rel ~sim:Cat.milkv_sim ~hw:Cat.milkv_hw (kernel "MM") in
   Alcotest.(check bool) (Printf.sprintf "banana pi MM %.3f < 0.6" bpi) true (bpi < 0.6);
   Alcotest.(check bool) (Printf.sprintf "milkv MM %.3f < 0.6" mkv) true (mkv < 0.6)
 
 let test_fast_model_helps_compute_hurts_memory () =
-  let rel sim k = Simbridge.Runner.kernel_relative ~scale ~sim ~hw:Cat.banana_pi_hw (Mb.find k) in
+  let rel sim k = rel ~sim ~hw:Cat.banana_pi_hw (kernel k) in
   let base_exec = rel Cat.banana_pi_sim "EI" in
   let fast_exec = rel Cat.fast_banana_pi_sim "EI" in
   let base_mem = rel Cat.banana_pi_sim "MM" in
@@ -58,7 +68,7 @@ let test_fast_model_helps_compute_hurts_memory () =
 
 let test_mip_anomaly () =
   (* MIP outperforms hardware on the BOOM/MILK-V pair (SRAM-like LLC). *)
-  let rel = Simbridge.Runner.kernel_relative ~scale ~sim:Cat.milkv_sim ~hw:Cat.milkv_hw (Mb.find "MIP") in
+  let rel = rel ~sim:Cat.milkv_sim ~hw:Cat.milkv_hw (kernel "MIP") in
   Alcotest.(check bool) (Printf.sprintf "MIP %.3f > 1" rel) true (rel > 1.0)
 
 let test_tuning_prefers_large_boom () =
@@ -135,8 +145,8 @@ let test_ablation_l1_improves_cg () =
 let test_app_relative_sane () =
   (* End-to-end app comparison must produce finite positive ratios. *)
   let rel =
-    Simbridge.Runner.app_relative ~scale:0.2 ~ranks:2 ~sim:Cat.banana_pi_sim ~hw:Cat.banana_pi_hw
-      Workloads.Npb.ep
+    rel ~scale:0.2 ~sim:Cat.banana_pi_sim ~hw:Cat.banana_pi_hw
+      (Simbridge.Runner.App (Workloads.Npb.ep, 2))
   in
   Alcotest.(check bool) (Printf.sprintf "0 < %.3f < 10" rel) true (rel > 0.0 && rel < 10.0)
 
@@ -177,20 +187,73 @@ let test_setup_not_timed () =
 
 let test_mismatched_codegen_lowers_relative () =
   (* Running the better binary on the silicon side can only help it. *)
+  let lj = Workloads.Lammps.lj in
   let matched =
-    Simbridge.Runner.app_relative ~scale:0.3 ~mismatched_codegen:false ~ranks:1
-      ~sim:Cat.banana_pi_sim ~hw:Cat.banana_pi_hw Workloads.Lammps.lj
+    let run cfg =
+      Simbridge.Runner.run_app ~scale:0.3 ~codegen:Workloads.Codegen.default ~ranks:1 cfg lj
+    in
+    Simbridge.Runner.relative_speedup ~sim:(run Cat.banana_pi_sim) ~hw:(run Cat.banana_pi_hw)
   in
   let mismatched =
-    Simbridge.Runner.app_relative ~scale:0.3 ~mismatched_codegen:true ~ranks:1
-      ~sim:Cat.banana_pi_sim ~hw:Cat.banana_pi_hw Workloads.Lammps.lj
+    rel ~scale:0.3 ~sim:Cat.banana_pi_sim ~hw:Cat.banana_pi_hw (Simbridge.Runner.App (lj, 1))
   in
   Alcotest.(check bool)
     (Printf.sprintf "mismatched (%.2f) < matched (%.2f)" mismatched matched)
     true (mismatched < matched)
 
+(* The comparison driver runs each distinct cell once: 2 sims x 2 kernels
+   against one board is 6 cells, not 8, and 2 sims x 1 app is 3, not 4.
+   Its pairs equal separate runs with Table 3's codegen per side, at any
+   job count. *)
+let test_compare_grid_distinct_cells () =
+  let scale = 0.05 in
+  let hw = Cat.banana_pi_hw in
+  let sims = [ Cat.banana_pi_sim; Cat.fast_banana_pi_sim ] in
+  let ep = Workloads.Npb.ep in
+  let rows workloads = List.concat_map (fun w -> List.map (fun sim -> (sim, hw, w)) sims) workloads in
+  (* (pe_total, pe_started) of every progress event; the hook runs on
+     worker domains. *)
+  let events = ref [] and lock = Mutex.create () in
+  Parallel.Pool.set_progress_hook
+    (Some
+       (fun ev ->
+         Mutex.protect lock (fun () ->
+             events := (ev.Parallel.Pool.pe_total, ev.Parallel.Pool.pe_started) :: !events)));
+  let check_grid ~jobs ~cells grid separate =
+    events := [];
+    let pairs = Simbridge.Runner.compare_grid ~scale ~jobs grid in
+    Alcotest.(check (list int))
+      (Printf.sprintf "jobs %d: one pool run of %d cells" jobs cells)
+      (List.init cells (fun _ -> cells))
+      (List.filter_map (fun (total, started) -> if started then Some total else None) !events);
+    List.iter2
+      (fun (sim, hw, w) (s, h) ->
+        let s', h' = separate sim hw w in
+        Alcotest.(check bool)
+          (Printf.sprintf "jobs %d: %s pair = separate runs" jobs sim.Platform.Config.name)
+          true
+          (s = s' && h = h'))
+      grid pairs
+  in
+  let separate sim hw = function
+    | Simbridge.Runner.Kernel k ->
+      (Simbridge.Runner.run_kernel ~scale sim k, Simbridge.Runner.run_kernel ~scale hw k)
+    | Simbridge.Runner.App (app, ranks) ->
+      ( Simbridge.Runner.run_app ~scale ~codegen:Workloads.Codegen.gcc_9_4 ~ranks sim app,
+        Simbridge.Runner.run_app ~scale ~codegen:Workloads.Codegen.gcc_13_2 ~ranks hw app )
+  in
+  Fun.protect
+    ~finally:(fun () -> Parallel.Pool.set_progress_hook None)
+    (fun () ->
+      List.iter
+        (fun jobs ->
+          check_grid ~jobs ~cells:6 (rows [ kernel "Cca"; kernel "EI" ]) separate;
+          check_grid ~jobs ~cells:3 (rows [ Simbridge.Runner.App (ep, 1) ]) separate)
+        [ 1; 2 ])
+
 let extra_suite =
   [
+    Alcotest.test_case "compare grid runs each cell once" `Quick test_compare_grid_distinct_cells;
     Alcotest.test_case "setup not timed" `Quick test_setup_not_timed;
     Alcotest.test_case "mismatched codegen" `Quick test_mismatched_codegen_lowers_relative;
   ]
